@@ -3,14 +3,15 @@ for a dispersively monitored qubit.
 
 The package splits into:
 
-* :mod:`qfb.model` -- single-step physics (readout sampling, measurement
-  backaction, feedback rotation, dissipation),
+* :mod:`qfb.model` -- the Bloch state, physical constants, and the
+  vectorized step kernels (measurement backaction, feedback rotation,
+  dissipation),
 * :mod:`qfb.chain` -- the classical filter + delay signal path,
 * :mod:`qfb.engine` -- reproducible stochastic trajectory ensembles,
 * :mod:`qfb.design` -- closed-form feedback design and the deterministic /
   diffusive mean-field cross-check models,
-* :mod:`qfb.stats` -- ensemble means, steady-state histograms, peak and
-  lobe detection, parameter sweeps,
+* :mod:`qfb.stats` -- ensemble summaries: steady-state histograms, peak
+  and lobe detection, parameter sweeps,
 * :mod:`qfb.cli` -- the ``qfb`` command-line harness.
 """
 
@@ -40,23 +41,12 @@ from .engine import (
     run_trajectory,
     trajectory_rng,
 )
-from .model import (
-    BlochState,
-    ModelParams,
-    ReadoutSample,
-    composite_step,
-    dissipation_step,
-    feedback_rotation,
-    measurement_backaction,
-    sample_readout,
-)
+from .model import BlochState, ModelParams
 from .stats import (
     EnsembleSummary,
     HistogramGrid,
     Lobe,
-    MeanAccumulator,
     PeakReport,
-    accumulate_mean,
     build_histogram,
     find_peak,
     summarize,
@@ -68,7 +58,6 @@ __all__ = [
     "__version__",
     "BlochState",
     "ModelParams",
-    "ReadoutSample",
     "FeedbackLaw",
     "FeedbackChain",
     "TrajectoryConfig",
@@ -81,12 +70,6 @@ __all__ = [
     "HistogramGrid",
     "PeakReport",
     "Lobe",
-    "MeanAccumulator",
-    "sample_readout",
-    "measurement_backaction",
-    "feedback_rotation",
-    "dissipation_step",
-    "composite_step",
     "validate_law",
     "run_trajectory",
     "run_ensemble",
@@ -101,7 +84,6 @@ __all__ = [
     "integrate_mean_ode",
     "integrate_sme_trajectory",
     "run_sme_ensemble",
-    "accumulate_mean",
     "build_histogram",
     "find_peak",
     "summarize",

