@@ -38,6 +38,10 @@ class FeedbackLaw:
     Td: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("delta0", "delta1", "Ts", "Td"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.Ts < 0.0 or self.Td < 0.0:
             raise ValueError("Ts and Td must be non-negative")
 

@@ -28,6 +28,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -37,7 +38,13 @@ import numpy as np
 from . import __version__
 from .chain import FeedbackLaw
 from .design import design_ideal, design_nonideal
-from .engine import SteadySampling, TrajectoryConfig, run_ensemble, run_trajectory
+from .engine import (
+    SteadySampling,
+    TrajectoryConfig,
+    _steps_for,
+    run_ensemble,
+    run_trajectory,
+)
 from .model import BlochState, ModelParams
 from .stats import DEFAULT_BINS, summarize, sweep_chain, sweep_targets
 
@@ -122,8 +129,8 @@ class RunConfig:
                 "theta_target: give either explicit delta0/delta1 or a target "
                 "angle with auto-design, not both"
             )
-        if not explicit and self.theta_target is None and self.mode in (
-            "trajectory", "ensemble", "histogram",
+        if not explicit and self.theta_target is None and self.mode not in (
+            "design-table", "sweep-angle",
         ):
             raise ConfigError(f"theta_target: required for mode {self.mode}")
         try:
@@ -144,7 +151,57 @@ class RunConfig:
             raise ConfigError(f"threads: must be >= 1, got {self.threads}")
         _sweep_values_us(self)
         _theta_list(self)
+        if self.mode != "design-table":
+            self._check_time_grid()
+        self._check_designs()
         return self
+
+    def _check_time_grid(self) -> None:
+        """The step, record and burn-in grids the engine would reject at run time."""
+        try:
+            n_steps = _steps_for(self.total_time, self.dt)
+        except ValueError as exc:
+            raise ConfigError(f"total_time: {exc}") from exc
+        if self.mode in ("trajectory", "ensemble", "histogram") and (
+            self.record_stride < 1 or n_steps % self.record_stride
+        ):
+            raise ConfigError(
+                f"record_stride: must be >= 1 and divide the {n_steps} steps, "
+                f"got {self.record_stride}"
+            )
+        if self.mode == "histogram":
+            key, sampling = "burn_in", self.sampling()
+        elif self.mode.startswith("sweep"):
+            # sweeps always discard SteadySampling.default's 10 tau_m
+            key, sampling = "total_time", SteadySampling.default(self.model_params())
+        else:
+            return
+        try:
+            sampling.step_indices(n_steps, self.dt)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+
+    def _check_designs(self) -> None:
+        """Run the closed-form designs the mode needs, so that a target the
+        design rejects (such as one at a measurement pole) is named by key."""
+        if self.mode in ("design-table", "sweep-angle"):
+            key, thetas = "theta_list", _theta_list(self)
+        elif self.theta_target is not None:
+            key, thetas = "theta_target", [self.theta_target]
+        else:
+            return
+        # sweeps design for the lossy model whatever the parameters
+        sweep = self.mode.startswith("sweep")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for theta in thetas:
+                try:
+                    if sweep:
+                        design_nonideal(theta, self.model_params())
+                    else:
+                        self.design(theta)
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from exc
 
     def model_params(self) -> ModelParams:
         return ModelParams(
@@ -332,6 +389,7 @@ def execute(cfg: RunConfig) -> list[Path]:
     """
     cfg.validate()
     out_dir = Path(cfg.out)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -339,6 +397,10 @@ def execute(cfg: RunConfig) -> list[Path]:
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
+        for d in created:  # deepest first; only directories left empty
+            if any(d.iterdir()):
+                break
+            d.rmdir()
         raise
     return written
 
@@ -443,8 +505,6 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
 
     elif cfg.mode in ("sweep-filter", "sweep-delay"):
         which = "Ts" if cfg.mode == "sweep-filter" else "Td"
-        if cfg.theta_target is None:
-            raise ConfigError(f"theta_target: required for mode {cfg.mode}")
         rows = sweep_chain(
             cfg.theta_target, _sweep_values_us(cfg), which, params,
             n_traj=cfg.n_traj, total_time=cfg.total_time,

@@ -7,6 +7,13 @@ fixed-size chunks as vectorized numpy operations; partial reductions
 (mean sums, steady-state samples, renormalization counts) are merged in
 chunk order, which keeps floating-point results independent of the
 thread count.
+
+A Philox stream is fully set by its key and a zero counter, so when a
+run fits in one noise block (at most ``BLOCK_STEPS`` steps) each chunk
+re-keys a single Generator before each trajectory's one draw instead of
+constructing one per trajectory.  Longer runs keep one Generator per
+trajectory, because each stream carries its position from block to
+block.  Both paths draw the same numbers.
 """
 
 from __future__ import annotations
@@ -43,14 +50,32 @@ __all__ = [
 CHUNK_SIZE = 4096
 
 #: Steps of noise generated per inner block; bounds the noise buffer to
-#: CHUNK_SIZE * BLOCK_STEPS doubles.
+#: CHUNK_SIZE * BLOCK_STEPS doubles.  Runs of at most this many steps draw
+#: all their noise in one block and share one re-keyed Generator per chunk.
 BLOCK_STEPS = 512
 
 
-def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one trajectory, keyed by (seed, index)."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def trajectory_rng(
+    seed: int, index: int, reuse: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Independent stream for one trajectory, keyed by (seed, index).
+
+    With ``reuse`` (a Philox Generator), that Generator is re-keyed in
+    place and returned: key (seed, index), counter 0 and an empty buffer,
+    the state of a freshly constructed stream, for a fraction of the cost.
+    """
+    if reuse is None:
+        key = np.array([seed, index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
 
 
 def _steps_for(total_time: float, dt: float) -> int:
@@ -136,8 +161,11 @@ class SteadySampling:
     def step_indices(self, n_steps: int, dt: float) -> np.ndarray:
         burn = int(round(self.burn_in / dt))
         stride = max(1, int(round(self.stride / dt)))
-        if burn > n_steps:
-            raise ValueError("burn_in exceeds the simulated time span")
+        if not 0 <= burn <= n_steps:
+            raise ValueError(
+                f"burn_in = {self.burn_in} lies outside the simulated time "
+                f"span [0, {n_steps * dt:.9g}]"
+            )
         return np.arange(burn, n_steps + 1, stride)
 
     def samples_per_trajectory(self, total_time: float, dt: float) -> int:
@@ -239,7 +267,14 @@ def _run_chunk(
     x = np.full(n, cfg.initial.x)
     y = np.full(n, cfg.initial.y)
     z = np.full(n, cfg.initial.z)
-    gens = [trajectory_rng(cfg.seed, i) for i in range(lo, hi)]
+    if n_steps <= BLOCK_STEPS:
+        # One draw per trajectory: re-key one Generator right before each.
+        shared = trajectory_rng(cfg.seed, lo)
+        streams = lambda: (trajectory_rng(cfg.seed, i, reuse=shared) for i in range(lo, hi))
+    else:
+        # Each stream resumes where the previous block left it.
+        gens = [trajectory_rng(cfg.seed, i) for i in range(lo, hi)]
+        streams = lambda: gens
 
     n_rec = len(rec_steps)
     rec_sums = np.zeros((n_rec, 3))
@@ -251,7 +286,7 @@ def _run_chunk(
     rec_slot = {int(step): k for k, step in enumerate(rec_steps)}
     steady_slot = {int(step): k for k, step in enumerate(steady_steps)} if n_steady else {}
 
-    noise = np.empty((n, BLOCK_STEPS))
+    noise = np.empty((n, min(BLOCK_STEPS, n_steps)))
     for i in range(n_steps + 1):
         slot = rec_slot.get(i)
         if slot is not None:
@@ -271,8 +306,8 @@ def _run_chunk(
         k = i % BLOCK_STEPS
         if k == 0:
             block = min(BLOCK_STEPS, n_steps - i)
-            for j, g in enumerate(gens):
-                noise[j, :block] = g.standard_normal(block)
+            for j, g in enumerate(streams()):
+                g.standard_normal(out=noise[j, :block])
         x, y, z = stepper.step(x, y, z, noise[:, k])
         if readouts is not None:
             readouts[:, i] = stepper.last_readout

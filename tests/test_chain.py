@@ -34,6 +34,13 @@ class TestFeedbackLaw:
         with pytest.raises(ValueError):
             FeedbackLaw(0.0, 0.0, Td=-0.1)
 
+    @pytest.mark.parametrize("name", ["delta0", "delta1", "Ts", "Td"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, name, value):
+        settings = {"delta0": 0.0, "delta1": 1.0, "Ts": 0.0, "Td": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FeedbackLaw(**settings)
+
     def test_drive(self):
         assert law().drive(0.5) == pytest.approx(-1.0 + 2.0 * 0.5)
 

@@ -238,33 +238,37 @@ class TestExecute:
 
     @staticmethod
     def _outputs_across_threads_and_dirs(tmp_path, monkeypatch, **kw):
-        """Every written file of threads=1 in one directory and threads=4 in another."""
+        """Every written file for threads 1 and 4, with the noise drawn in one
+        block and in blocks of 16 steps, each run in its own directory."""
         import qfb.engine as eng
 
         monkeypatch.setattr(eng, "CHUNK_SIZE", 16)  # several chunks per run
         outputs = []
-        for threads, name in ((1, "a"), (4, "b")):
-            out = tmp_path / name
-            written = execute(parse_config(None, small_overrides(out, threads=threads, **kw)))
-            assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in written)
-            outputs.append({p.name: p.read_bytes() for p in written})
+        for block_steps in (eng.BLOCK_STEPS, 16):
+            monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
+            for threads in (1, 4):
+                out = tmp_path / f"blocks{block_steps}-threads{threads}"
+                cfg = parse_config(None, small_overrides(out, threads=threads, **kw))
+                written = execute(cfg)
+                assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in written)
+                outputs.append({p.name: p.read_bytes() for p in written})
         return outputs
 
     def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
-        a, b = self._outputs_across_threads_and_dirs(tmp_path, monkeypatch)
-        assert set(a) == {"mean.csv", "run_meta.json"}
-        assert a == b
+        first, *others = self._outputs_across_threads_and_dirs(tmp_path, monkeypatch)
+        assert set(first) == {"mean.csv", "run_meta.json"}
+        assert all(o == first for o in others)
 
     def test_sweep_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
-        a, b = self._outputs_across_threads_and_dirs(
+        first, *others = self._outputs_across_threads_and_dirs(
             tmp_path, monkeypatch,
             mode="sweep-filter", sweep_values="0,0.5", total_time=3.0, n_traj=40,
         )
-        assert set(a) == {"peaks.json", "run_meta.json"}
-        assert a == b
+        assert set(first) == {"peaks.json", "run_meta.json"}
+        assert all(o == first for o in others)
 
     def test_failure_removes_partial_files(self, tmp_path):
-        cfg = parse_config(None, small_overrides(tmp_path, mode="sweep-delay"))
+        cfg = parse_config(None, small_overrides(tmp_path, mode="sweep-delay", total_time=3.0))
         cfg.theta_target = None  # sabotage after validation
         with pytest.raises(ConfigError):
             execute(cfg)
@@ -287,6 +291,22 @@ class TestExecute:
         with pytest.raises(OSError):
             execute(cfg)  # hist.csv is written before peaks.json fails
         assert list(tmp_path.iterdir()) == []
+
+    def test_failure_removes_the_directories_it_created(self, tmp_path, monkeypatch):
+        import qfb.cli
+
+        def full_disk(path, payload):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(qfb.cli, "_write_json", full_disk)
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "note.txt").write_text("x")
+        for out in (tmp_path / "new" / "deeper", tmp_path / "kept" / "run"):
+            cfg = parse_config(None, small_overrides(out, mode="design-table"))
+            with pytest.raises(OSError):
+                execute(cfg)  # design.csv is written before run_meta.json fails
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+        assert [p.name for p in (tmp_path / "kept").iterdir()] == ["note.txt"]
 
 
 class TestMain:
@@ -353,6 +373,16 @@ BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
         ("threads", BASE + ["--threads", "0"]),
         ("r_init", BASE + ["--r-init", "abc"]),
         ("mode", ["--mode", "bogus", "--theta-target", "0.3pi"]),
+        # range errors the engine and the design would meet only at run time
+        ("theta_target", ["--mode", "ensemble", "--theta-target", "0.01pi"]),
+        ("total_time", BASE + ["--total-time", "0.0013"]),
+        ("burn_in", ["--mode", "histogram", "--theta-target", "0.3pi", "--burn-in", "5"]),
+        ("burn_in", ["--mode", "histogram", "--theta-target", "0.3pi", "--burn-in", "-1"]),
+        ("record_stride", BASE + ["--record-stride", "7"]),
+        ("total_time", ["--mode", "sweep-filter", "--theta-target", "0.3pi",
+                        "--total-time", "1"]),
+        ("theta_target", ["--mode", "sweep-delay"]),
+        ("theta_list", ["--mode", "sweep-angle", "--theta-list", "0.01pi,0.3pi"]),
     ],
 )
 def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):

@@ -71,6 +71,21 @@ class TestStreams:
             trajectory_rng(123, 45).standard_normal(16),
         )
 
+    def test_rekeyed_stream_matches_fresh(self):
+        used = trajectory_rng(5, 0)
+        used.standard_normal(37)
+        used.integers(0, 10, dtype=np.uint32)  # leaves half a word buffered
+        assert used.bit_generator.state["has_uint32"] == 1
+        rekeyed = trajectory_rng(123, 45, reuse=used)
+        fresh = trajectory_rng(123, 45)
+        assert rekeyed is used
+        # 600 normals run through many buffer refills
+        assert np.array_equal(rekeyed.standard_normal(600), fresh.standard_normal(600))
+        assert np.array_equal(
+            rekeyed.integers(0, 2**32, 5, dtype=np.uint32),
+            fresh.integers(0, 2**32, 5, dtype=np.uint32),
+        )
+
 
 class TestRunTrajectory:
     def test_pole_without_feedback_is_constant(self):
@@ -127,28 +142,63 @@ class TestRunEnsemble:
         assert np.array_equal(a.xyz, b.records[0].xyz)
         assert np.array_equal(a.xyz[:, 1:], b.mean_xyz[:, 1:])
 
-    def test_thread_invariance_bit_exact(self):
+    @staticmethod
+    def _lossy_run(monkeypatch, block_steps, threads):
+        """100 steps of the lossy model in chunks of 64, noise in blocks of ``block_steps``."""
+        import qfb.engine as eng
+
         p = ModelParams(tau_m=0.2, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             law, _ = design_nonideal(0.3 * math.pi, p)
         # span several chunks so threading actually matters
+        monkeypatch.setattr(eng, "CHUNK_SIZE", 64)
+        monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
+        cfg = TrajectoryConfig(
+            BlochState.from_polar(0.1 * math.pi), 0.2, record_stride=10, seed=9
+        )
+        sampling = SteadySampling(burn_in=0.1, stride=0.02)
+        return run_ensemble(300, cfg, p, law, threads=threads, steady=sampling)
+
+    def test_thread_invariance_bit_exact(self, monkeypatch):
         import qfb.engine as eng
 
-        old_chunk = eng.CHUNK_SIZE
-        eng.CHUNK_SIZE = 64
-        try:
-            cfg = TrajectoryConfig(
-                BlochState.from_polar(0.1 * math.pi), 0.2, record_stride=10, seed=9
-            )
-            sampling = SteadySampling(burn_in=0.1, stride=0.02)
-            a = run_ensemble(300, cfg, p, law, threads=1, steady=sampling)
-            b = run_ensemble(300, cfg, p, law, threads=8, steady=sampling)
-        finally:
-            eng.CHUNK_SIZE = old_chunk
-        assert np.array_equal(a.mean_xyz, b.mean_xyz)
-        assert np.array_equal(a.steady_yz, b.steady_yz)
-        assert a.renorm_count == b.renorm_count
+        # one noise block (re-keyed shared stream), then seven (a stream each)
+        for block_steps in (eng.BLOCK_STEPS, 16):
+            a = self._lossy_run(monkeypatch, block_steps, threads=1)
+            b = self._lossy_run(monkeypatch, block_steps, threads=8)
+            assert np.array_equal(a.mean_xyz, b.mean_xyz)
+            assert np.array_equal(a.steady_yz, b.steady_yz)
+            assert a.renorm_count == b.renorm_count
+
+    def test_noise_block_size_does_not_change_bits(self, monkeypatch):
+        import qfb.engine as eng
+
+        one = self._lossy_run(monkeypatch, eng.BLOCK_STEPS, threads=1)
+        several = self._lossy_run(monkeypatch, 16, threads=1)
+        assert np.array_equal(one.mean_xyz, several.mean_xyz)
+        assert np.array_equal(one.steady_yz, several.steady_yz)
+        assert one.renorm_count == several.renorm_count
+
+    def test_one_block_run_builds_one_stream_per_chunk(self, monkeypatch):
+        import qfb.engine as eng
+
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(eng, "CHUNK_SIZE", 16)
+        cfg, law = ideal_setup(seed=3, total_time=0.1, stride=20)  # 200 steps
+        run_ensemble(50, cfg, IDEAL, law)
+        assert len(built) == 4  # chunks of 16, 16, 16 and 2 trajectories
+        monkeypatch.setattr(eng, "BLOCK_STEPS", 16)  # several blocks: one per trajectory
+        built.clear()
+        run_ensemble(50, cfg, IDEAL, law)
+        assert len(built) == 50
 
     def test_ensemble_mean_tracks_ode(self):
         cfg, law = ideal_setup(seed=7)
