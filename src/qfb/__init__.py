@@ -8,8 +8,10 @@ The package splits into:
   dissipation),
 * :mod:`qfb.chain` -- the classical filter + delay signal path,
 * :mod:`qfb.engine` -- reproducible stochastic trajectory ensembles,
-* :mod:`qfb.design` -- closed-form feedback design and the deterministic /
-  diffusive mean-field cross-check models,
+  reduced on the fly to mean curves and steady-state samples (a single
+  trajectory is an ensemble of one),
+* :mod:`qfb.design` -- closed-form feedback design and stationary-state
+  analysis,
 * :mod:`qfb.stats` -- ensemble summaries: steady-state histograms, peak
   and lobe detection, parameter sweeps,
 * :mod:`qfb.cli` -- the ``qfb`` command-line harness.
@@ -24,11 +26,8 @@ from .design import (
     design_ideal,
     design_nonideal,
     disturbance,
-    integrate_mean_ode,
-    integrate_sme_trajectory,
     max_radius,
     optimal_delta1,
-    run_sme_ensemble,
     stationary_delta1_roots,
     stationary_state,
 )
@@ -36,9 +35,7 @@ from .engine import (
     EnsembleResult,
     SteadySampling,
     TrajectoryConfig,
-    TrajectoryRecord,
     run_ensemble,
-    run_trajectory,
     trajectory_rng,
 )
 from .model import BlochState, ModelParams
@@ -61,7 +58,6 @@ __all__ = [
     "FeedbackLaw",
     "FeedbackChain",
     "TrajectoryConfig",
-    "TrajectoryRecord",
     "SteadySampling",
     "EnsembleResult",
     "TargetSpec",
@@ -71,7 +67,6 @@ __all__ = [
     "PeakReport",
     "Lobe",
     "validate_law",
-    "run_trajectory",
     "run_ensemble",
     "trajectory_rng",
     "design_ideal",
@@ -81,9 +76,6 @@ __all__ = [
     "stationary_delta1_roots",
     "disturbance",
     "optimal_delta1",
-    "integrate_mean_ode",
-    "integrate_sme_trajectory",
-    "run_sme_ensemble",
     "build_histogram",
     "find_peak",
     "summarize",

@@ -55,10 +55,6 @@ class FeedbackLaw:
             return 1.0
         return 1.0 - math.exp(-dt / self.Ts)
 
-    def drive(self, r_fed):
-        """Rotation rate delta0 + delta1 * r_fed (scalar or array)."""
-        return self.delta0 + self.delta1 * r_fed
-
     def is_markovian(self) -> bool:
         return self.Ts == 0.0 and self.Td == 0.0
 

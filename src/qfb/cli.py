@@ -9,7 +9,7 @@ sorted.
 
 Modes
 -----
-trajectory    one stochastic trajectory          -> mean.csv
+trajectory    one stochastic trajectory          -> mean.csv (an ensemble of one)
 ensemble      ensemble mean curve                -> mean.csv
 design-table  controller constants vs angle      -> design.csv
 histogram     steady-state histogram + peaks     -> hist.csv, peaks.json
@@ -38,13 +38,7 @@ import numpy as np
 from . import __version__
 from .chain import FeedbackLaw
 from .design import design_ideal, design_nonideal
-from .engine import (
-    SteadySampling,
-    TrajectoryConfig,
-    _steps_for,
-    run_ensemble,
-    run_trajectory,
-)
+from .engine import SteadySampling, TrajectoryConfig, _steps_for, run_ensemble
 from .model import BlochState, ModelParams
 from .stats import DEFAULT_BINS, summarize, sweep_chain, sweep_targets
 
@@ -93,7 +87,9 @@ class RunConfig:
     theta_init: float = 0.1 * math.pi
     r_init: float = 1.0
     total_time: float = 2.0
-    record_stride: int = 40
+    record_stride: int = _key(
+        40, "steps between mean.csv rows; histogram and sweep modes write no mean curve"
+    )
     n_traj: int = 10000
     seed: int = 1
     burn_in: float | None = None
@@ -122,6 +118,11 @@ class RunConfig:
                 allowed = "finite or inf" if inf_ok else "finite"
                 raise ConfigError(f"{key}: must be {allowed}, got {value}")
         explicit = self.delta0 is not None or self.delta1 is not None
+        if explicit and (self.mode == "design-table" or self.mode.startswith("sweep")):
+            raise ConfigError(
+                f"delta0/delta1: mode {self.mode} designs its own constants; "
+                "explicit values would be ignored"
+            )
         if explicit and (self.delta0 is None or self.delta1 is None):
             raise ConfigError("delta0/delta1: both must be given when either is")
         if explicit and self.theta_target is not None:
@@ -149,6 +150,8 @@ class RunConfig:
             raise ConfigError(f"r_init: must lie in (0, 1], got {self.r_init}")
         if self.threads < 1:
             raise ConfigError(f"threads: must be >= 1, got {self.threads}")
+        if self.sample_every is not None and not self.sample_every > 0:
+            raise ConfigError(f"sample_every: must be > 0, got {self.sample_every}")
         _sweep_values_us(self)
         _theta_list(self)
         if self.mode != "design-table":
@@ -169,16 +172,12 @@ class RunConfig:
                 f"record_stride: must be >= 1 and divide the {n_steps} steps, "
                 f"got {self.record_stride}"
             )
-        if self.mode == "histogram":
-            key, sampling = "burn_in", self.sampling()
-        elif self.mode.startswith("sweep"):
-            # sweeps always discard SteadySampling.default's 10 tau_m
-            key, sampling = "total_time", SteadySampling.default(self.model_params())
-        else:
+        if self.mode != "histogram" and not self.mode.startswith("sweep"):
             return
         try:
-            sampling.step_indices(n_steps, self.dt)
+            self.sampling().step_indices(n_steps, self.dt)
         except ValueError as exc:
+            key = "total_time" if self.burn_in is None else "burn_in"
             raise ConfigError(f"{key}: {exc}") from exc
 
     def _check_designs(self) -> None:
@@ -418,14 +417,6 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         "renorm_count": 0,
     }
 
-    def mean_csv(times, xyz) -> None:
-        path = out_dir / "mean.csv"
-        rows = (
-            (t, row[0], row[1], row[2]) for t, row in zip(times, xyz)
-        )
-        _write_csv(path, ["t", "x", "y", "z"], rows)
-        written.append(path)
-
     if cfg.mode == "design-table":
         rows = []
         for theta in _theta_list(cfg):
@@ -437,16 +428,18 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
 
     elif cfg.mode in ("trajectory", "ensemble"):
         law, r_target = cfg.feedback_law()
-        if cfg.mode == "trajectory":
-            record = run_trajectory(cfg.trajectory_config(), params, law)
-            mean_csv(record.times, record.xyz)
-            meta["renorm_count"] = record.renorm_count
-        else:
-            result = run_ensemble(
-                cfg.n_traj, cfg.trajectory_config(), params, law, threads=cfg.threads
-            )
-            mean_csv(result.times, result.mean_xyz)
-            meta["renorm_count"] = result.renorm_count
+        # a trajectory is an ensemble of one: its mean is the trajectory
+        n_traj = 1 if cfg.mode == "trajectory" else cfg.n_traj
+        result = run_ensemble(
+            n_traj, cfg.trajectory_config(), params, law, threads=cfg.threads
+        )
+        path = out_dir / "mean.csv"
+        _write_csv(
+            path, ["t", "x", "y", "z"],
+            ((t, *row) for t, row in zip(result.times, result.mean_xyz)),
+        )
+        written.append(path)
+        meta["renorm_count"] = result.renorm_count
         meta["law"] = {**asdict(law), "r_target": r_target}
 
     elif cfg.mode == "histogram":
@@ -489,7 +482,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         thetas = _theta_list(cfg)
         rows = sweep_targets(
             thetas, params,
-            n_traj=cfg.n_traj, total_time=cfg.total_time,
+            n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
             seed=cfg.seed, threads=cfg.threads, n_bins=cfg.n_bins,
         )
         path = out_dir / "design.csv"
@@ -507,7 +500,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         which = "Ts" if cfg.mode == "sweep-filter" else "Td"
         rows = sweep_chain(
             cfg.theta_target, _sweep_values_us(cfg), which, params,
-            n_traj=cfg.n_traj, total_time=cfg.total_time,
+            n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
             seed=cfg.seed, threads=cfg.threads, n_bins=cfg.n_bins,
         )
         path = out_dir / "peaks.json"

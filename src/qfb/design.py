@@ -1,18 +1,14 @@
-"""Closed-form feedback design and deterministic/stochastic mean-field models.
+"""Closed-form feedback design and stationary-state analysis.
 
 Stabilizing an in-plane state at polar angle theta requires a constant
 drive ``delta0`` plus a linear feedback gain ``delta1`` on the readout.
 This module computes those controller constants for ideal and lossy
 qubits, predicts the stationary state for arbitrary constants, bounds
-the achievable Bloch radius, quantifies the residual per-noise state
-disturbance, and integrates two independent mean-field models used to
-cross-check the trajectory engine:
-
-* the deterministic ensemble-average equations (fixed-step fourth-order
-  Runge-Kutta), and
-* the diffusive stochastic equations for the Markovian (no filter, no
-  delay) limit (Euler-Maruyama), which does not preserve positivity and
-  therefore only flags, rather than corrects, sphere excursions.
+the achievable Bloch radius, and quantifies the residual per-noise state
+disturbance.  The mean-field models that cross-check the trajectory
+engine (a fourth-order Runge-Kutta integrator of the ensemble-average
+equations and an Euler-Maruyama stepper of the diffusive equations) are
+test references and live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -21,16 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chain import FeedbackLaw
-from .engine import (
-    EnsembleResult,
-    SteadySampling,
-    TrajectoryConfig,
-    TrajectoryRecord,
-    run_ensemble,
-)
 from .model import BlochState, ModelParams
 
 __all__ = [
@@ -44,10 +31,6 @@ __all__ = [
     "stationary_delta1_roots",
     "disturbance",
     "optimal_delta1",
-    "integrate_mean_ode",
-    "integrate_sme_trajectory",
-    "run_sme_ensemble",
-    "SmeStepper",
 ]
 
 #: Targets closer than this to a measurement pole are rejected by the
@@ -233,153 +216,3 @@ def optimal_delta1(target: TargetSpec, tau_m: float) -> float:
     """Gain minimizing the squared disturbance: y_s/(R_s^2 tau_m)."""
     return target.y_s / (target.R_s**2 * tau_m)
 
-
-def _mean_drift(law: FeedbackLaw, params: ModelParams):
-    a = 0.5 * params.tau_m * law.delta1**2
-    g = params.gamma_total
-    inv_t1 = 1.0 / params.T1
-    d0, d1 = law.delta0, law.delta1
-
-    def f(v: np.ndarray) -> np.ndarray:
-        x, y, z = v
-        return np.array(
-            [
-                -g * x,
-                -(g + a) * y + d0 * z + d1,
-                -a * z - d0 * y - (1.0 + z) * inv_t1,
-            ]
-        )
-
-    return f
-
-
-def integrate_mean_ode(
-    initial: BlochState,
-    law: FeedbackLaw,
-    params: ModelParams,
-    total_time: float,
-    dt_ode: float,
-    record_stride: int = 1,
-) -> TrajectoryRecord:
-    """Deterministic ensemble-average evolution by fixed-step RK4.
-
-    Models the Markovian (zero filter/delay) limit; the controller chain
-    settings on ``law`` are ignored.  The asymptotic value coincides
-    with :func:`stationary_state` to integration accuracy.
-    """
-    n = int(round(total_time / dt_ode))
-    if n < 1 or abs(n * dt_ode - total_time) > 1e-9 * max(total_time, dt_ode):
-        raise ValueError("total_time must be a whole number of dt_ode steps")
-    if n % record_stride != 0:
-        raise ValueError("record_stride must divide the number of steps")
-    f = _mean_drift(law, params)
-    v = np.array([initial.x, initial.y, initial.z], dtype=float)
-    rec = [v.copy()]
-    for k in range(n):
-        k1 = f(v)
-        k2 = f(v + 0.5 * dt_ode * k1)
-        k3 = f(v + 0.5 * dt_ode * k2)
-        k4 = f(v + dt_ode * k3)
-        v = v + (dt_ode / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) % record_stride == 0:
-            rec.append(v.copy())
-    times = np.arange(0, n + 1, record_stride) * dt_ode
-    return TrajectoryRecord(times=times, xyz=np.array(rec))
-
-
-class SmeStepper:
-    """Euler-Maruyama step of the diffusive Markovian-feedback equations.
-
-    An independent model of the same physics as the Bayesian update,
-    valid only with a passthrough chain (Ts = Td = 0).  The scheme does
-    not preserve positivity: excursions with R > 1.05 are counted in
-    ``excursions`` but not corrected.  ``noise_scale=0`` freezes the
-    noise, reducing the step to an Euler step of the mean equations.
-    """
-
-    EXCURSION_RADIUS = 1.05
-
-    def __init__(
-        self,
-        params: ModelParams,
-        law: FeedbackLaw,
-        batch: int,
-        noise_scale: float = 1.0,
-    ) -> None:
-        if not law.is_markovian():
-            raise ValueError(
-                "the diffusive model is Markovian only: requires Ts = 0 and Td = 0"
-            )
-        self._dt = params.dt
-        self._g = params.gamma_total
-        self._a = 0.5 * params.tau_m * law.delta1**2
-        self._d0 = law.delta0
-        self._d1 = law.delta1
-        self._inv_t1 = 1.0 / params.T1
-        self._taum_d1 = params.tau_m * law.delta1
-        # dW/sqrt(tau_m) with dW = sqrt(dt) * N(0,1)
-        self._noise_amp = noise_scale * math.sqrt(params.dt / params.tau_m)
-        self.renorms = 0
-        self.excursions = 0
-
-    def step(self, x, y, z, n01):
-        dt = self._dt
-        g = self._noise_amp * n01
-        dx = -self._g * x * dt - x * z * g
-        dy = (
-            (-(self._g + self._a) * y + self._d0 * z + self._d1) * dt
-            + (-y * z + self._taum_d1 * z) * g
-        )
-        dz = (
-            (-self._a * z - self._d0 * y - (1.0 + z) * self._inv_t1) * dt
-            + ((1.0 - z * z) - self._taum_d1 * y) * g
-        )
-        x = x + dx
-        y = y + dy
-        z = z + dz
-        r2 = x * x + y * y + z * z
-        self.excursions += int(np.count_nonzero(r2 > self.EXCURSION_RADIUS**2))
-        return x, y, z
-
-
-def run_sme_ensemble(
-    n_traj: int,
-    cfg: TrajectoryConfig,
-    params: ModelParams,
-    law: FeedbackLaw,
-    *,
-    noise_scale: float = 1.0,
-    threads: int = 1,
-    keep_records: bool = False,
-    steady: SteadySampling | None = None,
-) -> EnsembleResult:
-    """Ensemble of diffusive trajectories, same streams/reduction as the engine."""
-    return run_ensemble(
-        n_traj,
-        cfg,
-        params,
-        law,
-        threads=threads,
-        keep_records=keep_records,
-        steady=steady,
-        stepper_factory=lambda batch: SmeStepper(params, law, batch, noise_scale),
-    )
-
-
-def integrate_sme_trajectory(
-    initial: BlochState,
-    law: FeedbackLaw,
-    params: ModelParams,
-    total_time: float,
-    seed: int,
-    record_stride: int = 1,
-    noise_scale: float = 1.0,
-) -> TrajectoryRecord:
-    """One diffusive trajectory (Euler-Maruyama), cross-validating the engine."""
-    cfg = TrajectoryConfig(
-        initial=initial, total_time=total_time, record_stride=record_stride, seed=seed
-    )
-    result = run_sme_ensemble(1, cfg, params, law, noise_scale=noise_scale, keep_records=True)
-    record = result.records[0]
-    record.excursion_count = result.excursion_count
-    return record

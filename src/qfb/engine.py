@@ -1,4 +1,4 @@
-"""Stochastic trajectory engine: single runs, ensembles, steady-state sampling.
+"""Stochastic trajectory engine: ensembles reduced on the fly, steady-state sampling.
 
 Each trajectory owns a counter-based random stream keyed by
 ``(master seed, trajectory index)``, so ensembles are bit-reproducible
@@ -35,11 +35,9 @@ from .model import (
 
 __all__ = [
     "TrajectoryConfig",
-    "TrajectoryRecord",
     "SteadySampling",
     "EnsembleResult",
     "BayesStepper",
-    "run_trajectory",
     "run_ensemble",
     "trajectory_rng",
 ]
@@ -113,35 +111,6 @@ class TrajectoryConfig:
         return n
 
 
-@dataclass
-class TrajectoryRecord:
-    """Recorded time series of one trajectory.
-
-    ``xyz`` has shape (len(times), 3).  ``readouts``, when recorded,
-    holds one raw readout per simulation step (the sample that advanced
-    step k to k+1).  ``renorm_count`` counts floating-point
-    renormalizations back onto the sphere; ``excursion_count`` counts
-    sphere violations beyond tolerance flagged by non-positivity-
-    preserving integrators.
-    """
-
-    times: np.ndarray
-    xyz: np.ndarray
-    readouts: np.ndarray | None = None
-    renorm_count: int = 0
-    excursion_count: int = 0
-
-    @property
-    def states(self) -> list[BlochState]:
-        return [BlochState(*row) for row in self.xyz]
-
-    def state(self, i: int) -> BlochState:
-        return BlochState(*self.xyz[i])
-
-    def final_state(self) -> BlochState:
-        return BlochState(*self.xyz[-1])
-
-
 @dataclass(frozen=True)
 class SteadySampling:
     """Steady-state sampling protocol: burn-in, then sparse periodic samples.
@@ -168,9 +137,6 @@ class SteadySampling:
             )
         return np.arange(burn, n_steps + 1, stride)
 
-    def samples_per_trajectory(self, total_time: float, dt: float) -> int:
-        return len(self.step_indices(_steps_for(total_time, dt), dt))
-
 
 @dataclass
 class EnsembleResult:
@@ -179,8 +145,8 @@ class EnsembleResult:
     ``mean_xyz`` is the per-time arithmetic mean over trajectories.
     ``steady_yz`` pools the steady-state (y, z) samples of every
     trajectory (trajectory-major order) when a sampling protocol was
-    requested.  ``records`` holds full per-trajectory histories only
-    when explicitly kept.
+    requested.  A one-trajectory ensemble's ``mean_xyz`` is that
+    trajectory itself.
     """
 
     times: np.ndarray
@@ -189,8 +155,6 @@ class EnsembleResult:
     renorm_count: int = 0
     excursion_count: int = 0
     steady_yz: np.ndarray | None = None
-    steady_sampling: SteadySampling | None = None
-    records: list[TrajectoryRecord] | None = None
 
     def steady_mean_radius(self) -> float:
         """Radius of the mean steady-state vector, |<(y, z)>|."""
@@ -217,13 +181,11 @@ class BayesStepper:
         self._ft = params.transverse_decay
         self._e1 = params.t1_decay
         self._lossless = self._ft == 1.0 and self._e1 == 1.0
-        self.last_readout: np.ndarray | None = None
         self.renorms = 0
         self.excursions = 0
 
     def step(self, x, y, z, n01):
         rbar = z + self._sigma * n01
-        self.last_readout = rbar
         fed = self.chain.push(rbar)
         x, y, z = backaction_update(x, y, z, rbar * self._s_scale)
         y, z = rotation_update(y, z, self._dt * (self._delta0 + self._delta1 * fed))
@@ -247,7 +209,6 @@ class _ChunkResult:
     renorms: int
     excursions: int
     steady: np.ndarray | None
-    records: list[TrajectoryRecord] | None
 
 
 def _run_chunk(
@@ -258,8 +219,6 @@ def _run_chunk(
     stepper_factory,
     rec_steps: np.ndarray,
     steady_steps: np.ndarray | None,
-    keep_records: bool,
-    record_readouts: bool,
 ) -> _ChunkResult:
     n = hi - lo
     n_steps = cfg.n_steps(params)
@@ -276,13 +235,10 @@ def _run_chunk(
         gens = [trajectory_rng(cfg.seed, i) for i in range(lo, hi)]
         streams = lambda: gens
 
-    n_rec = len(rec_steps)
-    rec_sums = np.zeros((n_rec, 3))
-    traj_xyz = np.empty((n, n_rec, 3)) if keep_records else None
-    readouts = np.empty((n, n_steps)) if record_readouts else None
+    rec_sums = np.zeros((len(rec_steps), 3))
     n_steady = 0 if steady_steps is None else len(steady_steps)
     steady_buf = np.empty((n_steady, n, 2)) if n_steady else None
-    # state index -> slot in the record / steady-sample buffers
+    # state index -> slot in the mean-sum / steady-sample buffers
     rec_slot = {int(step): k for k, step in enumerate(rec_steps)}
     steady_slot = {int(step): k for k, step in enumerate(steady_steps)} if n_steady else {}
 
@@ -293,10 +249,6 @@ def _run_chunk(
             rec_sums[slot, 0] = x.sum()
             rec_sums[slot, 1] = y.sum()
             rec_sums[slot, 2] = z.sum()
-            if traj_xyz is not None:
-                traj_xyz[:, slot, 0] = x
-                traj_xyz[:, slot, 1] = y
-                traj_xyz[:, slot, 2] = z
         slot = steady_slot.get(i)
         if slot is not None:
             steady_buf[slot, :, 0] = y
@@ -309,20 +261,7 @@ def _run_chunk(
             for j, g in enumerate(streams()):
                 g.standard_normal(out=noise[j, :block])
         x, y, z = stepper.step(x, y, z, noise[:, k])
-        if readouts is not None:
-            readouts[:, i] = stepper.last_readout
 
-    records = None
-    if keep_records:
-        times = rec_steps * params.dt
-        records = [
-            TrajectoryRecord(
-                times=times.copy(),
-                xyz=traj_xyz[j].copy(),
-                readouts=None if readouts is None else readouts[j].copy(),
-            )
-            for j in range(n)
-        ]
     steady = None
     if steady_buf is not None:
         steady = steady_buf.transpose(1, 0, 2).reshape(-1, 2)
@@ -331,7 +270,6 @@ def _run_chunk(
         renorms=stepper.renorms,
         excursions=stepper.excursions,
         steady=steady,
-        records=records,
     )
 
 
@@ -342,8 +280,6 @@ def run_ensemble(
     law: FeedbackLaw,
     *,
     threads: int = 1,
-    keep_records: bool = False,
-    record_readouts: bool = False,
     steady: SteadySampling | None = None,
     stepper_factory=None,
 ) -> EnsembleResult:
@@ -357,10 +293,6 @@ def run_ensemble(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    if record_readouts and cfg.record_stride != 1:
-        raise ValueError("readout recording requires record_stride == 1")
-    if record_readouts and not keep_records:
-        raise ValueError("readouts are carried on records; set keep_records=True")
     validate_law(law, params)
     n_steps = cfg.n_steps(params)
     rec_steps = np.arange(0, n_steps + 1, cfg.record_stride)
@@ -370,8 +302,7 @@ def run_ensemble(
 
     bounds = [(lo, min(lo + CHUNK_SIZE, n_traj)) for lo in range(0, n_traj, CHUNK_SIZE)]
     run = lambda b: _run_chunk(
-        b[0], b[1], cfg, params, stepper_factory,
-        rec_steps, steady_steps, keep_records, record_readouts,
+        b[0], b[1], cfg, params, stepper_factory, rec_steps, steady_steps
     )
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -387,9 +318,6 @@ def run_ensemble(
         rec_sums += c.rec_sums
         renorms += c.renorms
         excursions += c.excursions
-    records = None
-    if keep_records:
-        records = [r for c in chunks for r in c.records]
     steady_yz = None
     if steady_steps is not None:
         steady_yz = np.concatenate([c.steady for c in chunks], axis=0)
@@ -400,23 +328,5 @@ def run_ensemble(
         renorm_count=renorms,
         excursion_count=excursions,
         steady_yz=steady_yz,
-        steady_sampling=steady,
-        records=records,
     )
 
-
-def run_trajectory(
-    cfg: TrajectoryConfig,
-    params: ModelParams,
-    law: FeedbackLaw,
-    *,
-    record_readouts: bool = False,
-) -> TrajectoryRecord:
-    """Simulate one trajectory; equals trajectory 0 of an ensemble with the same seed."""
-    result = run_ensemble(
-        1, cfg, params, law, keep_records=True, record_readouts=record_readouts
-    )
-    record = result.records[0]
-    record.renorm_count = result.renorm_count
-    record.excursion_count = result.excursion_count
-    return record

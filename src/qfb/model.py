@@ -71,17 +71,6 @@ class BlochState:
         """Polar angle in the yz-plane, atan2(y, z)."""
         return math.atan2(self.y, self.z)
 
-    @property
-    def purity(self) -> float:
-        """Tr(rho^2) = (1 + R^2)/2."""
-        r = self.radius
-        return 0.5 * (1.0 + r * r)
-
-    @property
-    def fidelity(self) -> float:
-        """Overlap with the pure state at the same angle, (1 + R)/2."""
-        return 0.5 * (1.0 + self.radius)
-
     def require_physical(self) -> "BlochState":
         """Raise ValueError if the vector lies outside the Bloch sphere."""
         r2 = self.x * self.x + self.y * self.y + self.z * self.z

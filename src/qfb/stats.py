@@ -245,9 +245,9 @@ class SweepRow:
 
 
 def _run_point(
-    law, r_target, theta_s, value, params, n_traj, total_time, seed, threads, n_bins
+    law, r_target, theta_s, value, params,
+    n_traj, total_time, sampling, seed, threads, n_bins,
 ) -> SweepRow:
-    sampling = SteadySampling.default(params)
     initial = BlochState(0.0, r_target * math.sin(theta_s), r_target * math.cos(theta_s))
     cfg = TrajectoryConfig(
         initial=initial,
@@ -279,15 +279,17 @@ def sweep_targets(
     *,
     n_traj: int,
     total_time: float,
+    sampling: SteadySampling,
     seed: int = 0,
     threads: int = 1,
     n_bins: int = DEFAULT_BINS,
 ) -> list[SweepRow]:
     """Stabilization summary across target angles (row value = theta_s).
 
-    Each point runs the nonideal design at maximum radius.  The same
-    master seed is reused at every point so that rows differ by physics
-    rather than by noise realization.
+    Each point runs the nonideal design at maximum radius and pools the
+    steady-state samples ``sampling`` selects.  The same master seed is
+    reused at every point so that rows differ by physics rather than by
+    noise realization.
     """
     rows = []
     for theta in thetas:
@@ -295,7 +297,7 @@ def sweep_targets(
         rows.append(
             _run_point(
                 law, r_target, theta, theta, params,
-                n_traj, total_time, seed, threads, n_bins,
+                n_traj, total_time, sampling, seed, threads, n_bins,
             )
         )
     return rows
@@ -309,6 +311,7 @@ def sweep_chain(
     *,
     n_traj: int,
     total_time: float,
+    sampling: SteadySampling,
     seed: int = 0,
     threads: int = 1,
     n_bins: int = DEFAULT_BINS,
@@ -317,8 +320,9 @@ def sweep_chain(
 
     The controller constants are designed once, for the Markovian limit
     at ``theta_target``; each row then runs the same law with the chain
-    setting (``which`` in {"Ts", "Td"}) overridden.  The same master
-    seed is shared across rows (common random numbers).
+    setting (``which`` in {"Ts", "Td"}) overridden, and pools the
+    steady-state samples ``sampling`` selects.  The same master seed is
+    shared across rows (common random numbers).
     """
     if which not in ("Ts", "Td"):
         raise ValueError("which must be 'Ts' or 'Td'")
@@ -329,7 +333,7 @@ def sweep_chain(
         rows.append(
             _run_point(
                 law, r_target, theta_target, float(v), params,
-                n_traj, total_time, seed, threads, n_bins,
+                n_traj, total_time, sampling, seed, threads, n_bins,
             )
         )
     return rows

@@ -1,10 +1,18 @@
-"""Scalar single-step reference for the vectorized qfb kernels.
+"""Reference models that the tests compare the vectorized qfb code against.
 
-One state, one readout, one step at a time: these operations wrap the
-array kernels of :mod:`qfb.model` with the physical-state checks and the
-renormalization that the engine applies to whole batches.  The tests
-compare the engine, the feedback chain and the density-matrix algebra
-against them; the package itself never calls them.
+* The scalar single-step operations: one state, one readout, one step at
+  a time.  They wrap the array kernels of :mod:`qfb.model` with the
+  physical-state checks and the renormalization that the engine applies
+  to whole batches.
+* The mean-field models of the same physics: a fixed-step fourth-order
+  Runge-Kutta integrator of the deterministic ensemble-average equations,
+  and an Euler-Maruyama stepper of the diffusive equations in the
+  Markovian (no filter, no delay) limit.  The latter does not preserve
+  positivity, so it only flags, rather than corrects, sphere excursions;
+  it plugs into :func:`qfb.engine.run_ensemble` through
+  ``stepper_factory`` and so shares the engine's streams and reduction.
+
+The package itself never calls them.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qfb.chain import FeedbackLaw
+from qfb.engine import EnsembleResult, SteadySampling, TrajectoryConfig, run_ensemble
 from qfb.model import (
     BlochState,
     ModelParams,
@@ -21,6 +31,15 @@ from qfb.model import (
     dissipation_update,
     rotation_update,
 )
+
+
+@dataclass
+class Curve:
+    """Recorded times and Bloch vectors (shape (len(times), 3)) of one run."""
+
+    times: np.ndarray
+    xyz: np.ndarray
+    excursion_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,3 +129,150 @@ def composite_step(
         scale = 1.0 / math.sqrt(r2)
         out = BlochState(out.x * scale, out.y * scale, out.z * scale)
     return out
+
+
+def _mean_drift(law: FeedbackLaw, params: ModelParams):
+    a = 0.5 * params.tau_m * law.delta1**2
+    g = params.gamma_total
+    inv_t1 = 1.0 / params.T1
+    d0, d1 = law.delta0, law.delta1
+
+    def f(v: np.ndarray) -> np.ndarray:
+        x, y, z = v
+        return np.array(
+            [
+                -g * x,
+                -(g + a) * y + d0 * z + d1,
+                -a * z - d0 * y - (1.0 + z) * inv_t1,
+            ]
+        )
+
+    return f
+
+
+def integrate_mean_ode(
+    initial: BlochState,
+    law: FeedbackLaw,
+    params: ModelParams,
+    total_time: float,
+    dt_ode: float,
+    record_stride: int = 1,
+) -> Curve:
+    """Deterministic ensemble-average evolution by fixed-step RK4.
+
+    Models the Markovian (zero filter/delay) limit; the controller chain
+    settings on ``law`` are ignored.  The asymptotic value coincides
+    with :func:`stationary_state` to integration accuracy.
+    """
+    n = int(round(total_time / dt_ode))
+    if n < 1 or abs(n * dt_ode - total_time) > 1e-9 * max(total_time, dt_ode):
+        raise ValueError("total_time must be a whole number of dt_ode steps")
+    if n % record_stride != 0:
+        raise ValueError("record_stride must divide the number of steps")
+    f = _mean_drift(law, params)
+    v = np.array([initial.x, initial.y, initial.z], dtype=float)
+    rec = [v.copy()]
+    for k in range(n):
+        k1 = f(v)
+        k2 = f(v + 0.5 * dt_ode * k1)
+        k3 = f(v + 0.5 * dt_ode * k2)
+        k4 = f(v + dt_ode * k3)
+        v = v + (dt_ode / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % record_stride == 0:
+            rec.append(v.copy())
+    times = np.arange(0, n + 1, record_stride) * dt_ode
+    return Curve(times=times, xyz=np.array(rec))
+
+
+class SmeStepper:
+    """Euler-Maruyama step of the diffusive Markovian-feedback equations.
+
+    An independent model of the same physics as the Bayesian update,
+    valid only with a passthrough chain (Ts = Td = 0).  The scheme does
+    not preserve positivity: excursions with R > 1.05 are counted in
+    ``excursions`` but not corrected.  ``noise_scale=0`` freezes the
+    noise, reducing the step to an Euler step of the mean equations.
+    """
+
+    EXCURSION_RADIUS = 1.05
+
+    def __init__(
+        self,
+        params: ModelParams,
+        law: FeedbackLaw,
+        batch: int,
+        noise_scale: float = 1.0,
+    ) -> None:
+        if not law.is_markovian():
+            raise ValueError(
+                "the diffusive model is Markovian only: requires Ts = 0 and Td = 0"
+            )
+        self._dt = params.dt
+        self._g = params.gamma_total
+        self._a = 0.5 * params.tau_m * law.delta1**2
+        self._d0 = law.delta0
+        self._d1 = law.delta1
+        self._inv_t1 = 1.0 / params.T1
+        self._taum_d1 = params.tau_m * law.delta1
+        # dW/sqrt(tau_m) with dW = sqrt(dt) * N(0,1)
+        self._noise_amp = noise_scale * math.sqrt(params.dt / params.tau_m)
+        self.renorms = 0
+        self.excursions = 0
+
+    def step(self, x, y, z, n01):
+        dt = self._dt
+        g = self._noise_amp * n01
+        dx = -self._g * x * dt - x * z * g
+        dy = (
+            (-(self._g + self._a) * y + self._d0 * z + self._d1) * dt
+            + (-y * z + self._taum_d1 * z) * g
+        )
+        dz = (
+            (-self._a * z - self._d0 * y - (1.0 + z) * self._inv_t1) * dt
+            + ((1.0 - z * z) - self._taum_d1 * y) * g
+        )
+        x = x + dx
+        y = y + dy
+        z = z + dz
+        r2 = x * x + y * y + z * z
+        self.excursions += int(np.count_nonzero(r2 > self.EXCURSION_RADIUS**2))
+        return x, y, z
+
+
+def run_sme_ensemble(
+    n_traj: int,
+    cfg: TrajectoryConfig,
+    params: ModelParams,
+    law: FeedbackLaw,
+    *,
+    noise_scale: float = 1.0,
+    threads: int = 1,
+    steady: SteadySampling | None = None,
+) -> EnsembleResult:
+    """Ensemble of diffusive trajectories, same streams/reduction as the engine."""
+    return run_ensemble(
+        n_traj,
+        cfg,
+        params,
+        law,
+        threads=threads,
+        steady=steady,
+        stepper_factory=lambda batch: SmeStepper(params, law, batch, noise_scale),
+    )
+
+
+def integrate_sme_trajectory(
+    initial: BlochState,
+    law: FeedbackLaw,
+    params: ModelParams,
+    total_time: float,
+    seed: int,
+    record_stride: int = 1,
+    noise_scale: float = 1.0,
+) -> Curve:
+    """One diffusive trajectory (Euler-Maruyama), cross-validating the engine."""
+    cfg = TrajectoryConfig(
+        initial=initial, total_time=total_time, record_stride=record_stride, seed=seed
+    )
+    result = run_sme_ensemble(1, cfg, params, law, noise_scale=noise_scale)
+    return Curve(result.times, result.mean_xyz, result.excursion_count)

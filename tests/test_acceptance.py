@@ -24,15 +24,14 @@ from qfb import (
     design_nonideal,
     disturbance,
     find_peak,
-    integrate_mean_ode,
     max_radius,
     optimal_delta1,
     run_ensemble,
     stationary_state,
     summarize,
 )
-from qfb.design import run_sme_ensemble
 from qfb.engine import trajectory_rng
+from oracle import integrate_mean_ode, run_sme_ensemble
 
 SEED = 2026
 

@@ -41,9 +41,6 @@ class TestFeedbackLaw:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             FeedbackLaw(**settings)
 
-    def test_drive(self):
-        assert law().drive(0.5) == pytest.approx(-1.0 + 2.0 * 0.5)
-
 
 class TestFilter:
     def test_passthrough_when_ts_zero(self):

@@ -218,6 +218,18 @@ class TestExecute:
         assert [r["value"] for r in peaks["rows"]] == [0.0, 0.1]  # in us
         assert peaks["rows"][1]["r_e"] < peaks["rows"][0]["r_e"]
 
+    def test_sweeps_honour_burn_in_and_sample_every(self, tmp_path):
+        def peaks(name, **kw):
+            out = tmp_path / name
+            execute(parse_config(None, small_overrides(
+                out, mode="sweep-filter", sweep_values="0", total_time=4.0, **kw
+            )))
+            return (out / "peaks.json").read_bytes()
+
+        base = peaks("base", burn_in=2.0, sample_every=0.6)
+        assert peaks("later", burn_in=3.0, sample_every=0.6) != base
+        assert peaks("denser", burn_in=2.0, sample_every=0.2) != base
+
     def test_byte_determinism(self, tmp_path):
         cfg = parse_config(
             None,
@@ -383,6 +395,16 @@ BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
                         "--total-time", "1"]),
         ("theta_target", ["--mode", "sweep-delay"]),
         ("theta_list", ["--mode", "sweep-angle", "--theta-list", "0.01pi,0.3pi"]),
+        # modes that design their own constants refuse explicit ones
+        ("delta0/delta1", ["--mode", "sweep-filter", "--delta0", "1", "--delta1", "2",
+                           "--dt", "0.01", "--total-time", "3", "--n-traj", "5",
+                           "--sweep-values", "0"]),
+        ("delta0/delta1", ["--mode", "sweep-delay", "--theta-target", "0.3pi",
+                           "--delta0", "1", "--delta1", "2"]),
+        ("delta0/delta1", ["--mode", "sweep-angle", "--delta0", "1", "--delta1", "2"]),
+        ("delta0/delta1", ["--mode", "design-table", "--delta0", "1", "--delta1", "2"]),
+        ("sample_every", ["--mode", "histogram", "--theta-target", "0.3pi",
+                          "--sample-every", "-1"]),
     ],
 )
 def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):

@@ -15,15 +15,14 @@ from qfb import (
     design_ideal,
     design_nonideal,
     disturbance,
-    integrate_mean_ode,
-    integrate_sme_trajectory,
     max_radius,
     optimal_delta1,
     stationary_delta1_roots,
     stationary_state,
 )
-from qfb.design import POLE_MARGIN, run_sme_ensemble
-from qfb.engine import SteadySampling, TrajectoryConfig, run_ensemble
+from qfb.design import POLE_MARGIN
+from qfb.engine import TrajectoryConfig
+from oracle import integrate_mean_ode, integrate_sme_trajectory, run_sme_ensemble
 
 NONIDEAL = ModelParams(tau_m=0.2, dt=0.0005, T1=60.0, T2=40.0, eta=0.41)
 IDEAL = ModelParams(tau_m=0.2, dt=0.0005)

@@ -14,11 +14,10 @@ from qfb import (
     TrajectoryConfig,
     design_ideal,
     design_nonideal,
-    integrate_mean_ode,
     run_ensemble,
-    run_trajectory,
     trajectory_rng,
 )
+from oracle import ReadoutSample, composite_step, integrate_mean_ode
 
 IDEAL = ModelParams(tau_m=0.2, dt=0.0005)
 
@@ -32,6 +31,12 @@ def ideal_setup(seed=7, total_time=2.0, stride=40):
         seed=seed,
     )
     return cfg, law
+
+
+def final_states(n_traj, cfg, params, law):
+    """(y, z) of every trajectory at the end of the run, in index order."""
+    at_end = SteadySampling(burn_in=cfg.total_time, stride=cfg.total_time)
+    return run_ensemble(n_traj, cfg, params, law, steady=at_end).steady_yz
 
 
 class TestConfigValidation:
@@ -88,59 +93,66 @@ class TestStreams:
 
 
 class TestRunTrajectory:
+    """One trajectory is an ensemble of one: its mean curve is the trajectory."""
+
     def test_pole_without_feedback_is_constant(self):
         law = FeedbackLaw(0.0, 0.0)
         cfg = TrajectoryConfig(BlochState(0, 0, 1), total_time=0.5, record_stride=10, seed=3)
-        rec = run_trajectory(cfg, IDEAL, law)
-        assert np.all(rec.xyz[:, 2] == 1.0)
-        assert np.all(rec.xyz[:, :2] == 0.0)
+        xyz = run_ensemble(1, cfg, IDEAL, law).mean_xyz
+        assert np.all(xyz[:, 2] == 1.0)
+        assert np.all(xyz[:, :2] == 0.0)
 
     def test_same_seed_bit_identical(self):
         cfg, law = ideal_setup(seed=11)
-        a = run_trajectory(cfg, IDEAL, law)
-        b = run_trajectory(cfg, IDEAL, law)
-        assert np.array_equal(a.xyz, b.xyz)
+        a = run_ensemble(1, cfg, IDEAL, law)
+        b = run_ensemble(1, cfg, IDEAL, law)
+        assert np.array_equal(a.mean_xyz, b.mean_xyz)
         assert np.array_equal(a.times, b.times)
         assert a.renorm_count == b.renorm_count
 
     def test_record_grid_includes_endpoints(self):
         cfg, law = ideal_setup(seed=2, total_time=1.0, stride=100)
-        rec = run_trajectory(cfg, IDEAL, law)
-        assert rec.times[0] == 0.0
-        assert rec.times[-1] == pytest.approx(1.0, rel=1e-12)
-        assert np.allclose(np.diff(rec.times), 100 * IDEAL.dt)
-        assert len(rec.states) == len(rec.times)
+        res = run_ensemble(1, cfg, IDEAL, law)
+        assert res.times[0] == 0.0
+        assert res.times[-1] == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(np.diff(res.times), 100 * IDEAL.dt)
+        assert len(res.mean_xyz) == len(res.times)
 
     def test_readout_recording(self):
-        cfg = TrajectoryConfig(BlochState(0, 0, 0), total_time=0.05, record_stride=1, seed=5)
-        rec = run_trajectory(cfg, IDEAL, FeedbackLaw(0.0, 0.0), record_readouts=True)
+        # readouts rebuilt from the trajectory's own stream drive the scalar
+        # reference step to the same states as the engine
+        law = design_ideal(0.3 * math.pi, 0.2)  # Markovian: r_fed = r
+        cfg = TrajectoryConfig(BlochState(0.3, 0.5, 0.4), total_time=0.05, record_stride=1, seed=5)
+        xyz = run_ensemble(1, cfg, IDEAL, law).mean_xyz
         n_steps = round(0.05 / IDEAL.dt)
-        assert rec.readouts.shape == (n_steps,)
-        # the recorded readouts regenerate the trajectory through the model ops
-        from oracle import ReadoutSample, composite_step
-
+        noise = trajectory_rng(cfg.seed, 0).standard_normal(n_steps)
         s = cfg.initial
-        for k, r in enumerate(rec.readouts):
-            s = composite_step(s, ReadoutSample(float(r)), float(r), FeedbackLaw(0.0, 0.0), IDEAL)
-            assert s.z == pytest.approx(rec.xyz[k + 1, 2], abs=1e-12)
+        for k in range(n_steps):
+            r = s.z + IDEAL.readout_sigma * noise[k]
+            s = composite_step(s, ReadoutSample(r), r, law, IDEAL)
+            assert (s.x, s.y, s.z) == pytest.approx(tuple(xyz[k + 1]), abs=1e-12)
+        assert abs(s.x) > 0.01  # all three coordinates moved away from zero
 
     def test_ideal_stabilization_fraction_over_seeds(self):
         # >= 80% of single trajectories end within 0.15 of the target state
+        # (x starts at 0 and stays exactly 0 in the ideal model)
         cfg, law = ideal_setup(seed=1000, total_time=2.0, stride=4000)
-        res = run_ensemble(1000, cfg, IDEAL, law, keep_records=True)
-        target = np.array([0.0, math.sin(0.3 * math.pi), math.cos(0.3 * math.pi)])
-        finals = np.array([r.xyz[-1] for r in res.records])
+        finals = final_states(1000, cfg, IDEAL, law)
+        target = np.array([math.sin(0.3 * math.pi), math.cos(0.3 * math.pi)])
         dist = np.linalg.norm(finals - target, axis=1)
         assert (dist < 0.15).mean() >= 0.80
 
 
 class TestRunEnsemble:
-    def test_single_trajectory_matches_run_trajectory(self):
+    def test_single_trajectory_matches_trajectory_zero(self):
+        # trajectory 0 follows the same path alone and inside a larger ensemble
         cfg, law = ideal_setup(seed=21)
-        a = run_trajectory(cfg, IDEAL, law)
-        b = run_ensemble(1, cfg, IDEAL, law, keep_records=True)
-        assert np.array_equal(a.xyz, b.records[0].xyz)
-        assert np.array_equal(a.xyz[:, 1:], b.mean_xyz[:, 1:])
+        alone = run_ensemble(1, cfg, IDEAL, law)
+        every_record = SteadySampling(burn_in=0.0, stride=cfg.record_stride * IDEAL.dt)
+        many = run_ensemble(5, cfg, IDEAL, law, steady=every_record)
+        n_rec = len(alone.times)
+        assert many.steady_yz.shape == (5 * n_rec, 2)
+        assert np.array_equal(alone.mean_xyz[:, 1:], many.steady_yz[:n_rec])
 
     @staticmethod
     def _lossy_run(monkeypatch, block_steps, threads):
@@ -216,15 +228,13 @@ class TestRunEnsemble:
         y0 = math.sqrt(1 - z0 * z0)
         cfg = TrajectoryConfig(BlochState(0.0, y0, z0), 2.0, record_stride=100, seed=33)
         n = 3000
-        res = run_ensemble(n, cfg, p, FeedbackLaw(0.0, 0.0), keep_records=True)
-        finals_z = np.array([r.xyz[-1, 2] for r in res.records])
+        finals_z = final_states(n, cfg, p, FeedbackLaw(0.0, 0.0))[:, 1]
         se = finals_z.std(ddof=1) / math.sqrt(n)
-        assert abs(res.mean_xyz[-1, 2] - z0) < 5 * se
+        assert abs(finals_z.mean() - z0) < 5 * se
 
     def test_standard_error_scales_inverse_sqrt_n(self):
         cfg, law = ideal_setup(seed=15, total_time=1.0, stride=2000)
-        res = run_ensemble(4096, cfg, IDEAL, law, keep_records=True)
-        finals_y = np.array([r.xyz[-1, 1] for r in res.records])
+        finals_y = final_states(4096, cfg, IDEAL, law)[:, 0]
         small = finals_y.reshape(64, 64).mean(axis=1)  # batches of 64
         big = finals_y.reshape(4, 1024).mean(axis=1)  # batches of 1024
         ratio = small.std(ddof=1) / big.std(ddof=1)
@@ -239,14 +249,13 @@ class TestRunEnsemble:
         assert idx[0] == 1000  # t = 10 tau_m
         assert np.all(np.diff(idx) == 100)
         assert idx[-1] <= 2000
-        assert sampling.samples_per_trajectory(4.0, p.dt) == len(idx)
 
     def test_steady_samples_pooled_per_trajectory(self):
         p = ModelParams(tau_m=0.2, dt=0.002)
         cfg = TrajectoryConfig(BlochState(0, 0, 1), 4.0, record_stride=200, seed=2)
         sampling = SteadySampling(burn_in=2.0, stride=0.2)
         res = run_ensemble(7, cfg, p, FeedbackLaw(0.0, 0.0), steady=sampling)
-        per = sampling.samples_per_trajectory(4.0, p.dt)
+        per = len(sampling.step_indices(2000, p.dt))
         assert res.steady_yz.shape == (7 * per, 2)
         # pole start + no feedback: all steady samples are exactly (0, 1)
         assert np.all(res.steady_yz[:, 1] == 1.0)

@@ -6,6 +6,11 @@ of every result file (``mean.csv``, ``hist.csv``, ``peaks.json``,
 ``design.csv``) must equal the digest recorded below.  ``run_meta.json``
 is left out: it carries the package version.
 
+``TRAJECTORY_GOLDEN`` pins the one-trajectory ``mean.csv`` of the two
+ensemble configs run with ``mode = trajectory`` (full ``n_traj``, which
+trajectory mode does not read), recorded while trajectory mode still
+kept a per-trajectory record instead of running an ensemble of one.
+
 The digests pin refactors to byte-identical output.  A deliberate change
 of output (new physics, a different float format) or a numpy upgrade that
 moves the random streams or the last ulp re-records them; CHANGES.md then
@@ -61,6 +66,11 @@ GOLDEN = {
     },
 }
 
+TRAJECTORY_GOLDEN = {
+    "fig3": "6c54f7aae743ddd51898a55e32f221600a26674089a3254821e13e7237de6b91",
+    "fig4": "95fb090a1e4772a37ae2800ec3782da2f2306c261dc12ddf53359fe26b024966",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_config_digests(name, tmp_path):
@@ -75,3 +85,12 @@ def test_shipped_config_digests(name, tmp_path):
 
 def test_every_shipped_config_has_digests():
     assert sorted(p.stem for p in CONFIGS.glob("*.cfg")) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_GOLDEN))
+def test_trajectory_mode_digests(name, tmp_path):
+    cfg = parse_config(CONFIGS / f"{name}.cfg", {"mode": "trajectory", "out": str(tmp_path)})
+    written = execute(cfg)
+    assert sorted(p.name for p in written) == ["mean.csv", "run_meta.json"]
+    digest = hashlib.sha256((tmp_path / "mean.csv").read_bytes()).hexdigest()
+    assert digest == TRAJECTORY_GOLDEN[name]

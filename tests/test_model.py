@@ -51,14 +51,6 @@ class TestBlochState:
         assert s.radius == pytest.approx(0.64, abs=1e-15)
         assert s.theta == pytest.approx(0.3 * math.pi, abs=1e-15)
 
-    def test_purity_and_fidelity(self):
-        s = BlochState(0.0, 0.6, 0.8)
-        assert s.purity == pytest.approx(1.0)
-        assert s.fidelity == pytest.approx(1.0)
-        m = BlochState(0.0, 0.0, 0.0)
-        assert m.purity == pytest.approx(0.5)
-        assert m.fidelity == pytest.approx(0.5)
-
     def test_outside_sphere_rejected(self):
         with pytest.raises(ValueError):
             BlochState(0.0, 0.8, 0.8).require_physical()

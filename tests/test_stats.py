@@ -127,6 +127,7 @@ class TestSummaryAndSweeps:
             NONIDEAL_COARSE,
             n_traj=300,
             total_time=9.8,
+            sampling=SteadySampling.default(NONIDEAL_COARSE),
             seed=3,
         )
         assert [r.value for r in rows] == [0.0, 0.04]
@@ -138,6 +139,7 @@ class TestSummaryAndSweeps:
             sweep_chain(
                 0.3 * math.pi, [0.0], "Tq", NONIDEAL_COARSE,
                 n_traj=10, total_time=9.8,
+                sampling=SteadySampling.default(NONIDEAL_COARSE),
             )
 
     def test_angular_drift_toward_pole_at_full_chain_lag(self):
