@@ -96,12 +96,10 @@ class FeedbackChain:
     ) -> None:
         self.alpha = law.filter_alpha(params.dt)
         self.n_delay = law.n_delay(params.dt)
-        self.batch = batch
         shape = () if batch is None else (batch,)
         self.filter_acc = np.zeros(shape)
         self.delay_ring = np.zeros((self.n_delay,) + shape)
         self._cursor = 0
-        self.fill_count = 0
 
     def filter_push(self, r):
         """Advance the low-pass filter with raw readout ``r``; returns the filtered value.
@@ -123,15 +121,11 @@ class FeedbackChain:
         passes straight through.
         """
         if self.n_delay == 0:
-            self.fill_count += 1
             return filtered
-        if self.fill_count >= self.n_delay:
-            out = self.delay_ring[self._cursor].copy()
-        else:
-            out = np.zeros_like(self.filter_acc)
+        # the ring starts zeroed, so the first n_delay pops return 0
+        out = self.delay_ring[self._cursor].copy()
         self.delay_ring[self._cursor] = filtered
         self._cursor = (self._cursor + 1) % self.n_delay
-        self.fill_count += 1
         return out
 
     def push(self, r):

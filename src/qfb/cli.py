@@ -20,6 +20,9 @@ sweep-delay   degradation vs feedback delay      -> peaks.json
 Every mode also writes run_meta.json with the fully resolved config
 (less ``threads`` and ``out``, which change no result byte), package
 version, and renormalization count.
+
+Trajectory chunks run in index order on one thread; the ``threads`` key
+still parses (it must be at least 1) but has no effect.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ MODES = (
 )
 
 
+#: Modes that write mean.csv, the only output that reads ``record_stride``.
+_MEAN_CURVE_MODES = ("trajectory", "ensemble")
+
+
 class ConfigError(ValueError):
     """Invalid, unknown, or missing configuration key."""
 
@@ -88,7 +95,7 @@ class RunConfig:
     r_init: float = 1.0
     total_time: float = 2.0
     record_stride: int = _key(
-        40, "steps between mean.csv rows; histogram and sweep modes write no mean curve"
+        40, "steps between mean.csv rows; only trajectory and ensemble modes read it"
     )
     n_traj: int = 10000
     seed: int = 1
@@ -103,7 +110,7 @@ class RunConfig:
         "0.1pi,0.2pi,0.3pi,0.4pi,0.5pi,0.6pi,0.7pi,0.8pi,0.9pi",
         "comma list of angles (design table / angle sweep)",
     )
-    threads: int = _key(1, "worker threads over trajectory chunks; results do not depend on it")
+    threads: int = _key(1, "accepted but has no effect: chunks run in order on one thread")
     out: str = _key(".", "output directory")
 
     def validate(self) -> "RunConfig":
@@ -150,8 +157,10 @@ class RunConfig:
             raise ConfigError(f"r_init: must lie in (0, 1], got {self.r_init}")
         if self.threads < 1:
             raise ConfigError(f"threads: must be >= 1, got {self.threads}")
-        if self.sample_every is not None and not self.sample_every > 0:
-            raise ConfigError(f"sample_every: must be > 0, got {self.sample_every}")
+        if self.sample_every is not None and not round(self.sample_every / self.dt) >= 1:
+            raise ConfigError(
+                f"sample_every: must round to at least one step of dt, got {self.sample_every}"
+            )
         _sweep_values_us(self)
         _theta_list(self)
         if self.mode != "design-table":
@@ -165,7 +174,7 @@ class RunConfig:
             n_steps = _steps_for(self.total_time, self.dt)
         except ValueError as exc:
             raise ConfigError(f"total_time: {exc}") from exc
-        if self.mode in ("trajectory", "ensemble", "histogram") and (
+        if self.mode in _MEAN_CURVE_MODES and (
             self.record_stride < 1 or n_steps % self.record_stride
         ):
             raise ConfigError(
@@ -228,10 +237,12 @@ class RunConfig:
         return BlochState.from_polar(self.theta_init, self.r_init)
 
     def trajectory_config(self) -> TrajectoryConfig:
+        # histogram mode writes no mean curve: record only the two endpoints
+        n_steps = _steps_for(self.total_time, self.dt)
         return TrajectoryConfig(
             initial=self.initial_state(),
             total_time=self.total_time,
-            record_stride=self.record_stride,
+            record_stride=self.record_stride if self.mode in _MEAN_CURVE_MODES else n_steps,
             seed=self.seed,
         )
 
@@ -426,13 +437,11 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         _write_csv(path, ["theta", "delta0", "delta1", "r_max"], rows)
         written.append(path)
 
-    elif cfg.mode in ("trajectory", "ensemble"):
+    elif cfg.mode in _MEAN_CURVE_MODES:
         law, r_target = cfg.feedback_law()
         # a trajectory is an ensemble of one: its mean is the trajectory
         n_traj = 1 if cfg.mode == "trajectory" else cfg.n_traj
-        result = run_ensemble(
-            n_traj, cfg.trajectory_config(), params, law, threads=cfg.threads
-        )
+        result = run_ensemble(n_traj, cfg.trajectory_config(), params, law)
         path = out_dir / "mean.csv"
         _write_csv(
             path, ["t", "x", "y", "z"],
@@ -445,8 +454,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
     elif cfg.mode == "histogram":
         law, r_target = cfg.feedback_law()
         result = run_ensemble(
-            cfg.n_traj, cfg.trajectory_config(), params, law,
-            threads=cfg.threads, steady=cfg.sampling(),
+            cfg.n_traj, cfg.trajectory_config(), params, law, steady=cfg.sampling(),
         )
         summary = summarize(result, n_bins=cfg.n_bins)
         grid = summary.histogram
@@ -483,7 +491,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         rows = sweep_targets(
             thetas, params,
             n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
-            seed=cfg.seed, threads=cfg.threads, n_bins=cfg.n_bins,
+            seed=cfg.seed, n_bins=cfg.n_bins,
         )
         path = out_dir / "design.csv"
         _write_csv(
@@ -501,7 +509,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         rows = sweep_chain(
             cfg.theta_target, _sweep_values_us(cfg), which, params,
             n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
-            seed=cfg.seed, threads=cfg.threads, n_bins=cfg.n_bins,
+            seed=cfg.seed, n_bins=cfg.n_bins,
         )
         path = out_dir / "peaks.json"
         _write_json(path, {"sweep": which, "rows": [asdict(r) for r in rows]})

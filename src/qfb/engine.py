@@ -2,11 +2,11 @@
 
 Each trajectory owns a counter-based random stream keyed by
 ``(master seed, trajectory index)``, so ensembles are bit-reproducible
-for any chunk schedule and any worker count.  Trajectories advance in
-fixed-size chunks as vectorized numpy operations; partial reductions
-(mean sums, steady-state samples, renormalization counts) are merged in
-chunk order, which keeps floating-point results independent of the
-thread count.
+for any chunk schedule.  Trajectories advance in fixed-size chunks as
+vectorized numpy operations, one chunk after another in index order on
+the calling thread.  Each chunk adds its mean sums into the run's
+buffer and writes its steady-state samples into the run's sample array,
+so the floating-point sums have one fixed order.
 
 A Philox stream is fully set by its key and a zero counter, so when a
 run fits in one noise block (at most ``BLOCK_STEPS`` steps) each chunk
@@ -19,7 +19,6 @@ block.  Both paths draw the same numbers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +41,9 @@ __all__ = [
     "trajectory_rng",
 ]
 
-#: Trajectories per vectorized chunk.  Fixed (never derived from the worker
-#: count) so that reduction order, and therefore every output bit, is a pure
-#: function of (seed, n_traj).
+#: Trajectories per vectorized chunk.  Fixed, so that the summation order of
+#: the mean curve, and therefore every output bit, is a pure function of
+#: (seed, n_traj).
 CHUNK_SIZE = 4096
 
 #: Steps of noise generated per inner block; bounds the noise buffer to
@@ -129,7 +128,12 @@ class SteadySampling:
 
     def step_indices(self, n_steps: int, dt: float) -> np.ndarray:
         burn = int(round(self.burn_in / dt))
-        stride = max(1, int(round(self.stride / dt)))
+        stride = int(round(self.stride / dt))
+        if stride < 1:
+            raise ValueError(
+                f"sampling stride = {self.stride} rounds to no whole step "
+                f"of dt = {dt}"
+            )
         if not 0 <= burn <= n_steps:
             raise ValueError(
                 f"burn_in = {self.burn_in} lies outside the simulated time "
@@ -203,14 +207,6 @@ class BayesStepper:
         return x, y, z
 
 
-@dataclass
-class _ChunkResult:
-    rec_sums: np.ndarray
-    renorms: int
-    excursions: int
-    steady: np.ndarray | None
-
-
 def _run_chunk(
     lo: int,
     hi: int,
@@ -219,7 +215,11 @@ def _run_chunk(
     stepper_factory,
     rec_steps: np.ndarray,
     steady_steps: np.ndarray | None,
-) -> _ChunkResult:
+    rec_sums: np.ndarray,
+    steady_out: np.ndarray | None,
+) -> tuple[int, int]:
+    """Advance trajectories ``lo:hi``, adding their sums into ``rec_sums`` and
+    writing their samples into ``steady_out[lo:hi]``; returns (renorms, excursions)."""
     n = hi - lo
     n_steps = cfg.n_steps(params)
     stepper = stepper_factory(n)
@@ -235,24 +235,22 @@ def _run_chunk(
         gens = [trajectory_rng(cfg.seed, i) for i in range(lo, hi)]
         streams = lambda: gens
 
-    rec_sums = np.zeros((len(rec_steps), 3))
-    n_steady = 0 if steady_steps is None else len(steady_steps)
-    steady_buf = np.empty((n_steady, n, 2)) if n_steady else None
     # state index -> slot in the mean-sum / steady-sample buffers
     rec_slot = {int(step): k for k, step in enumerate(rec_steps)}
-    steady_slot = {int(step): k for k, step in enumerate(steady_steps)} if n_steady else {}
+    steady_slot = {} if steady_out is None else {int(s): k for k, s in enumerate(steady_steps)}
+    steady = None if steady_out is None else steady_out[lo:hi]
 
     noise = np.empty((n, min(BLOCK_STEPS, n_steps)))
     for i in range(n_steps + 1):
         slot = rec_slot.get(i)
         if slot is not None:
-            rec_sums[slot, 0] = x.sum()
-            rec_sums[slot, 1] = y.sum()
-            rec_sums[slot, 2] = z.sum()
+            rec_sums[slot, 0] += x.sum()
+            rec_sums[slot, 1] += y.sum()
+            rec_sums[slot, 2] += z.sum()
         slot = steady_slot.get(i)
         if slot is not None:
-            steady_buf[slot, :, 0] = y
-            steady_buf[slot, :, 1] = z
+            steady[:, slot, 0] = y
+            steady[:, slot, 1] = z
         if i == n_steps:
             break
         k = i % BLOCK_STEPS
@@ -261,16 +259,7 @@ def _run_chunk(
             for j, g in enumerate(streams()):
                 g.standard_normal(out=noise[j, :block])
         x, y, z = stepper.step(x, y, z, noise[:, k])
-
-    steady = None
-    if steady_buf is not None:
-        steady = steady_buf.transpose(1, 0, 2).reshape(-1, 2)
-    return _ChunkResult(
-        rec_sums=rec_sums,
-        renorms=stepper.renorms,
-        excursions=stepper.excursions,
-        steady=steady,
-    )
+    return stepper.renorms, stepper.excursions
 
 
 def run_ensemble(
@@ -279,17 +268,16 @@ def run_ensemble(
     params: ModelParams,
     law: FeedbackLaw,
     *,
-    threads: int = 1,
     steady: SteadySampling | None = None,
     stepper_factory=None,
 ) -> EnsembleResult:
     """Simulate ``n_traj`` trajectories and reduce them on the fly.
 
-    Trajectory i draws from the stream keyed (cfg.seed, i); results are
-    identical for any ``threads`` value.  ``steady`` enables pooled
-    steady-state (y, z) sampling for histograms.  ``stepper_factory``
-    (batch size -> stepper) swaps the physics kernel; the default is the
-    quantum Bayesian update with the feedback chain.
+    Trajectory i draws from the stream keyed (cfg.seed, i); chunks run in
+    index order.  ``steady`` enables pooled steady-state (y, z) sampling
+    for histograms.  ``stepper_factory`` (batch size -> stepper) swaps
+    the physics kernel; the default is the quantum Bayesian update with
+    the feedback chain.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -300,33 +288,24 @@ def run_ensemble(
     if stepper_factory is None:
         stepper_factory = lambda batch: BayesStepper(params, law, batch)
 
-    bounds = [(lo, min(lo + CHUNK_SIZE, n_traj)) for lo in range(0, n_traj, CHUNK_SIZE)]
-    run = lambda b: _run_chunk(
-        b[0], b[1], cfg, params, stepper_factory, rec_steps, steady_steps
-    )
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, bounds))
-    else:
-        chunks = [run(b) for b in bounds]
-
-    # Ordered merge: chunk index, not completion order, fixes the float sums.
+    # Chunk index order fixes the float sums: 0 + chunk 0 + chunk 1 + ...
     rec_sums = np.zeros((len(rec_steps), 3))
+    steady_out = None if steady_steps is None else np.empty((n_traj, len(steady_steps), 2))
     renorms = 0
     excursions = 0
-    for c in chunks:
-        rec_sums += c.rec_sums
-        renorms += c.renorms
-        excursions += c.excursions
-    steady_yz = None
-    if steady_steps is not None:
-        steady_yz = np.concatenate([c.steady for c in chunks], axis=0)
+    for lo in range(0, n_traj, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, n_traj)
+        chunk_renorms, chunk_excursions = _run_chunk(
+            lo, hi, cfg, params, stepper_factory, rec_steps, steady_steps,
+            rec_sums, steady_out,
+        )
+        renorms += chunk_renorms
+        excursions += chunk_excursions
     return EnsembleResult(
         times=rec_steps * params.dt,
         mean_xyz=rec_sums / n_traj,
         n_traj=n_traj,
         renorm_count=renorms,
         excursion_count=excursions,
-        steady_yz=steady_yz,
+        steady_yz=None if steady_out is None else steady_out.reshape(-1, 2),
     )
-

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .design import design_nonideal
-from .engine import EnsembleResult, SteadySampling, TrajectoryConfig, run_ensemble
+from .engine import EnsembleResult, SteadySampling, TrajectoryConfig, _steps_for, run_ensemble
 from .model import BlochState, ModelParams
 
 __all__ = [
@@ -199,26 +199,17 @@ def find_peak(grid: HistogramGrid) -> PeakReport:
 
 @dataclass
 class EnsembleSummary:
-    """Aggregate view of an ensemble run: mean curve, histogram, peak report."""
+    """Steady-state view of an ensemble run: histogram, peak report, mean radius."""
 
-    times: np.ndarray
-    mean_xyz: np.ndarray
-    n_traj: int
     histogram: HistogramGrid | None = None
     peak: PeakReport | None = None
     r_mean: float | None = None
     n_steady_samples: int = 0
-    renorm_count: int = 0
 
 
 def summarize(result: EnsembleResult, n_bins: int = DEFAULT_BINS) -> EnsembleSummary:
     """Histogram + peak + mean-radius summary of an ensemble result."""
-    summary = EnsembleSummary(
-        times=result.times,
-        mean_xyz=result.mean_xyz,
-        n_traj=result.n_traj,
-        renorm_count=result.renorm_count,
-    )
+    summary = EnsembleSummary()
     if result.steady_yz is not None and len(result.steady_yz):
         grid = build_histogram(result.steady_yz, n_bins=n_bins)
         summary.histogram = grid
@@ -246,18 +237,17 @@ class SweepRow:
 
 def _run_point(
     law, r_target, theta_s, value, params,
-    n_traj, total_time, sampling, seed, threads, n_bins,
+    n_traj, total_time, sampling, seed, n_bins,
 ) -> SweepRow:
     initial = BlochState(0.0, r_target * math.sin(theta_s), r_target * math.cos(theta_s))
+    # a sweep writes no mean curve: record only the two endpoints
     cfg = TrajectoryConfig(
         initial=initial,
         total_time=total_time,
-        record_stride=max(1, int(round(params.tau_m / params.dt))),
+        record_stride=_steps_for(total_time, params.dt),
         seed=seed,
     )
-    result = run_ensemble(
-        n_traj, cfg, params, law, threads=threads, steady=sampling
-    )
+    result = run_ensemble(n_traj, cfg, params, law, steady=sampling)
     summary = summarize(result, n_bins=n_bins)
     return SweepRow(
         value=value,
@@ -281,7 +271,6 @@ def sweep_targets(
     total_time: float,
     sampling: SteadySampling,
     seed: int = 0,
-    threads: int = 1,
     n_bins: int = DEFAULT_BINS,
 ) -> list[SweepRow]:
     """Stabilization summary across target angles (row value = theta_s).
@@ -297,7 +286,7 @@ def sweep_targets(
         rows.append(
             _run_point(
                 law, r_target, theta, theta, params,
-                n_traj, total_time, sampling, seed, threads, n_bins,
+                n_traj, total_time, sampling, seed, n_bins,
             )
         )
     return rows
@@ -313,7 +302,6 @@ def sweep_chain(
     total_time: float,
     sampling: SteadySampling,
     seed: int = 0,
-    threads: int = 1,
     n_bins: int = DEFAULT_BINS,
 ) -> list[SweepRow]:
     """Degradation sweep over filter constant or delay (values in us).
@@ -333,7 +321,7 @@ def sweep_chain(
         rows.append(
             _run_point(
                 law, r_target, theta_target, float(v), params,
-                n_traj, total_time, sampling, seed, threads, n_bins,
+                n_traj, total_time, sampling, seed, n_bins,
             )
         )
     return rows

@@ -246,7 +246,6 @@ def run_sme_ensemble(
     law: FeedbackLaw,
     *,
     noise_scale: float = 1.0,
-    threads: int = 1,
     steady: SteadySampling | None = None,
 ) -> EnsembleResult:
     """Ensemble of diffusive trajectories, same streams/reduction as the engine."""
@@ -255,7 +254,6 @@ def run_sme_ensemble(
         cfg,
         params,
         law,
-        threads=threads,
         steady=steady,
         stepper_factory=lambda batch: SmeStepper(params, law, batch, noise_scale),
     )

@@ -365,6 +365,20 @@ class TestMain:
         changed = {k for k in values if getattr(seen[0], k) != getattr(default, k)}
         assert changed == set(values) - {"theta_target"}
 
+    def test_modes_without_a_mean_curve_ignore_record_stride(self, tmp_path):
+        # 300 and 301 steps: neither is divisible by the strides below
+        hist = ["--mode", "histogram", "--theta-target", "0.3pi", "--total-time", "3",
+                "--dt", "0.01", "--n-traj", "20"]
+        outputs = []
+        for stride in ("7", "300"):
+            out = tmp_path / f"hist{stride}"
+            assert main(hist + ["--record-stride", stride, "--out", str(out)]) == 0
+            outputs.append({n: (out / n).read_bytes() for n in ("hist.csv", "peaks.json")})
+        assert outputs[0] == outputs[1]
+        sweep = ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--total-time", "3.01",
+                 "--dt", "0.01", "--n-traj", "20", "--sweep-values", "0"]
+        assert main(sweep + ["--out", str(tmp_path / "sweep")]) == 0
+
 
 BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
 
@@ -405,6 +419,9 @@ BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
         ("delta0/delta1", ["--mode", "design-table", "--delta0", "1", "--delta1", "2"]),
         ("sample_every", ["--mode", "histogram", "--theta-target", "0.3pi",
                           "--sample-every", "-1"]),
+        # rounds to no whole step: it would sample every step instead
+        ("sample_every", ["--mode", "histogram", "--theta-target", "0.3pi",
+                          "--dt", "0.01", "--sample-every", "0.001"]),
     ],
 )
 def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):

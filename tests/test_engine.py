@@ -1,4 +1,4 @@
-"""Trajectory engine: determinism, parallel invariance, ensemble physics."""
+"""Trajectory engine: determinism, chunk-schedule invariance, ensemble physics."""
 
 import math
 import warnings
@@ -155,39 +155,43 @@ class TestRunEnsemble:
         assert np.array_equal(alone.mean_xyz[:, 1:], many.steady_yz[:n_rec])
 
     @staticmethod
-    def _lossy_run(monkeypatch, block_steps, threads):
-        """100 steps of the lossy model in chunks of 64, noise in blocks of ``block_steps``."""
+    def _lossy_run(monkeypatch, block_steps, chunk_size=64):
+        """300 trajectories of 100 lossy steps in chunks of ``chunk_size``,
+        noise in blocks of ``block_steps``."""
         import qfb.engine as eng
 
         p = ModelParams(tau_m=0.2, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             law, _ = design_nonideal(0.3 * math.pi, p)
-        # span several chunks so threading actually matters
-        monkeypatch.setattr(eng, "CHUNK_SIZE", 64)
+        monkeypatch.setattr(eng, "CHUNK_SIZE", chunk_size)
         monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
         cfg = TrajectoryConfig(
             BlochState.from_polar(0.1 * math.pi), 0.2, record_stride=10, seed=9
         )
         sampling = SteadySampling(burn_in=0.1, stride=0.02)
-        return run_ensemble(300, cfg, p, law, threads=threads, steady=sampling)
+        return run_ensemble(300, cfg, p, law, steady=sampling)
 
-    def test_thread_invariance_bit_exact(self, monkeypatch):
+    def test_chunk_schedule_does_not_change_bits(self, monkeypatch):
         import qfb.engine as eng
 
         # one noise block (re-keyed shared stream), then seven (a stream each)
         for block_steps in (eng.BLOCK_STEPS, 16):
-            a = self._lossy_run(monkeypatch, block_steps, threads=1)
-            b = self._lossy_run(monkeypatch, block_steps, threads=8)
-            assert np.array_equal(a.mean_xyz, b.mean_xyz)
-            assert np.array_equal(a.steady_yz, b.steady_yz)
-            assert a.renorm_count == b.renorm_count
+            five = self._lossy_run(monkeypatch, block_steps, chunk_size=64)
+            again = self._lossy_run(monkeypatch, block_steps, chunk_size=64)
+            one = self._lossy_run(monkeypatch, block_steps, chunk_size=4096)
+            for a, b in ((five, again), (five, one)):
+                assert np.array_equal(a.steady_yz, b.steady_yz)
+                assert a.renorm_count == b.renorm_count
+            assert np.array_equal(five.mean_xyz, again.mean_xyz)
+            # five partial sums against one: the summation order alone differs
+            assert np.abs(five.mean_xyz - one.mean_xyz).max() <= 1e-15
 
     def test_noise_block_size_does_not_change_bits(self, monkeypatch):
         import qfb.engine as eng
 
-        one = self._lossy_run(monkeypatch, eng.BLOCK_STEPS, threads=1)
-        several = self._lossy_run(monkeypatch, 16, threads=1)
+        one = self._lossy_run(monkeypatch, eng.BLOCK_STEPS)
+        several = self._lossy_run(monkeypatch, 16)
         assert np.array_equal(one.mean_xyz, several.mean_xyz)
         assert np.array_equal(one.steady_yz, several.steady_yz)
         assert one.renorm_count == several.renorm_count
