@@ -13,7 +13,8 @@ The package splits into:
 * :mod:`qfb.design` -- closed-form feedback design and stationary-state
   analysis,
 * :mod:`qfb.stats` -- ensemble summaries: steady-state histograms, peak
-  and lobe detection, parameter sweeps,
+  and lobe detection, the one steady-state path ``steady_state`` that
+  histogram mode and every sweep point run through, parameter sweeps,
 * :mod:`qfb.cli` -- the ``qfb`` command-line harness.
 """
 
@@ -46,6 +47,7 @@ from .stats import (
     PeakReport,
     build_histogram,
     find_peak,
+    steady_state,
     summarize,
     sweep_chain,
     sweep_targets,
@@ -79,6 +81,7 @@ __all__ = [
     "build_histogram",
     "find_peak",
     "summarize",
+    "steady_state",
     "sweep_targets",
     "sweep_chain",
 ]

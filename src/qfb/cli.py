@@ -17,9 +17,11 @@ sweep-angle   peak/mean vs target angle          -> design.csv, peaks.json
 sweep-filter  degradation vs filter constant     -> peaks.json
 sweep-delay   degradation vs feedback delay      -> peaks.json
 
-Every mode also writes run_meta.json with the fully resolved config
-(less ``threads`` and ``out``, which change no result byte), package
-version, and renormalization count.
+Every mode also writes run_meta.json with the fully resolved config,
+package version, and renormalization count.  The config leaves out the
+keys that change no result byte: ``threads`` and ``out`` always,
+``record_stride`` in modes that write no mean curve, and ``n_traj`` in
+trajectory mode.
 
 Trajectory chunks run in index order on one thread; the ``threads`` key
 still parses (it must be at least 1) but has no effect.
@@ -43,7 +45,7 @@ from .chain import FeedbackLaw
 from .design import design_ideal, design_nonideal
 from .engine import SteadySampling, TrajectoryConfig, _steps_for, run_ensemble
 from .model import BlochState, ModelParams
-from .stats import DEFAULT_BINS, summarize, sweep_chain, sweep_targets
+from .stats import DEFAULT_BINS, steady_state, sweep_chain, sweep_targets
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "execute", "main"]
 
@@ -236,16 +238,6 @@ class RunConfig:
     def initial_state(self) -> BlochState:
         return BlochState.from_polar(self.theta_init, self.r_init)
 
-    def trajectory_config(self) -> TrajectoryConfig:
-        # histogram mode writes no mean curve: record only the two endpoints
-        n_steps = _steps_for(self.total_time, self.dt)
-        return TrajectoryConfig(
-            initial=self.initial_state(),
-            total_time=self.total_time,
-            record_stride=self.record_stride if self.mode in _MEAN_CURVE_MODES else n_steps,
-            seed=self.seed,
-        )
-
 
 def _base_type(hint) -> type:
     """``float`` for ``float | None``; the annotation itself otherwise."""
@@ -257,9 +249,16 @@ _TYPES = {key: _base_type(hint) for key, hint in _HINTS.items()}
 _NULLABLE = {key for key, hint in _HINTS.items() if type(None) in get_args(hint)}
 _ANGLE_KEYS = {"theta_target", "theta_init"}
 
-#: Keys left out of run_meta.json: neither changes a result byte, so two
-#: runs that differ only in them write identical metadata.
-_UNRECORDED = ("threads", "out")
+
+def _unrecorded(mode: str) -> set[str]:
+    """Keys left out of run_meta.json: they change no result byte of ``mode``,
+    so two runs that differ only in them write identical metadata."""
+    keys = {"threads", "out"}
+    if mode not in _MEAN_CURVE_MODES:
+        keys.add("record_stride")
+    if mode == "trajectory":
+        keys.add("n_traj")  # a trajectory is an ensemble of one
+    return keys
 
 
 def parse_angle(text: str) -> float:
@@ -418,11 +417,12 @@ def execute(cfg: RunConfig) -> list[Path]:
 def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
     """Write the outputs of ``cfg.mode``, appending each path as it is written."""
     params = cfg.model_params()
+    unrecorded = _unrecorded(cfg.mode)
     meta: dict = {
         "config": {
             f.name: getattr(cfg, f.name)
             for f in fields(RunConfig)
-            if getattr(cfg, f.name) is not None and f.name not in _UNRECORDED
+            if getattr(cfg, f.name) is not None and f.name not in unrecorded
         },
         "version": __version__,
         "renorm_count": 0,
@@ -441,7 +441,8 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         law, r_target = cfg.feedback_law()
         # a trajectory is an ensemble of one: its mean is the trajectory
         n_traj = 1 if cfg.mode == "trajectory" else cfg.n_traj
-        result = run_ensemble(n_traj, cfg.trajectory_config(), params, law)
+        traj = TrajectoryConfig(cfg.initial_state(), cfg.total_time, cfg.record_stride, cfg.seed)
+        result = run_ensemble(n_traj, traj, params, law)
         path = out_dir / "mean.csv"
         _write_csv(
             path, ["t", "x", "y", "z"],
@@ -453,38 +454,28 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
 
     elif cfg.mode == "histogram":
         law, r_target = cfg.feedback_law()
-        result = run_ensemble(
-            cfg.n_traj, cfg.trajectory_config(), params, law, steady=cfg.sampling(),
+        summary = steady_state(
+            law, cfg.initial_state(), params,
+            n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
+            seed=cfg.seed, n_bins=cfg.n_bins,
         )
-        summary = summarize(result, n_bins=cfg.n_bins)
         grid = summary.histogram
+        centers = grid.centers
         path = out_dir / "hist.csv"
         iy, iz = np.nonzero(grid.counts)
-        rows = (
-            (grid.y_centers[i], grid.z_centers[j], int(grid.counts[i, j]))
-            for i, j in zip(iy, iz)
-        )
+        rows = ((centers[i], centers[j], int(grid.counts[i, j])) for i, j in zip(iy, iz))
         _write_csv(path, ["y_bin", "z_bin", "count"], rows)
         written.append(path)
-        peak = summary.peak
         payload = {
-            "theta_p": peak.theta_p,
-            "r_p": peak.r_p,
-            "sigma": peak.sigma,
-            "sigma_rms": peak.sigma_rms,
+            **asdict(summary.peak),
             "r_e": summary.r_mean,
-            "n_samples": summary.n_steady_samples,
-            "lobes": [
-                {"y": l.y, "z": l.z, "mass_fraction": l.mass_fraction}
-                for l in peak.lobes
-            ],
-            "tie_bins": [list(b) for b in peak.tie_bins],
+            "n_samples": grid.n_samples,
             "law": {**asdict(law), "r_target": r_target},
         }
         path = out_dir / "peaks.json"
         _write_json(path, payload)
         written.append(path)
-        meta["renorm_count"] = result.renorm_count
+        meta["renorm_count"] = summary.renorm_count
 
     elif cfg.mode == "sweep-angle":
         thetas = _theta_list(cfg)

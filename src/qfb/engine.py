@@ -18,7 +18,6 @@ block.  Both paths draw the same numbers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,17 +154,9 @@ class EnsembleResult:
 
     times: np.ndarray
     mean_xyz: np.ndarray
-    n_traj: int
     renorm_count: int = 0
     excursion_count: int = 0
     steady_yz: np.ndarray | None = None
-
-    def steady_mean_radius(self) -> float:
-        """Radius of the mean steady-state vector, |<(y, z)>|."""
-        if self.steady_yz is None or len(self.steady_yz) == 0:
-            raise ValueError("no steady-state samples were collected")
-        my, mz = self.steady_yz.mean(axis=0)
-        return math.hypot(my, mz)
 
 
 class BayesStepper:
@@ -304,7 +295,6 @@ def run_ensemble(
     return EnsembleResult(
         times=rec_steps * params.dt,
         mean_xyz=rec_sums / n_traj,
-        n_traj=n_traj,
         renorm_count=renorms,
         excursion_count=excursions,
         steady_yz=None if steady_out is None else steady_out.reshape(-1, 2),

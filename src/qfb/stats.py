@@ -2,10 +2,11 @@
 
 Steady-state trajectory distributions are summarized by a uniform 2D
 histogram over the yz unit square, its dominant peak (converted to polar
-form), the spread of the samples around that peak, and the connected
-high-density lobes.  The ensemble mean curve itself is reduced by the
-engine (:func:`qfb.engine.run_ensemble`); this module summarizes its
-result and runs the angle and filter/delay sweeps.
+form), the spread of the samples around that peak, the connected
+high-density lobes and the mean radius.  :func:`steady_state` is the one
+steady-state path: it runs an ensemble from a given state, discards the
+burn-in, pools the (y, z) samples and summarizes them.  Histogram mode
+and every point of the angle and filter/delay sweeps go through it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
+from .chain import FeedbackLaw
 from .design import design_nonideal
 from .engine import EnsembleResult, SteadySampling, TrajectoryConfig, _steps_for, run_ensemble
 from .model import BlochState, ModelParams
@@ -28,6 +30,7 @@ __all__ = [
     "build_histogram",
     "find_peak",
     "summarize",
+    "steady_state",
     "sweep_targets",
     "sweep_chain",
     "SweepRow",
@@ -50,57 +53,34 @@ LOBE_THRESHOLD = 0.05
 MIN_LOBE_MASS = 0.005
 
 
-@dataclass
+@dataclass(frozen=True)
 class HistogramGrid:
     """Uniform 2D histogram of (y, z) samples over [-1, 1] x [-1, 1].
 
-    Samples are clipped onto the square before binning (only relevant
-    for integrators that can leak slightly outside the sphere), so the
-    counts always total ``n_samples``.
+    ``edges`` bins both axes; ``counts[iy, iz]`` counts the samples in
+    y-bin ``iy`` and z-bin ``iz`` and totals ``n_samples``.
     """
 
-    y_edges: np.ndarray
-    z_edges: np.ndarray
+    edges: np.ndarray
     counts: np.ndarray
-    n_samples: int = 0
-
-    @classmethod
-    def empty(cls, n_bins: int = DEFAULT_BINS) -> "HistogramGrid":
-        edges = np.linspace(-1.0, 1.0, n_bins + 1)
-        return cls(
-            y_edges=edges,
-            z_edges=edges.copy(),
-            counts=np.zeros((n_bins, n_bins), dtype=np.int64),
-        )
+    n_samples: int
 
     @property
-    def y_centers(self) -> np.ndarray:
-        return 0.5 * (self.y_edges[:-1] + self.y_edges[1:])
-
-    @property
-    def z_centers(self) -> np.ndarray:
-        return 0.5 * (self.z_edges[:-1] + self.z_edges[1:])
-
-    def fill(self, yz: np.ndarray) -> "HistogramGrid":
-        """Bin an (n, 2) array of samples; returns self."""
-        yz = np.asarray(yz, dtype=float)
-        y = np.clip(yz[:, 0], self.y_edges[0], self.y_edges[-1])
-        z = np.clip(yz[:, 1], self.z_edges[0], self.z_edges[-1])
-        add, _, _ = np.histogram2d(y, z, bins=[self.y_edges, self.z_edges])
-        self.counts += add.astype(np.int64)
-        self.n_samples += len(yz)
-        return self
-
-    def peak_bins(self) -> list[tuple[int, int]]:
-        """All bins sharing the maximal count, row-major order."""
-        peak = self.counts.max()
-        iy, iz = np.nonzero(self.counts == peak)
-        return list(zip(iy.tolist(), iz.tolist()))
+    def centers(self) -> np.ndarray:
+        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 def build_histogram(samples: np.ndarray, n_bins: int = DEFAULT_BINS) -> HistogramGrid:
-    """Histogram an (n, 2) array of steady-state (y, z) samples."""
-    return HistogramGrid.empty(n_bins).fill(samples)
+    """Histogram an (n, 2) array of steady-state (y, z) samples.
+
+    Samples are clipped onto the square before binning (only relevant
+    for integrators that can leak slightly outside the sphere), so every
+    sample is counted.
+    """
+    edges = np.linspace(-1.0, 1.0, n_bins + 1)
+    y, z = np.clip(np.asarray(samples, dtype=float), edges[0], edges[-1]).T
+    counts, _, _ = np.histogram2d(y, z, bins=[edges, edges])
+    return HistogramGrid(edges, counts.astype(np.int64), len(y))
 
 
 @dataclass(frozen=True)
@@ -156,13 +136,14 @@ def find_peak(grid: HistogramGrid) -> PeakReport:
     """Locate the dominant histogram peak and the high-density lobes."""
     if grid.n_samples == 0:
         raise ValueError("empty histogram")
-    maxima = grid.peak_bins()
+    iys, izs = np.nonzero(grid.counts == grid.counts.max())
+    maxima = list(zip(iys.tolist(), izs.tolist()))
     iy, iz = maxima[0]
-    yc = grid.y_centers[iy]
-    zc = grid.z_centers[iz]
+    centers = grid.centers
+    yc, zc = centers[iy], centers[iz]
 
-    dy = grid.y_centers[:, None] - yc
-    dz = grid.z_centers[None, :] - zc
+    dy = centers[:, None] - yc
+    dz = centers[None, :] - zc
     dist = np.sqrt(dy * dy + dz * dz)
     mean_d = float((grid.counts * dist).sum()) / grid.n_samples
     mean_d2 = float((grid.counts * dist * dist).sum()) / grid.n_samples
@@ -172,8 +153,8 @@ def find_peak(grid: HistogramGrid) -> PeakReport:
     mask = grid.counts >= LOBE_THRESHOLD * grid.counts[iy, iz]
     labels, n_lobes = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
     lobes = []
-    yy = np.broadcast_to(grid.y_centers[:, None], grid.counts.shape)
-    zz = np.broadcast_to(grid.z_centers[None, :], grid.counts.shape)
+    yy = np.broadcast_to(centers[:, None], grid.counts.shape)
+    zz = np.broadcast_to(centers[None, :], grid.counts.shape)
     for lab in range(1, n_lobes + 1):
         sel = labels == lab
         mass = float(grid.counts[sel].sum())
@@ -197,26 +178,45 @@ def find_peak(grid: HistogramGrid) -> PeakReport:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleSummary:
-    """Steady-state view of an ensemble run: histogram, peak report, mean radius."""
+    """Steady-state view of an ensemble run: histogram, peak report, mean radius
+    ``r_mean`` = |<(y, z)>| of the pooled samples, renormalization count."""
 
-    histogram: HistogramGrid | None = None
-    peak: PeakReport | None = None
-    r_mean: float | None = None
-    n_steady_samples: int = 0
+    histogram: HistogramGrid
+    peak: PeakReport
+    r_mean: float
+    renorm_count: int
 
 
 def summarize(result: EnsembleResult, n_bins: int = DEFAULT_BINS) -> EnsembleSummary:
-    """Histogram + peak + mean-radius summary of an ensemble result."""
-    summary = EnsembleSummary()
-    if result.steady_yz is not None and len(result.steady_yz):
-        grid = build_histogram(result.steady_yz, n_bins=n_bins)
-        summary.histogram = grid
-        summary.peak = find_peak(grid)
-        summary.r_mean = result.steady_mean_radius()
-        summary.n_steady_samples = grid.n_samples
-    return summary
+    """Histogram + peak + mean-radius summary of an ensemble's steady samples."""
+    yz = result.steady_yz
+    if yz is None or len(yz) == 0:
+        raise ValueError("no steady-state samples were collected")
+    grid = build_histogram(yz, n_bins=n_bins)
+    my, mz = yz.mean(axis=0)
+    return EnsembleSummary(grid, find_peak(grid), math.hypot(my, mz), result.renorm_count)
+
+
+def steady_state(
+    law: FeedbackLaw,
+    initial: BlochState,
+    params: ModelParams,
+    *,
+    n_traj: int,
+    total_time: float,
+    sampling: SteadySampling,
+    seed: int = 0,
+    n_bins: int = DEFAULT_BINS,
+) -> EnsembleSummary:
+    """Summary of the steady-state samples ``sampling`` selects from ``n_traj``
+    trajectories started at ``initial`` under ``law``.
+
+    The run writes no mean curve, so it records only the two endpoints.
+    """
+    cfg = TrajectoryConfig(initial, total_time, _steps_for(total_time, params.dt), seed)
+    return summarize(run_ensemble(n_traj, cfg, params, law, steady=sampling), n_bins=n_bins)
 
 
 @dataclass(frozen=True)
@@ -235,20 +235,18 @@ class SweepRow:
     n_lobes: int
 
 
-def _run_point(
-    law, r_target, theta_s, value, params,
-    n_traj, total_time, sampling, seed, n_bins,
-) -> SweepRow:
-    initial = BlochState(0.0, r_target * math.sin(theta_s), r_target * math.cos(theta_s))
-    # a sweep writes no mean curve: record only the two endpoints
-    cfg = TrajectoryConfig(
-        initial=initial,
-        total_time=total_time,
-        record_stride=_steps_for(total_time, params.dt),
-        seed=seed,
-    )
-    result = run_ensemble(n_traj, cfg, params, law, steady=sampling)
-    summary = summarize(result, n_bins=n_bins)
+def _sweep_rows(points, params: ModelParams, **run) -> list[SweepRow]:
+    """One row per ``(value, theta_s, law, r_target)`` point, each run from its
+    target state.  Each summary is a temporary: none outlives its row."""
+    return [
+        _row(value, theta_s, law, r_target, steady_state(
+            law, BlochState.from_polar(theta_s, r_target), params, **run
+        ))
+        for value, theta_s, law, r_target in points
+    ]
+
+
+def _row(value, theta_s, law, r_target, summary: EnsembleSummary) -> SweepRow:
     return SweepRow(
         value=value,
         theta_s=theta_s,
@@ -280,16 +278,11 @@ def sweep_targets(
     reused at every point so that rows differ by physics rather than by
     noise realization.
     """
-    rows = []
-    for theta in thetas:
-        law, r_target = design_nonideal(theta, params)
-        rows.append(
-            _run_point(
-                law, r_target, theta, theta, params,
-                n_traj, total_time, sampling, seed, n_bins,
-            )
-        )
-    return rows
+    points = ((theta, theta, *design_nonideal(theta, params)) for theta in thetas)
+    return _sweep_rows(
+        points, params, n_traj=n_traj, total_time=total_time, sampling=sampling,
+        seed=seed, n_bins=n_bins,
+    )
 
 
 def sweep_chain(
@@ -315,13 +308,11 @@ def sweep_chain(
     if which not in ("Ts", "Td"):
         raise ValueError("which must be 'Ts' or 'Td'")
     base, r_target = design_nonideal(theta_target, params)
-    rows = []
-    for v in values:
-        law = replace(base, **{which: float(v)})
-        rows.append(
-            _run_point(
-                law, r_target, theta_target, float(v), params,
-                n_traj, total_time, sampling, seed, n_bins,
-            )
-        )
-    return rows
+    points = (
+        (float(v), theta_target, replace(base, **{which: float(v)}), r_target)
+        for v in values
+    )
+    return _sweep_rows(
+        points, params, n_traj=n_traj, total_time=total_time, sampling=sampling,
+        seed=seed, n_bins=n_bins,
+    )

@@ -28,7 +28,7 @@ from qfb import (
     optimal_delta1,
     run_ensemble,
     stationary_state,
-    summarize,
+    steady_state,
 )
 from qfb.engine import trajectory_rng
 from oracle import integrate_mean_ode, run_sme_ensemble
@@ -43,14 +43,12 @@ LOSSY_FINE = ModelParams(tau_m=TAU_M, dt=0.0005, T1=60.0, T2=40.0, eta=0.41)
 LOSSY_COARSE = ModelParams(tau_m=TAU_M, dt=0.01, T1=60.0, T2=40.0, eta=0.41)
 LOSSY_SWEEP = ModelParams(tau_m=TAU_M, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
 
-
-def steady_run(params, law, r_target, theta, n_traj=1250, total_time=17.8, seed=SEED):
-    """10^5 pooled steady-state samples: burn 10 tau_m, sample every tau_m."""
-    init = BlochState(0.0, r_target * math.sin(theta), r_target * math.cos(theta))
-    stride = round(params.tau_m / params.dt)
-    cfg = TrajectoryConfig(init, total_time, record_stride=stride, seed=seed)
-    sampling = SteadySampling(burn_in=10.0 * params.tau_m, stride=params.tau_m)
-    return run_ensemble(n_traj, cfg, params, law, steady=sampling)
+#: 10^5 pooled steady-state samples (1250 trajectories x 80): burn 10 tau_m,
+#: then sample every tau_m.  Runs start at the target state.
+STEADY = dict(
+    n_traj=1250, total_time=17.8, seed=SEED,
+    sampling=SteadySampling(burn_in=10.0 * TAU_M, stride=TAU_M),
+)
 
 
 @pytest.mark.slow
@@ -128,9 +126,9 @@ def test_criterion_3_histogram_peaks():
     for theta_s = pi/10."""
     checks = []
     law, r_s = design_nonideal(THETA_TARGET, LOSSY_COARSE)
-    top = summarize(steady_run(LOSSY_COARSE, law, r_s, THETA_TARGET))
+    top = steady_state(law, BlochState.from_polar(THETA_TARGET, r_s), LOSSY_COARSE, **STEADY)
     pk = top.peak
-    assert top.n_steady_samples == 100_000
+    assert top.histogram.n_samples == 100_000
     _check(checks, "top_lobes", len(pk.lobes), len(pk.lobes) == 1)
     _check(
         checks,
@@ -143,7 +141,7 @@ def test_criterion_3_histogram_peaks():
 
     theta_lo = 0.1 * math.pi
     law2, r_s2 = design_nonideal(theta_lo, LOSSY_COARSE)
-    bottom = summarize(steady_run(LOSSY_COARSE, law2, r_s2, theta_lo))
+    bottom = steady_state(law2, BlochState.from_polar(theta_lo, r_s2), LOSSY_COARSE, **STEADY)
     pk2 = bottom.peak
     _check(checks, "bottom_lobes", len(pk2.lobes), len(pk2.lobes) == 2)
     _check(
@@ -167,8 +165,7 @@ def test_criterion_4_filter_delay_degradation():
     base, r_s = design_nonideal(THETA_TARGET, LOSSY_COARSE)
 
     def point(law):
-        res = steady_run(LOSSY_COARSE, law, r_s, THETA_TARGET)
-        return summarize(res)
+        return steady_state(law, BlochState.from_polar(THETA_TARGET, r_s), LOSSY_COARSE, **STEADY)
 
     checks = []
     # filter column
@@ -234,8 +231,9 @@ def test_criterion_5_angle_sweep():
     for k in range(1, 10):
         theta = k * math.pi / 10.0
         law, r_t = design_nonideal(theta, LOSSY_SWEEP)
-        summary = summarize(steady_run(LOSSY_SWEEP, law, r_t, theta))
-        rows[round(k * 0.1, 1)] = summary
+        rows[round(k * 0.1, 1)] = steady_state(
+            law, BlochState.from_polar(theta, r_t), LOSSY_SWEEP, **STEADY
+        )
 
     away_from_poles = [round(k * 0.1, 1) for k in range(2, 10)]
     r_e_all = {f: rows[f].r_mean for f in rows}

@@ -365,19 +365,33 @@ class TestMain:
         changed = {k for k in values if getattr(seen[0], k) != getattr(default, k)}
         assert changed == set(values) - {"theta_target"}
 
+    @staticmethod
+    def _outputs_across(tmp_path, argv, flag, values):
+        """Every written file, byte for byte, for each value of ``flag``."""
+        outputs = []
+        for value in values:
+            out = tmp_path / f"{flag}{value}"
+            assert main(argv + [flag, value, "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        return outputs
+
     def test_modes_without_a_mean_curve_ignore_record_stride(self, tmp_path):
         # 300 and 301 steps: neither is divisible by the strides below
         hist = ["--mode", "histogram", "--theta-target", "0.3pi", "--total-time", "3",
                 "--dt", "0.01", "--n-traj", "20"]
-        outputs = []
-        for stride in ("7", "300"):
-            out = tmp_path / f"hist{stride}"
-            assert main(hist + ["--record-stride", stride, "--out", str(out)]) == 0
-            outputs.append({n: (out / n).read_bytes() for n in ("hist.csv", "peaks.json")})
-        assert outputs[0] == outputs[1]
+        first, second = self._outputs_across(tmp_path, hist, "--record-stride", ("7", "300"))
+        assert set(first) == {"hist.csv", "peaks.json", "run_meta.json"}
+        assert first == second
         sweep = ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--total-time", "3.01",
                  "--dt", "0.01", "--n-traj", "20", "--sweep-values", "0"]
         assert main(sweep + ["--out", str(tmp_path / "sweep")]) == 0
+
+    def test_trajectory_mode_ignores_n_traj(self, tmp_path):
+        traj = ["--mode", "trajectory", "--theta-target", "0.3pi", "--total-time", "1",
+                "--dt", "0.01", "--record-stride", "20"]
+        first, second = self._outputs_across(tmp_path, traj, "--n-traj", ("1", "50"))
+        assert set(first) == {"mean.csv", "run_meta.json"}
+        assert first == second
 
 
 BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]

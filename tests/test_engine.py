@@ -216,6 +216,26 @@ class TestRunEnsemble:
         run_ensemble(50, cfg, IDEAL, law)
         assert len(built) == 50
 
+    @pytest.mark.parametrize("n_steps", [200, 800])  # one noise block; several
+    def test_peak_memory_is_one_chunk(self, monkeypatch, n_steps):
+        """Each chunk's noise buffer and streams are freed before the next chunk
+        allocates, so three chunks peak no higher than one."""
+        import tracemalloc
+
+        import qfb.engine as eng
+
+        monkeypatch.setattr(eng, "CHUNK_SIZE", 512)
+        cfg, law = ideal_setup(total_time=n_steps * IDEAL.dt, stride=n_steps)
+        peaks = []
+        for n_traj in (512, 1536):
+            tracemalloc.start()
+            try:
+                run_ensemble(n_traj, cfg, IDEAL, law)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
     def test_ensemble_mean_tracks_ode(self):
         cfg, law = ideal_setup(seed=7)
         res = run_ensemble(2000, cfg, IDEAL, law)
@@ -278,7 +298,7 @@ class TestRunEnsemble:
                 800, cfg, p, law, steady=SteadySampling(burn_in=burn, stride=0.2)
             )
             my, mz = res.steady_yz.mean(axis=0)
-            means.append((my, mz, res.steady_mean_radius()))
+            means.append((my, mz, math.hypot(my, mz)))
         assert means[0][2] == pytest.approx(means[1][2], abs=0.01)
         assert means[0][0] == pytest.approx(means[1][0], abs=0.01)
         assert means[0][1] == pytest.approx(means[1][1], abs=0.01)

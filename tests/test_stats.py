@@ -1,13 +1,13 @@
 """Histograms, peak/lobe detection, summaries, sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qfb import (
     BlochState,
-    HistogramGrid,
     ModelParams,
     SteadySampling,
     TrajectoryConfig,
@@ -15,6 +15,7 @@ from qfb import (
     design_nonideal,
     find_peak,
     run_ensemble,
+    steady_state,
     summarize,
     sweep_chain,
 )
@@ -102,7 +103,7 @@ class TestFindPeak:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            find_peak(HistogramGrid.empty())
+            find_peak(build_histogram(np.empty((0, 2))))
 
 
 class TestSummaryAndSweeps:
@@ -114,10 +115,31 @@ class TestSummaryAndSweeps:
             400, cfg, NONIDEAL_COARSE, law, steady=SteadySampling(2.0, 0.2)
         )
         summary = summarize(res)
-        assert summary.n_steady_samples == res.steady_yz.shape[0]
-        assert summary.histogram.counts.sum() == summary.n_steady_samples
+        assert summary.histogram.n_samples == res.steady_yz.shape[0]
+        assert summary.histogram.counts.sum() == summary.histogram.n_samples
         assert 0.5 < summary.r_mean < 0.7
-        assert summary.peak is not None
+        assert summary.renorm_count == res.renorm_count
+
+    def test_summarize_rejects_a_run_without_samples(self):
+        law, r_s = design_nonideal(0.3 * math.pi, NONIDEAL_COARSE)
+        cfg = TrajectoryConfig(BlochState.from_polar(0.3 * math.pi, r_s), 0.2, seed=1)
+        with pytest.raises(ValueError, match="no steady-state samples"):
+            summarize(run_ensemble(5, cfg, NONIDEAL_COARSE, law))
+
+    def test_sweep_row_is_the_steady_state_from_its_target(self):
+        theta = 0.3 * math.pi
+        sampling = SteadySampling.default(NONIDEAL_COARSE)
+        run = dict(n_traj=200, total_time=9.8, sampling=sampling, seed=3)
+        (row,) = sweep_chain(theta, [0.04], "Td", NONIDEAL_COARSE, **run)
+        base, r_s = design_nonideal(theta, NONIDEAL_COARSE)
+        law = replace(base, Td=0.04)
+        s = steady_state(law, BlochState.from_polar(theta, r_s), NONIDEAL_COARSE, **run)
+        assert (row.theta_s, row.r_target, row.delta0, row.delta1) == (
+            theta, r_s, law.delta0, law.delta1,
+        )
+        assert (row.theta_p, row.r_p, row.r_e, row.sigma, row.n_lobes) == (
+            s.peak.theta_p, s.peak.r_p, s.r_mean, s.peak.sigma, len(s.peak.lobes),
+        )
 
     def test_sweep_chain_common_seed_and_values(self):
         rows = sweep_chain(
@@ -144,8 +166,6 @@ class TestSummaryAndSweeps:
 
     def test_angular_drift_toward_pole_at_full_chain_lag(self):
         """Filter or delay at tau_m shifts the mean angle ~pi/10 pole-ward."""
-        from dataclasses import replace
-
         p = NONIDEAL_COARSE
         theta = 0.3 * math.pi
         base, r_s = design_nonideal(theta, p)
