@@ -14,7 +14,8 @@ The package splits into:
   analysis,
 * :mod:`qfb.stats` -- ensemble summaries: steady-state histograms, peak
   and lobe detection, the one steady-state path ``steady_state`` that
-  histogram mode and every sweep point run through, parameter sweeps,
+  histogram mode runs through, and ``sweep``, which runs it at each given
+  operating point,
 * :mod:`qfb.cli` -- the ``qfb`` command-line harness.
 """
 
@@ -49,8 +50,7 @@ from .stats import (
     find_peak,
     steady_state,
     summarize,
-    sweep_chain,
-    sweep_targets,
+    sweep,
 )
 
 __all__ = [
@@ -82,6 +82,5 @@ __all__ = [
     "find_peak",
     "summarize",
     "steady_state",
-    "sweep_targets",
-    "sweep_chain",
+    "sweep",
 ]

@@ -17,11 +17,13 @@ sweep-angle   peak/mean vs target angle          -> design.csv, peaks.json
 sweep-filter  degradation vs filter constant     -> peaks.json
 sweep-delay   degradation vs feedback delay      -> peaks.json
 
-Every mode also writes run_meta.json with the fully resolved config,
-package version, and renormalization count.  The config leaves out the
-keys that change no result byte: ``threads`` and ``out`` always,
-``record_stride`` in modes that write no mean curve, and ``n_traj`` in
-trajectory mode.
+Every mode designs through :meth:`RunConfig.design`: ideal parameters use
+the ideal design, anything else the lossy design at maximum radius.
+:meth:`RunConfig.points` builds the design table's and the sweeps' laws;
+a chain sweep keeps the configured ``ts``/``td`` it does not sweep.
+
+Every mode also writes run_meta.json: the package version, the summed
+renormalization count and the config keys the mode reads (``_READS``).
 
 Trajectory chunks run in index order on one thread; the ``threads`` key
 still parses (it must be at least 1) but has no effect.
@@ -34,7 +36,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -45,9 +47,9 @@ from .chain import FeedbackLaw
 from .design import design_ideal, design_nonideal
 from .engine import SteadySampling, TrajectoryConfig, _steps_for, run_ensemble
 from .model import BlochState, ModelParams
-from .stats import DEFAULT_BINS, steady_state, sweep_chain, sweep_targets
+from .stats import DEFAULT_BINS, steady_state, sweep
 
-__all__ = ["RunConfig", "parse_config", "serialize_config", "execute", "main"]
+__all__ = ["RunConfig", "parse_config", "execute", "main"]
 
 MODES = (
     "trajectory",
@@ -62,6 +64,15 @@ MODES = (
 
 #: Modes that write mean.csv, the only output that reads ``record_stride``.
 _MEAN_CURVE_MODES = ("trajectory", "ensemble")
+
+#: Modes with one operating point per ``theta_list`` angle.
+_ANGLE_MODES = ("design-table", "sweep-angle")
+
+#: The sweep modes and the row value each one sweeps.
+_SWEEP_AXIS = {"sweep-angle": "theta_s", "sweep-filter": "Ts", "sweep-delay": "Td"}
+
+#: Modes that design their own laws, one per operating point.
+_POINT_MODES = (*_ANGLE_MODES, *_SWEEP_AXIS)
 
 
 class ConfigError(ValueError):
@@ -127,7 +138,7 @@ class RunConfig:
                 allowed = "finite or inf" if inf_ok else "finite"
                 raise ConfigError(f"{key}: must be {allowed}, got {value}")
         explicit = self.delta0 is not None or self.delta1 is not None
-        if explicit and (self.mode == "design-table" or self.mode.startswith("sweep")):
+        if explicit and self.mode in _POINT_MODES:
             raise ConfigError(
                 f"delta0/delta1: mode {self.mode} designs its own constants; "
                 "explicit values would be ignored"
@@ -139,9 +150,7 @@ class RunConfig:
                 "theta_target: give either explicit delta0/delta1 or a target "
                 "angle with auto-design, not both"
             )
-        if not explicit and self.theta_target is None and self.mode not in (
-            "design-table", "sweep-angle",
-        ):
+        if not explicit and self.theta_target is None and self.mode not in _ANGLE_MODES:
             raise ConfigError(f"theta_target: required for mode {self.mode}")
         try:
             self.model_params()
@@ -183,7 +192,7 @@ class RunConfig:
                 f"record_stride: must be >= 1 and divide the {n_steps} steps, "
                 f"got {self.record_stride}"
             )
-        if self.mode != "histogram" and not self.mode.startswith("sweep"):
+        if self.mode != "histogram" and self.mode not in _SWEEP_AXIS:
             return
         try:
             self.sampling().step_indices(n_steps, self.dt)
@@ -192,26 +201,15 @@ class RunConfig:
             raise ConfigError(f"{key}: {exc}") from exc
 
     def _check_designs(self) -> None:
-        """Run the closed-form designs the mode needs, so that a target the
-        design rejects (such as one at a measurement pole) is named by key."""
-        if self.mode in ("design-table", "sweep-angle"):
-            key, thetas = "theta_list", _theta_list(self)
-        elif self.theta_target is not None:
-            key, thetas = "theta_target", [self.theta_target]
-        else:
-            return
-        # sweeps design for the lossy model whatever the parameters
-        sweep = self.mode.startswith("sweep")
+        """Build the mode's laws, so that a target the design rejects (such as
+        one at a measurement pole) is named by key before anything runs."""
+        key = "theta_list" if self.mode in _ANGLE_MODES else "theta_target"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for theta in thetas:
-                try:
-                    if sweep:
-                        design_nonideal(theta, self.model_params())
-                    else:
-                        self.design(theta)
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
+            try:
+                (self.points if self.mode in _POINT_MODES else self.feedback_law)()
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
 
     def model_params(self) -> ModelParams:
         return ModelParams(
@@ -229,6 +227,23 @@ class RunConfig:
         if self.delta0 is not None:
             return FeedbackLaw(self.delta0, self.delta1, Ts=self.ts, Td=self.td), None
         return self.design(self.theta_target)
+
+    def points(self) -> list[tuple[float, float, FeedbackLaw, float]]:
+        """The mode's ``(value, theta_s, law, r_target)`` operating points: one
+        per ``theta_list`` angle (value = theta_s) for the design table and
+        the angle sweep; for the chain sweeps, the law designed at
+        ``theta_target`` with its swept ``Ts``/``Td`` set to each
+        ``sweep_values`` entry (value, in us).  Other modes have none."""
+        if self.mode in _ANGLE_MODES:
+            return [(theta, theta, *self.design(theta)) for theta in _theta_list(self)]
+        if self.mode not in _SWEEP_AXIS:
+            return []
+        axis = _SWEEP_AXIS[self.mode]
+        base, r_target = self.design(self.theta_target)
+        return [
+            (value, self.theta_target, replace(base, **{axis: value}), r_target)
+            for value in _sweep_values_us(self)
+        ]
 
     def sampling(self) -> SteadySampling:
         burn = 10.0 * self.tau_m if self.burn_in is None else self.burn_in
@@ -250,15 +265,25 @@ _NULLABLE = {key for key, hint in _HINTS.items() if type(None) in get_args(hint)
 _ANGLE_KEYS = {"theta_target", "theta_init"}
 
 
-def _unrecorded(mode: str) -> set[str]:
-    """Keys left out of run_meta.json: they change no result byte of ``mode``,
-    so two runs that differ only in them write identical metadata."""
-    keys = {"threads", "out"}
-    if mode not in _MEAN_CURVE_MODES:
-        keys.add("record_stride")
-    if mode == "trajectory":
-        keys.add("n_traj")  # a trajectory is an ensemble of one
-    return keys
+_MODEL_KEYS = {"mode", "tau_m", "t1", "t2", "eta"}
+_RUN_KEYS = _MODEL_KEYS | {"dt", "total_time", "n_traj", "seed"}
+_STEADY_KEYS = {"burn_in", "sample_every", "n_bins"}
+_INIT_KEYS = _RUN_KEYS | {"theta_target", "delta0", "delta1", "ts", "td", "theta_init", "r_init"}
+_MEAN_KEYS = _INIT_KEYS | {"record_stride"}
+# sweeps start every point at its target, so they read no theta_init/r_init
+_CHAIN_SWEEP_KEYS = _RUN_KEYS | _STEADY_KEYS | {"theta_target", "sweep_values", "ts", "td"}
+
+#: The keys each mode reads.  run_meta.json records only these: two runs
+#: that differ only in another key write identical files.
+_READS = {
+    "trajectory": _MEAN_KEYS - {"n_traj"},  # a trajectory is an ensemble of one
+    "ensemble": _MEAN_KEYS,
+    "histogram": _INIT_KEYS | _STEADY_KEYS,
+    "design-table": _MODEL_KEYS | {"theta_list"},
+    "sweep-angle": _RUN_KEYS | _STEADY_KEYS | {"theta_list", "ts", "td"},
+    "sweep-filter": _CHAIN_SWEEP_KEYS - {"ts"},
+    "sweep-delay": _CHAIN_SWEEP_KEYS - {"td"},
+}
 
 
 def parse_angle(text: str) -> float:
@@ -315,21 +340,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Flat key=value text that parses back to an identical config.
-
-    Floats are written with repr (exact round-trip); the 9-significant-
-    digit convention applies to result files, not to configs.
-    """
-    lines = []
-    for f in sorted(fields(RunConfig), key=lambda f: f.name):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name}={value!r}" if isinstance(value, float) else f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
 
 
 def _json_ready(obj):
@@ -417,27 +427,27 @@ def execute(cfg: RunConfig) -> list[Path]:
 def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
     """Write the outputs of ``cfg.mode``, appending each path as it is written."""
     params = cfg.model_params()
-    unrecorded = _unrecorded(cfg.mode)
+    points = cfg.points()
+    reads = _READS[cfg.mode]
     meta: dict = {
         "config": {
             f.name: getattr(cfg, f.name)
             for f in fields(RunConfig)
-            if getattr(cfg, f.name) is not None and f.name not in unrecorded
+            if getattr(cfg, f.name) is not None and f.name in reads
         },
         "version": __version__,
         "renorm_count": 0,
     }
 
-    if cfg.mode == "design-table":
-        rows = []
-        for theta in _theta_list(cfg):
-            law, r_s = cfg.design(theta)
-            rows.append((theta, law.delta0, law.delta1, r_s))
+    if cfg.mode in _ANGLE_MODES:
         path = out_dir / "design.csv"
-        _write_csv(path, ["theta", "delta0", "delta1", "r_max"], rows)
+        _write_csv(
+            path, ["theta", "delta0", "delta1", "r_max"],
+            ((theta, law.delta0, law.delta1, r_target) for _, theta, law, r_target in points),
+        )
         written.append(path)
 
-    elif cfg.mode in _MEAN_CURVE_MODES:
+    if cfg.mode in _MEAN_CURVE_MODES:
         law, r_target = cfg.feedback_law()
         # a trajectory is an ensemble of one: its mean is the trajectory
         n_traj = 1 if cfg.mode == "trajectory" else cfg.n_traj
@@ -477,33 +487,14 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         written.append(path)
         meta["renorm_count"] = summary.renorm_count
 
-    elif cfg.mode == "sweep-angle":
-        thetas = _theta_list(cfg)
-        rows = sweep_targets(
-            thetas, params,
-            n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
-            seed=cfg.seed, n_bins=cfg.n_bins,
-        )
-        path = out_dir / "design.csv"
-        _write_csv(
-            path,
-            ["theta", "delta0", "delta1", "r_max"],
-            ((r.theta_s, r.delta0, r.delta1, r.r_target) for r in rows),
-        )
-        written.append(path)
-        path = out_dir / "peaks.json"
-        _write_json(path, {"sweep": "theta_s", "rows": [asdict(r) for r in rows]})
-        written.append(path)
-
-    elif cfg.mode in ("sweep-filter", "sweep-delay"):
-        which = "Ts" if cfg.mode == "sweep-filter" else "Td"
-        rows = sweep_chain(
-            cfg.theta_target, _sweep_values_us(cfg), which, params,
+    elif cfg.mode in _SWEEP_AXIS:
+        rows, meta["renorm_count"] = sweep(
+            points, params,
             n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
             seed=cfg.seed, n_bins=cfg.n_bins,
         )
         path = out_dir / "peaks.json"
-        _write_json(path, {"sweep": which, "rows": [asdict(r) for r in rows]})
+        _write_json(path, {"sweep": _SWEEP_AXIS[cfg.mode], "rows": [asdict(r) for r in rows]})
         written.append(path)
 
     meta_path = out_dir / "run_meta.json"

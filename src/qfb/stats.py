@@ -6,19 +6,19 @@ form), the spread of the samples around that peak, the connected
 high-density lobes and the mean radius.  :func:`steady_state` is the one
 steady-state path: it runs an ensemble from a given state, discards the
 burn-in, pools the (y, z) samples and summarizes them.  Histogram mode
-and every point of the angle and filter/delay sweeps go through it.
+goes through it, and so does :func:`sweep` at every given operating
+point ``(value, theta_s, law, r_target)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .chain import FeedbackLaw
-from .design import design_nonideal
 from .engine import EnsembleResult, SteadySampling, TrajectoryConfig, _steps_for, run_ensemble
 from .model import BlochState, ModelParams
 
@@ -31,8 +31,7 @@ __all__ = [
     "find_peak",
     "summarize",
     "steady_state",
-    "sweep_targets",
-    "sweep_chain",
+    "sweep",
     "SweepRow",
     "DEFAULT_BINS",
     "LOBE_THRESHOLD",
@@ -235,19 +234,39 @@ class SweepRow:
     n_lobes: int
 
 
-def _sweep_rows(points, params: ModelParams, **run) -> list[SweepRow]:
-    """One row per ``(value, theta_s, law, r_target)`` point, each run from its
-    target state.  Each summary is a temporary: none outlives its row."""
-    return [
-        _row(value, theta_s, law, r_target, steady_state(
-            law, BlochState.from_polar(theta_s, r_target), params, **run
+def sweep(
+    points,
+    params: ModelParams,
+    *,
+    n_traj: int,
+    total_time: float,
+    sampling: SteadySampling,
+    seed: int = 0,
+    n_bins: int = DEFAULT_BINS,
+) -> tuple[list[SweepRow], int]:
+    """Stabilization summary at each ``(value, theta_s, law, r_target)`` point,
+    plus the renormalization count summed over the points.
+
+    Each point runs ``law`` from its target state ``(theta_s, r_target)``
+    and pools the steady-state samples ``sampling`` selects.  The same
+    master seed is reused at every point (common random numbers), so that
+    rows differ by physics rather than by noise realization.
+    """
+    rows, renorm_count = [], 0
+    for value, theta_s, law, r_target in points:
+        # the summary is a temporary: none outlives its row
+        row, count = _row(value, theta_s, law, r_target, steady_state(
+            law, BlochState.from_polar(theta_s, r_target), params,
+            n_traj=n_traj, total_time=total_time, sampling=sampling, seed=seed,
+            n_bins=n_bins,
         ))
-        for value, theta_s, law, r_target in points
-    ]
+        rows.append(row)
+        renorm_count += count
+    return rows, renorm_count
 
 
-def _row(value, theta_s, law, r_target, summary: EnsembleSummary) -> SweepRow:
-    return SweepRow(
+def _row(value, theta_s, law, r_target, summary: EnsembleSummary) -> tuple[SweepRow, int]:
+    row = SweepRow(
         value=value,
         theta_s=theta_s,
         r_target=r_target,
@@ -259,60 +278,4 @@ def _row(value, theta_s, law, r_target, summary: EnsembleSummary) -> SweepRow:
         sigma=summary.peak.sigma,
         n_lobes=len(summary.peak.lobes),
     )
-
-
-def sweep_targets(
-    thetas,
-    params: ModelParams,
-    *,
-    n_traj: int,
-    total_time: float,
-    sampling: SteadySampling,
-    seed: int = 0,
-    n_bins: int = DEFAULT_BINS,
-) -> list[SweepRow]:
-    """Stabilization summary across target angles (row value = theta_s).
-
-    Each point runs the nonideal design at maximum radius and pools the
-    steady-state samples ``sampling`` selects.  The same master seed is
-    reused at every point so that rows differ by physics rather than by
-    noise realization.
-    """
-    points = ((theta, theta, *design_nonideal(theta, params)) for theta in thetas)
-    return _sweep_rows(
-        points, params, n_traj=n_traj, total_time=total_time, sampling=sampling,
-        seed=seed, n_bins=n_bins,
-    )
-
-
-def sweep_chain(
-    theta_target: float,
-    values,
-    which: str,
-    params: ModelParams,
-    *,
-    n_traj: int,
-    total_time: float,
-    sampling: SteadySampling,
-    seed: int = 0,
-    n_bins: int = DEFAULT_BINS,
-) -> list[SweepRow]:
-    """Degradation sweep over filter constant or delay (values in us).
-
-    The controller constants are designed once, for the Markovian limit
-    at ``theta_target``; each row then runs the same law with the chain
-    setting (``which`` in {"Ts", "Td"}) overridden, and pools the
-    steady-state samples ``sampling`` selects.  The same master seed is
-    shared across rows (common random numbers).
-    """
-    if which not in ("Ts", "Td"):
-        raise ValueError("which must be 'Ts' or 'Td'")
-    base, r_target = design_nonideal(theta_target, params)
-    points = (
-        (float(v), theta_target, replace(base, **{which: float(v)}), r_target)
-        for v in values
-    )
-    return _sweep_rows(
-        points, params, n_traj=n_traj, total_time=total_time, sampling=sampling,
-        seed=seed, n_bins=n_bins,
-    )
+    return row, summary.renorm_count

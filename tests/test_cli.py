@@ -7,14 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from qfb import design_ideal
 from qfb.cli import (
+    MODES,
     ConfigError,
     RunConfig,
     execute,
     main,
     parse_angle,
     parse_config,
-    serialize_config,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -109,37 +110,48 @@ class TestParseConfig:
         f.write_text("# header\n\nmode=design-table  # trailing\n")
         assert parse_config(f).mode == "design-table"
 
-    def test_round_trip_idempotent(self):
-        cfg = parse_config(None, small_overrides("outdir", theta_target="0.1pi"))
-        text1 = serialize_config(cfg)
-        cfg2 = parse_config_from_text(text1)
-        assert cfg2 == cfg
-        assert serialize_config(cfg2) == text1
-
     def test_fig6_bottom_config_round_trips(self):
         cfg = parse_config(REPO / "configs" / "fig6_bottom.cfg")
         assert cfg.mode == "histogram"
         assert cfg.theta_target == pytest.approx(0.1 * math.pi, rel=1e-15)
         assert cfg.n_traj == 100000
         assert cfg.dt == 0.01
-        assert parse_config_from_text(serialize_config(cfg)) == cfg
 
     def test_all_shipped_configs_parse(self):
         for path in sorted((REPO / "configs").glob("*.cfg")):
-            cfg = parse_config(path)
-            assert parse_config_from_text(serialize_config(cfg)) == cfg
+            assert parse_config(path).mode in MODES
 
 
-def parse_config_from_text(text: str) -> RunConfig:
-    import tempfile
+class TestPoints:
+    def test_every_sweep_delay_law_carries_the_configured_ts(self):
+        cfg = parse_config(None, small_overrides(
+            "out", mode="sweep-delay", ts=0.02, sweep_values="0,0.5", total_time=3.0,
+        ))
+        points = cfg.points()
+        assert [value for value, *_ in points] == [0.0, 0.1]  # in us
+        assert [(law.Ts, law.Td) for _, _, law, _ in points] == [(0.02, 0.0), (0.02, 0.1)]
 
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-        fh.write(text)
-        name = fh.name
-    try:
-        return parse_config(name)
-    finally:
-        Path(name).unlink()
+    def test_ideal_sweep_angle_laws_are_the_ideal_design(self):
+        cfg = parse_config(None, small_overrides(
+            "out", mode="sweep-angle", t1="inf", t2="inf", eta=1.0, total_time=3.0,
+            theta_list="0.02pi..0.98pi/97",
+        ))
+        points = cfg.points()
+        assert len(points) == 97
+        for value, theta, law, r_target in points:
+            assert value == theta
+            assert (law, r_target) == (design_ideal(theta, cfg.tau_m), 1.0)
+
+    def test_design_table_points_are_its_rows(self, tmp_path):
+        cfg = parse_config(None, small_overrides(
+            tmp_path, mode="design-table", theta_list="0.2pi,0.7pi",
+        ))
+        execute(cfg)
+        rows = (tmp_path / "design.csv").read_text().splitlines()[1:]
+        assert rows == [
+            ",".join(f"{v:.9g}" for v in (theta, law.delta0, law.delta1, r_target))
+            for _, theta, law, r_target in cfg.points()
+        ]
 
 
 class TestExecute:
@@ -217,6 +229,29 @@ class TestExecute:
         assert peaks["sweep"] == "Td"
         assert [r["value"] for r in peaks["rows"]] == [0.0, 0.1]  # in us
         assert peaks["rows"][1]["r_e"] < peaks["rows"][0]["r_e"]
+
+    def test_sweep_filter_honours_td(self, tmp_path):
+        def peaks(td):
+            out = tmp_path / f"td{td}"
+            execute(parse_config(None, small_overrides(
+                out, mode="sweep-filter", sweep_values="0,0.5", total_time=3.0,
+                n_traj=20, td=td,
+            )))
+            return (out / "peaks.json").read_bytes()
+
+        assert peaks(0.04) != peaks(0.0)
+
+    def test_sweep_records_the_renormalizations_of_its_points(self, tmp_path):
+        ideal = dict(t1="inf", t2="inf", eta=1.0, total_time=3.0, n_traj=50)
+
+        def renorm_count(out, **kw):
+            execute(parse_config(None, small_overrides(tmp_path / out, **ideal, **kw)))
+            return json.loads((tmp_path / out / "run_meta.json").read_text())["renorm_count"]
+
+        # each sweep point runs the histogram's law from the histogram's start
+        hist = renorm_count("hist", mode="histogram", theta_init="0.3pi")
+        assert hist > 0
+        assert renorm_count("sweep", mode="sweep-filter", sweep_values="0,0") == 2 * hist
 
     def test_sweeps_honour_burn_in_and_sample_every(self, tmp_path):
         def peaks(name, **kw):
@@ -446,3 +481,83 @@ def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
     assert f"{key}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+#: A tiny run of each mode, on top of ``small_overrides``.
+TINY = {
+    "trajectory": dict(mode="trajectory"),
+    "ensemble": dict(mode="ensemble", n_traj=5),
+    "design-table": dict(mode="design-table", theta_list="0.2pi,0.3pi"),
+    "histogram": dict(mode="histogram", total_time=3.0, n_traj=5),
+    "sweep-angle": dict(mode="sweep-angle", theta_list="0.3pi", total_time=3.0, n_traj=5),
+    "sweep-filter": dict(mode="sweep-filter", sweep_values="0,0.5", total_time=3.0, n_traj=5),
+    "sweep-delay": dict(mode="sweep-delay", sweep_values="0,0.5", total_time=3.0, n_traj=5),
+}
+
+_ALWAYS_UNREAD = {"threads", "out"}
+_FIELDS = {f.name for f in fields(RunConfig)}
+
+#: The keys each mode leaves out: they change none of its output bytes.
+UNREAD = {
+    "trajectory": _ALWAYS_UNREAD
+    | {"burn_in", "sample_every", "n_bins", "sweep_values", "theta_list", "n_traj"},
+    "ensemble": _ALWAYS_UNREAD
+    | {"burn_in", "sample_every", "n_bins", "sweep_values", "theta_list"},
+    "design-table": _FIELDS - {"mode", "tau_m", "t1", "t2", "eta", "theta_list"},
+    "histogram": _ALWAYS_UNREAD | {"sweep_values", "theta_list", "record_stride"},
+    "sweep-angle": _ALWAYS_UNREAD
+    | {"theta_target", "theta_init", "r_init", "sweep_values", "record_stride"},
+    "sweep-filter": _ALWAYS_UNREAD
+    | {"theta_list", "theta_init", "r_init", "record_stride", "ts"},
+    "sweep-delay": _ALWAYS_UNREAD
+    | {"theta_list", "theta_init", "r_init", "record_stride", "td"},
+}
+
+#: Two valid values of each key some mode leaves out (each names a directory).
+VARIANTS = {
+    "dt": ("0.01", "0.005"),
+    "total_time": ("3", "4"),
+    "record_stride": ("7", "300"),
+    "n_traj": ("3", "5"),
+    "seed": ("1", "2"),
+    "burn_in": ("2", "2.5"),
+    "sample_every": ("0.2", "0.4"),
+    "n_bins": ("20", "40"),
+    "sweep_values": ("0", "0,0.5"),
+    "theta_list": ("0.2pi", "0.3pi,0.4pi"),
+    "theta_target": ("0.3pi", "0.4pi"),
+    "theta_init": ("0.1pi", "0.2pi"),
+    "r_init": ("1", "0.9"),
+    "ts": ("0", "0.02"),
+    "td": ("0", "0.02"),
+    "threads": ("1", "3"),
+    "out": ("a", "b"),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, key",
+    [
+        (mode, key)
+        for mode in MODES
+        # the modes that design their own constants refuse delta0/delta1
+        for key in sorted(UNREAD[mode] - {"delta0", "delta1"})
+    ],
+)
+def test_a_key_the_mode_leaves_out_changes_no_byte(mode, key, tmp_path):
+    outputs = []
+    for value in VARIANTS[key]:
+        out = tmp_path / value
+        overrides = {**small_overrides(out, **TINY[mode]), key: value, "out": str(out)}
+        outputs.append({p.name: p.read_bytes() for p in execute(parse_config(None, overrides))})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_meta_records_every_key_the_mode_reads(mode, tmp_path):
+    cfg = parse_config(None, small_overrides(tmp_path, **TINY[mode]))
+    execute(cfg)
+    recorded = json.loads((tmp_path / "run_meta.json").read_text())["config"]
+    assert set(recorded) == {
+        key for key in _FIELDS - UNREAD[mode] if getattr(cfg, key) is not None
+    }

@@ -12,12 +12,13 @@ from qfb import (
     SteadySampling,
     TrajectoryConfig,
     build_histogram,
+    design_ideal,
     design_nonideal,
     find_peak,
     run_ensemble,
     steady_state,
     summarize,
-    sweep_chain,
+    sweep,
 )
 
 NONIDEAL_COARSE = ModelParams(tau_m=0.2, dt=0.01, T1=60.0, T2=40.0, eta=0.41)
@@ -130,22 +131,24 @@ class TestSummaryAndSweeps:
         theta = 0.3 * math.pi
         sampling = SteadySampling.default(NONIDEAL_COARSE)
         run = dict(n_traj=200, total_time=9.8, sampling=sampling, seed=3)
-        (row,) = sweep_chain(theta, [0.04], "Td", NONIDEAL_COARSE, **run)
         base, r_s = design_nonideal(theta, NONIDEAL_COARSE)
         law = replace(base, Td=0.04)
+        (row,), renorm_count = sweep([(0.04, theta, law, r_s)], NONIDEAL_COARSE, **run)
         s = steady_state(law, BlochState.from_polar(theta, r_s), NONIDEAL_COARSE, **run)
-        assert (row.theta_s, row.r_target, row.delta0, row.delta1) == (
-            theta, r_s, law.delta0, law.delta1,
+        assert (row.value, row.theta_s, row.r_target, row.delta0, row.delta1) == (
+            0.04, theta, r_s, law.delta0, law.delta1,
         )
         assert (row.theta_p, row.r_p, row.r_e, row.sigma, row.n_lobes) == (
             s.peak.theta_p, s.peak.r_p, s.r_mean, s.peak.sigma, len(s.peak.lobes),
         )
+        assert renorm_count == s.renorm_count
 
     def test_sweep_chain_common_seed_and_values(self):
-        rows = sweep_chain(
-            0.3 * math.pi,
-            [0.0, 0.04],
-            "Td",
+        theta = 0.3 * math.pi
+        base, r_s = design_nonideal(theta, NONIDEAL_COARSE)
+        points = [(td, theta, replace(base, Td=td), r_s) for td in (0.0, 0.04)]
+        rows, _ = sweep(
+            points,
             NONIDEAL_COARSE,
             n_traj=300,
             total_time=9.8,
@@ -156,13 +159,16 @@ class TestSummaryAndSweeps:
         assert rows[0].delta0 == rows[1].delta0  # same designed law
         assert rows[1].r_e < rows[0].r_e  # delay degrades the mean radius
 
-    def test_sweep_chain_rejects_unknown_axis(self):
-        with pytest.raises(ValueError):
-            sweep_chain(
-                0.3 * math.pi, [0.0], "Tq", NONIDEAL_COARSE,
-                n_traj=10, total_time=9.8,
-                sampling=SteadySampling.default(NONIDEAL_COARSE),
-            )
+    def test_sweep_sums_the_renormalizations_of_its_points(self):
+        # pure states sit on the sphere, where the step renormalizes often
+        ideal = ModelParams(tau_m=0.2, dt=0.01, T1=math.inf, T2=math.inf, eta=1.0)
+        theta = 0.3 * math.pi
+        law = design_ideal(theta, ideal.tau_m)
+        run = dict(n_traj=50, total_time=3.0, sampling=SteadySampling.default(ideal), seed=3)
+        (_, _), total = sweep([(0.0, theta, law, 1.0)] * 2, ideal, **run)
+        s = steady_state(law, BlochState.from_polar(theta, 1.0), ideal, **run)
+        assert s.renorm_count > 0
+        assert total == 2 * s.renorm_count
 
     def test_angular_drift_toward_pole_at_full_chain_lag(self):
         """Filter or delay at tau_m shifts the mean angle ~pi/10 pole-ward."""
