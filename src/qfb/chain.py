@@ -55,9 +55,6 @@ class FeedbackLaw:
             return 1.0
         return 1.0 - math.exp(-dt / self.Ts)
 
-    def is_markovian(self) -> bool:
-        return self.Ts == 0.0 and self.Td == 0.0
-
 
 def validate_law(law: FeedbackLaw, params: ModelParams) -> None:
     """Check a law against the step size; warns on an oversized delta1.

@@ -9,8 +9,8 @@ sorted.
 
 Modes
 -----
-trajectory    one stochastic trajectory          -> mean.csv (an ensemble of one)
 ensemble      ensemble mean curve                -> mean.csv
+              (n_traj = 1: trajectory 0 of the seed's streams)
 design-table  controller constants vs angle      -> design.csv
 histogram     steady-state histogram + peaks     -> hist.csv, peaks.json
 sweep-angle   peak/mean vs target angle          -> design.csv, peaks.json
@@ -52,7 +52,6 @@ from .stats import DEFAULT_BINS, steady_state, sweep
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
 MODES = (
-    "trajectory",
     "ensemble",
     "design-table",
     "histogram",
@@ -61,9 +60,6 @@ MODES = (
     "sweep-delay",
 )
 
-
-#: Modes that write mean.csv, the only output that reads ``record_stride``.
-_MEAN_CURVE_MODES = ("trajectory", "ensemble")
 
 #: Modes with one operating point per ``theta_list`` angle.
 _ANGLE_MODES = ("design-table", "sweep-angle")
@@ -107,9 +103,7 @@ class RunConfig:
     theta_init: float = 0.1 * math.pi
     r_init: float = 1.0
     total_time: float = 2.0
-    record_stride: int = _key(
-        40, "steps between mean.csv rows; only trajectory and ensemble modes read it"
-    )
+    record_stride: int = _key(40, "steps between mean.csv rows; only ensemble mode reads it")
     n_traj: int = 10000
     seed: int = 1
     burn_in: float | None = None
@@ -176,6 +170,13 @@ class RunConfig:
         _theta_list(self)
         if self.mode != "design-table":
             self._check_time_grid()
+        # a delay longer than the run never feeds anything back
+        if "td" in _READS[self.mode] and self.td > self.total_time:
+            raise ConfigError(f"td: must be within total_time = {self.total_time}, got {self.td}")
+        if self.mode == "sweep-delay" and max(_sweep_values_us(self)) > self.total_time:
+            raise ConfigError(
+                f"sweep_values: every delay must be within total_time = {self.total_time}"
+            )
         self._check_designs()
         return self
 
@@ -185,9 +186,7 @@ class RunConfig:
             n_steps = _steps_for(self.total_time, self.dt)
         except ValueError as exc:
             raise ConfigError(f"total_time: {exc}") from exc
-        if self.mode in _MEAN_CURVE_MODES and (
-            self.record_stride < 1 or n_steps % self.record_stride
-        ):
+        if self.mode == "ensemble" and (self.record_stride < 1 or n_steps % self.record_stride):
             raise ConfigError(
                 f"record_stride: must be >= 1 and divide the {n_steps} steps, "
                 f"got {self.record_stride}"
@@ -269,15 +268,13 @@ _MODEL_KEYS = {"mode", "tau_m", "t1", "t2", "eta"}
 _RUN_KEYS = _MODEL_KEYS | {"dt", "total_time", "n_traj", "seed"}
 _STEADY_KEYS = {"burn_in", "sample_every", "n_bins"}
 _INIT_KEYS = _RUN_KEYS | {"theta_target", "delta0", "delta1", "ts", "td", "theta_init", "r_init"}
-_MEAN_KEYS = _INIT_KEYS | {"record_stride"}
 # sweeps start every point at its target, so they read no theta_init/r_init
 _CHAIN_SWEEP_KEYS = _RUN_KEYS | _STEADY_KEYS | {"theta_target", "sweep_values", "ts", "td"}
 
 #: The keys each mode reads.  run_meta.json records only these: two runs
 #: that differ only in another key write identical files.
 _READS = {
-    "trajectory": _MEAN_KEYS - {"n_traj"},  # a trajectory is an ensemble of one
-    "ensemble": _MEAN_KEYS,
+    "ensemble": _INIT_KEYS | {"record_stride"},
     "histogram": _INIT_KEYS | _STEADY_KEYS,
     "design-table": _MODEL_KEYS | {"theta_list"},
     "sweep-angle": _RUN_KEYS | _STEADY_KEYS | {"theta_list", "ts", "td"},
@@ -345,10 +342,6 @@ def _fmt(value) -> str:
 def _json_ready(obj):
     if isinstance(obj, float):
         return float(f"{obj:.9g}")
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.9g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -370,6 +363,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _finite(values: list[float]) -> list[float]:
+    if not values:
+        raise ValueError("must list at least one value")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"must be finite, got {values}")
     return values
@@ -447,12 +442,10 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         )
         written.append(path)
 
-    if cfg.mode in _MEAN_CURVE_MODES:
+    if cfg.mode == "ensemble":
         law, r_target = cfg.feedback_law()
-        # a trajectory is an ensemble of one: its mean is the trajectory
-        n_traj = 1 if cfg.mode == "trajectory" else cfg.n_traj
         traj = TrajectoryConfig(cfg.initial_state(), cfg.total_time, cfg.record_stride, cfg.seed)
-        result = run_ensemble(n_traj, traj, params, law)
+        result = run_ensemble(cfg.n_traj, traj, params, law)
         path = out_dir / "mean.csv"
         _write_csv(
             path, ["t", "x", "y", "z"],
@@ -522,7 +515,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(config, args)
         written = execute(cfg)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in written:

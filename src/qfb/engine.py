@@ -121,10 +121,6 @@ class SteadySampling:
     burn_in: float
     stride: float
 
-    @classmethod
-    def default(cls, params: ModelParams) -> "SteadySampling":
-        return cls(burn_in=10.0 * params.tau_m, stride=params.tau_m)
-
     def step_indices(self, n_steps: int, dt: float) -> np.ndarray:
         burn = int(round(self.burn_in / dt))
         stride = int(round(self.stride / dt))
@@ -155,7 +151,6 @@ class EnsembleResult:
     times: np.ndarray
     mean_xyz: np.ndarray
     renorm_count: int = 0
-    excursion_count: int = 0
     steady_yz: np.ndarray | None = None
 
 
@@ -175,17 +170,14 @@ class BayesStepper:
         self._delta1 = law.delta1
         self._ft = params.transverse_decay
         self._e1 = params.t1_decay
-        self._lossless = self._ft == 1.0 and self._e1 == 1.0
         self.renorms = 0
-        self.excursions = 0
 
     def step(self, x, y, z, n01):
         rbar = z + self._sigma * n01
         fed = self.chain.push(rbar)
         x, y, z = backaction_update(x, y, z, rbar * self._s_scale)
         y, z = rotation_update(y, z, self._dt * (self._delta0 + self._delta1 * fed))
-        if not self._lossless:
-            x, y, z = dissipation_update(x, y, z, self._ft, self._e1)
+        x, y, z = dissipation_update(x, y, z, self._ft, self._e1)
         r2 = x * x + y * y + z * z
         outside = r2 > 1.0
         n_out = int(np.count_nonzero(outside))
@@ -208,9 +200,9 @@ def _run_chunk(
     steady_steps: np.ndarray | None,
     rec_sums: np.ndarray,
     steady_out: np.ndarray | None,
-) -> tuple[int, int]:
+) -> int:
     """Advance trajectories ``lo:hi``, adding their sums into ``rec_sums`` and
-    writing their samples into ``steady_out[lo:hi]``; returns (renorms, excursions)."""
+    writing their samples into ``steady_out[lo:hi]``; returns the renormalizations."""
     n = hi - lo
     n_steps = cfg.n_steps(params)
     stepper = stepper_factory(n)
@@ -250,7 +242,7 @@ def _run_chunk(
             for j, g in enumerate(streams()):
                 g.standard_normal(out=noise[j, :block])
         x, y, z = stepper.step(x, y, z, noise[:, k])
-    return stepper.renorms, stepper.excursions
+    return stepper.renorms
 
 
 def run_ensemble(
@@ -283,19 +275,15 @@ def run_ensemble(
     rec_sums = np.zeros((len(rec_steps), 3))
     steady_out = None if steady_steps is None else np.empty((n_traj, len(steady_steps), 2))
     renorms = 0
-    excursions = 0
     for lo in range(0, n_traj, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, n_traj)
-        chunk_renorms, chunk_excursions = _run_chunk(
+        renorms += _run_chunk(
             lo, hi, cfg, params, stepper_factory, rec_steps, steady_steps,
             rec_sums, steady_out,
         )
-        renorms += chunk_renorms
-        excursions += chunk_excursions
     return EnsembleResult(
         times=rec_steps * params.dt,
         mean_xyz=rec_sums / n_traj,
         renorm_count=renorms,
-        excursion_count=excursions,
         steady_yz=None if steady_out is None else steady_out.reshape(-1, 2),
     )

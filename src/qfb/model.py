@@ -136,11 +136,6 @@ class ModelParams:
         return 0.5 / self.T1 + 1.0 / self.T2 + 0.5 / (self.tau_m * self.eta)
 
     @property
-    def gamma_prime(self) -> float:
-        """Dephasing rate excluding T1: 1/T2 + 1/(2 tau_m eta)."""
-        return 1.0 / self.T2 + 0.5 / (self.tau_m * self.eta)
-
-    @property
     def readout_sigma(self) -> float:
         """Standard deviation of the one-step readout, sqrt(tau_m/dt)."""
         return math.sqrt(self.tau_m / self.dt)

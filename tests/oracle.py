@@ -203,7 +203,7 @@ class SmeStepper:
         batch: int,
         noise_scale: float = 1.0,
     ) -> None:
-        if not law.is_markovian():
+        if law.Ts or law.Td:
             raise ValueError(
                 "the diffusive model is Markovian only: requires Ts = 0 and Td = 0"
             )
@@ -239,6 +239,13 @@ class SmeStepper:
         return x, y, z
 
 
+@dataclass
+class SmeEnsemble(EnsembleResult):
+    """An engine result plus the excursions its diffusive steppers flagged."""
+
+    excursion_count: int = 0
+
+
 def run_sme_ensemble(
     n_traj: int,
     cfg: TrajectoryConfig,
@@ -247,16 +254,16 @@ def run_sme_ensemble(
     *,
     noise_scale: float = 1.0,
     steady: SteadySampling | None = None,
-) -> EnsembleResult:
+) -> SmeEnsemble:
     """Ensemble of diffusive trajectories, same streams/reduction as the engine."""
-    return run_ensemble(
-        n_traj,
-        cfg,
-        params,
-        law,
-        steady=steady,
-        stepper_factory=lambda batch: SmeStepper(params, law, batch, noise_scale),
-    )
+    steppers: list[SmeStepper] = []
+
+    def factory(batch: int) -> SmeStepper:
+        steppers.append(SmeStepper(params, law, batch, noise_scale))
+        return steppers[-1]
+
+    result = run_ensemble(n_traj, cfg, params, law, steady=steady, stepper_factory=factory)
+    return SmeEnsemble(**vars(result), excursion_count=sum(s.excursions for s in steppers))
 
 
 def integrate_sme_trajectory(

@@ -421,13 +421,6 @@ class TestMain:
                  "--dt", "0.01", "--n-traj", "20", "--sweep-values", "0"]
         assert main(sweep + ["--out", str(tmp_path / "sweep")]) == 0
 
-    def test_trajectory_mode_ignores_n_traj(self, tmp_path):
-        traj = ["--mode", "trajectory", "--theta-target", "0.3pi", "--total-time", "1",
-                "--dt", "0.01", "--record-stride", "20"]
-        first, second = self._outputs_across(tmp_path, traj, "--n-traj", ("1", "50"))
-        assert set(first) == {"mean.csv", "run_meta.json"}
-        assert first == second
-
 
 BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
 
@@ -471,6 +464,19 @@ BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
         # rounds to no whole step: it would sample every step instead
         ("sample_every", ["--mode", "histogram", "--theta-target", "0.3pi",
                           "--dt", "0.01", "--sample-every", "0.001"]),
+        # an empty list would run nothing and still exit 0
+        ("sweep_values", ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--dt", "0.01",
+                          "--total-time", "3", "--n-traj", "5", "--sweep-values", ""]),
+        ("theta_list", ["--mode", "design-table", "--theta-list", ""]),
+        ("theta_list", ["--mode", "sweep-angle", "--theta-list", " , "]),
+        # a delay beyond the run never feeds back, and its ring would not fit in memory
+        ("td", ["--mode", "histogram", "--theta-target", "0.3pi", "--dt", "0.01",
+                "--total-time", "3", "--n-traj", "5", "--td", "1e12"]),
+        ("td", BASE + ["--total-time", "1", "--td", "1.01"]),
+        ("td", ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--dt", "0.01",
+                "--total-time", "3", "--n-traj", "5", "--sweep-values", "0", "--td", "4"]),
+        ("sweep_values", ["--mode", "sweep-delay", "--theta-target", "0.3pi", "--dt", "0.01",
+                          "--total-time", "3", "--n-traj", "5", "--sweep-values", "0,1e12"]),
     ],
 )
 def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
@@ -483,9 +489,25 @@ def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
     assert not out.exists()
 
 
-#: A tiny run of each mode, on top of ``small_overrides``.
+def test_out_of_memory_is_reported_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr("qfb.cli.steady_state", exhausted)
+    out = tmp_path / "a" / "out"
+    argv = ["--mode", "histogram", "--theta-target", "0.3pi", "--dt", "0.01",
+            "--total-time", "3", "--n-traj", "5", "--out", str(out)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: Unable to allocate 74.5 GiB for an array\n"
+    assert not (tmp_path / "a").exists()
+
+
+#: A tiny run of each mode, on top of ``small_overrides``; a single trajectory
+#: is an ensemble of one.
 TINY = {
-    "trajectory": dict(mode="trajectory"),
+    "trajectory": dict(mode="ensemble", n_traj=1),
     "ensemble": dict(mode="ensemble", n_traj=5),
     "design-table": dict(mode="design-table", theta_list="0.2pi,0.3pi"),
     "histogram": dict(mode="histogram", total_time=3.0, n_traj=5),
@@ -497,10 +519,8 @@ TINY = {
 _ALWAYS_UNREAD = {"threads", "out"}
 _FIELDS = {f.name for f in fields(RunConfig)}
 
-#: The keys each mode leaves out: they change none of its output bytes.
+#: The keys each run of ``TINY`` leaves out: they change none of its output bytes.
 UNREAD = {
-    "trajectory": _ALWAYS_UNREAD
-    | {"burn_in", "sample_every", "n_bins", "sweep_values", "theta_list", "n_traj"},
     "ensemble": _ALWAYS_UNREAD
     | {"burn_in", "sample_every", "n_bins", "sweep_values", "theta_list"},
     "design-table": _FIELDS - {"mode", "tau_m", "t1", "t2", "eta", "theta_list"},
@@ -512,6 +532,7 @@ UNREAD = {
     "sweep-delay": _ALWAYS_UNREAD
     | {"theta_list", "theta_init", "r_init", "record_stride", "td"},
 }
+UNREAD["trajectory"] = UNREAD["ensemble"]
 
 #: Two valid values of each key some mode leaves out (each names a directory).
 VARIANTS = {
@@ -535,29 +556,33 @@ VARIANTS = {
 }
 
 
+def test_every_mode_has_a_tiny_run():
+    assert {run["mode"] for run in TINY.values()} == set(MODES)
+
+
 @pytest.mark.parametrize(
-    "mode, key",
+    "run, key",
     [
-        (mode, key)
-        for mode in MODES
+        (run, key)
+        for run in TINY
         # the modes that design their own constants refuse delta0/delta1
-        for key in sorted(UNREAD[mode] - {"delta0", "delta1"})
+        for key in sorted(UNREAD[run] - {"delta0", "delta1"})
     ],
 )
-def test_a_key_the_mode_leaves_out_changes_no_byte(mode, key, tmp_path):
+def test_a_key_the_mode_leaves_out_changes_no_byte(run, key, tmp_path):
     outputs = []
     for value in VARIANTS[key]:
         out = tmp_path / value
-        overrides = {**small_overrides(out, **TINY[mode]), key: value, "out": str(out)}
+        overrides = {**small_overrides(out, **TINY[run]), key: value, "out": str(out)}
         outputs.append({p.name: p.read_bytes() for p in execute(parse_config(None, overrides))})
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_run_meta_records_every_key_the_mode_reads(mode, tmp_path):
-    cfg = parse_config(None, small_overrides(tmp_path, **TINY[mode]))
+@pytest.mark.parametrize("run", TINY)
+def test_run_meta_records_every_key_the_mode_reads(run, tmp_path):
+    cfg = parse_config(None, small_overrides(tmp_path, **TINY[run]))
     execute(cfg)
     recorded = json.loads((tmp_path / "run_meta.json").read_text())["config"]
     assert set(recorded) == {
-        key for key in _FIELDS - UNREAD[mode] if getattr(cfg, key) is not None
+        key for key in _FIELDS - UNREAD[run] if getattr(cfg, key) is not None
     }

@@ -266,9 +266,7 @@ class TestRunEnsemble:
 
     def test_steady_sampling_grid(self):
         p = ModelParams(tau_m=0.2, dt=0.002)
-        sampling = SteadySampling.default(p)
-        assert sampling.burn_in == pytest.approx(2.0)
-        assert sampling.stride == pytest.approx(0.2)
+        sampling = SteadySampling(burn_in=10 * p.tau_m, stride=p.tau_m)
         idx = sampling.step_indices(2000, p.dt)
         assert idx[0] == 1000  # t = 10 tau_m
         assert np.all(np.diff(idx) == 100)

@@ -7,9 +7,9 @@ of every result file (``mean.csv``, ``hist.csv``, ``peaks.json``,
 is left out: it carries the package version.
 
 ``TRAJECTORY_GOLDEN`` pins the one-trajectory ``mean.csv`` of the two
-ensemble configs run with ``mode = trajectory`` (full ``n_traj``, which
-trajectory mode does not read), recorded while trajectory mode still
-kept a per-trajectory record instead of running an ensemble of one.
+ensemble configs run with ``n_traj = 1``: trajectory 0 of the seed's
+streams.  The digests were recorded while a separate trajectory mode
+still kept a per-trajectory record, and are not re-recorded.
 
 The digests pin refactors to byte-identical output.  A deliberate change
 of output (new physics, a different float format) or a numpy upgrade that
@@ -89,7 +89,7 @@ def test_every_shipped_config_has_digests():
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_GOLDEN))
 def test_trajectory_mode_digests(name, tmp_path):
-    cfg = parse_config(CONFIGS / f"{name}.cfg", {"mode": "trajectory", "out": str(tmp_path)})
+    cfg = parse_config(CONFIGS / f"{name}.cfg", {"n_traj": 1, "out": str(tmp_path)})
     written = execute(cfg)
     assert sorted(p.name for p in written) == ["mean.csv", "run_meta.json"]
     digest = hashlib.sha256((tmp_path / "mean.csv").read_bytes()).hexdigest()

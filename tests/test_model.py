@@ -63,7 +63,6 @@ class TestModelParams:
         assert p.gamma_total == pytest.approx(
             1 / 120 + 1 / 40 + 1 / (2 * 0.2 * 0.41), rel=1e-12
         )
-        assert p.gamma_prime == pytest.approx(1 / 40 + 1 / (2 * 0.2 * 0.41), rel=1e-12)
 
     def test_ideal_limits(self):
         p = IDEAL

@@ -129,7 +129,7 @@ class TestSummaryAndSweeps:
 
     def test_sweep_row_is_the_steady_state_from_its_target(self):
         theta = 0.3 * math.pi
-        sampling = SteadySampling.default(NONIDEAL_COARSE)
+        sampling = SteadySampling(2.0, 0.2)
         run = dict(n_traj=200, total_time=9.8, sampling=sampling, seed=3)
         base, r_s = design_nonideal(theta, NONIDEAL_COARSE)
         law = replace(base, Td=0.04)
@@ -152,7 +152,7 @@ class TestSummaryAndSweeps:
             NONIDEAL_COARSE,
             n_traj=300,
             total_time=9.8,
-            sampling=SteadySampling.default(NONIDEAL_COARSE),
+            sampling=SteadySampling(2.0, 0.2),
             seed=3,
         )
         assert [r.value for r in rows] == [0.0, 0.04]
@@ -164,7 +164,7 @@ class TestSummaryAndSweeps:
         ideal = ModelParams(tau_m=0.2, dt=0.01, T1=math.inf, T2=math.inf, eta=1.0)
         theta = 0.3 * math.pi
         law = design_ideal(theta, ideal.tau_m)
-        run = dict(n_traj=50, total_time=3.0, sampling=SteadySampling.default(ideal), seed=3)
+        run = dict(n_traj=50, total_time=3.0, sampling=SteadySampling(2.0, 0.2), seed=3)
         (_, _), total = sweep([(0.0, theta, law, 1.0)] * 2, ideal, **run)
         s = steady_state(law, BlochState.from_polar(theta, 1.0), ideal, **run)
         assert s.renorm_count > 0
