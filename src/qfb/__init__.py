@@ -13,9 +13,9 @@ The package splits into:
 * :mod:`qfb.design` -- closed-form feedback design and stationary-state
   analysis,
 * :mod:`qfb.stats` -- ensemble summaries: steady-state histograms, peak
-  and lobe detection, the one steady-state path ``steady_state`` that
-  histogram mode runs through, and ``sweep``, which runs it at each given
-  operating point,
+  and lobe detection, the steady-state path ``steady_state`` that
+  histogram mode runs through, and ``sweep``, which gives each operating
+  point the same summary from one batched ensemble,
 * :mod:`qfb.cli` -- the ``qfb`` command-line harness.
 """
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams
 
-__all__ = ["FeedbackLaw", "FeedbackChain", "validate_law"]
+__all__ = ["FeedbackLaw", "FeedbackChain", "as_laws", "validate_law"]
 
 
 @dataclass(frozen=True)
@@ -72,58 +73,80 @@ def validate_law(law: FeedbackLaw, params: ModelParams) -> None:
         )
 
 
-class FeedbackChain:
-    """Filter accumulator plus delay ring buffer for one trajectory (or a batch).
+def as_laws(law: FeedbackLaw | Sequence[FeedbackLaw]) -> tuple[FeedbackLaw, ...]:
+    """One law as a one-point tuple; a sequence of laws (one per point) as a tuple."""
+    return (law,) if isinstance(law, FeedbackLaw) else tuple(law)
 
-    With ``batch=None`` the chain carries scalars; with ``batch=n`` it
-    carries length-n arrays so a vectorized engine can advance n
-    independent trajectories in lockstep.  Each chain instance is owned
-    by a single trajectory stream and must be pushed sequentially.
+
+class FeedbackChain:
+    """Filter accumulators plus one delay ring for a batch of trajectories.
+
+    ``law`` is one law or a sequence of P laws (operating points).  The
+    chain carries ``P * batch`` rows in point-major order: rows
+    ``p * batch`` to ``(p + 1) * batch - 1`` follow law ``p``, so a single
+    law covers the whole batch.  The rows advance in lockstep and must be
+    pushed sequentially.
 
     The filter accumulator starts at 0 (the unconditioned mean readout
-    for an unbiased initial state) and the delay line outputs 0 until
-    ``n_delay`` values have been pushed.
+    for an unbiased initial state).  The delay is one ring as deep as the
+    longest ``n_delay``, read at a per-point offset before each write, so
+    a row with delay d outputs 0 until d values have been pushed.
     """
 
     def __init__(
         self,
-        law: FeedbackLaw,
+        law: FeedbackLaw | Sequence[FeedbackLaw],
         params: ModelParams,
-        batch: int | None = None,
+        batch: int,
     ) -> None:
-        self.alpha = law.filter_alpha(params.dt)
-        self.n_delay = law.n_delay(params.dt)
-        shape = () if batch is None else (batch,)
-        self.filter_acc = np.zeros(shape)
-        self.delay_ring = np.zeros((self.n_delay,) + shape)
+        laws = as_laws(law)
+        alpha = np.array([l.filter_alpha(params.dt) for l in laws])
+        self.alpha = alpha[:, None]
+        # points whose rows pass through the filter / the delay unchanged
+        self._passthrough = np.flatnonzero(alpha == 1.0)
+        self.n_delay = np.array([l.n_delay(params.dt) for l in laws])
+        self._no_delay = np.flatnonzero(self.n_delay == 0)
+        depth = int(self.n_delay.max())
+        # ring slot each point reads at each cursor position
+        self._read = (np.arange(depth)[:, None] - self.n_delay) % depth
+        self._points = np.arange(len(laws))
+        self.filter_acc = np.zeros((len(laws), batch))
+        self.delay_ring = np.zeros((depth,) + self.filter_acc.shape)
         self._cursor = 0
 
     def filter_push(self, r):
-        """Advance the low-pass filter with raw readout ``r``; returns the filtered value.
+        """Advance the low-pass filters with raw readouts ``r``; returns the filtered rows.
 
-        Recursion: acc += alpha * (r - acc).  For alpha = 1 (Ts = 0) the
-        output equals the input exactly.
+        Recursion: acc += alpha * (r - acc).  Rows with alpha = 1 (Ts = 0)
+        output their input exactly.
         """
-        if self.alpha == 1.0:
-            # exact passthrough; acc + (r - acc) would round
-            self.filter_acc = np.add(r, np.zeros_like(self.filter_acc))
-        else:
-            self.filter_acc = self.filter_acc + self.alpha * (r - self.filter_acc)
-        return self.filter_acc
+        r = np.reshape(r, self.filter_acc.shape)
+        # passthrough rows copy r: acc + (r - acc) would round
+        if len(self._passthrough) == len(r):
+            self.filter_acc = r
+            return r.reshape(-1)
+        self.filter_acc = self.filter_acc + self.alpha * (r - self.filter_acc)
+        if len(self._passthrough):
+            self.filter_acc[self._passthrough] = r[self._passthrough]
+        return self.filter_acc.reshape(-1)
 
     def delay_pop_push(self, filtered):
-        """Push ``filtered`` into the delay line; returns the value from n_delay pushes ago.
+        """Push ``filtered`` into the delay ring; returns each row's value from
+        its point's ``n_delay`` pushes ago (0 before that many pushes).
 
-        Returns 0 until the line is full; with n_delay = 0 the input
-        passes straight through.
+        Rows with n_delay = 0 pass straight through.
         """
-        if self.n_delay == 0:
+        if not len(self.delay_ring):
             return filtered
-        # the ring starts zeroed, so the first n_delay pops return 0
-        out = self.delay_ring[self._cursor].copy()
+        filtered = np.reshape(filtered, self.filter_acc.shape)
+        # read before write: the slot n_delay back holds the oldest value a
+        # row needs, and slot _cursor (n_delay = depth) is overwritten next
+        out = self.delay_ring[self._read[self._cursor], self._points]
+        if len(self._no_delay):
+            out[self._no_delay] = filtered[self._no_delay]
         self.delay_ring[self._cursor] = filtered
-        self._cursor = (self._cursor + 1) % self.n_delay
-        return out
+        self._cursor = (self._cursor + 1) % len(self.delay_ring)
+        return out.reshape(-1)
 
     def push(self, r):
         """Filter then delay: the value the controller sees this step."""

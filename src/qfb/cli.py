@@ -24,6 +24,8 @@ a chain sweep keeps the configured ``ts``/``td`` it does not sweep.
 
 Every mode also writes run_meta.json: the package version, the summed
 renormalization count and the config keys the mode reads (``_READS``).
+JSON files write an infinite value (``t1 = inf``) as the string ``"inf"``
+and refuse to write a NaN.
 
 Trajectory chunks run in index order on one thread; the ``threads`` key
 still parses (it must be at least 1) but has no effect.
@@ -69,6 +71,10 @@ _SWEEP_AXIS = {"sweep-angle": "theta_s", "sweep-filter": "Ts", "sweep-delay": "T
 
 #: Modes that design their own laws, one per operating point.
 _POINT_MODES = (*_ANGLE_MODES, *_SWEEP_AXIS)
+
+
+#: Largest histogram resolution: (n_bins + 2)^2 int64 counters, about 8 MB.
+MAX_BINS = 1000
 
 
 class ConfigError(ValueError):
@@ -154,8 +160,8 @@ class RunConfig:
             raise ConfigError(f"n_traj: must be >= 1, got {self.n_traj}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed: must fit in an unsigned 64-bit integer")
-        if self.n_bins < 2:
-            raise ConfigError(f"n_bins: must be >= 2, got {self.n_bins}")
+        if not 2 <= self.n_bins <= MAX_BINS:
+            raise ConfigError(f"n_bins: must lie in [2, {MAX_BINS}], got {self.n_bins}")
         if self.ts < 0 or self.td < 0:
             raise ConfigError("ts/td: must be non-negative")
         if self.r_init <= 0 or self.r_init > 1:
@@ -341,6 +347,8 @@ def _fmt(value) -> str:
 
 def _json_ready(obj):
     if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"  # JSON has no infinity
         return float(f"{obj:.9g}")
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
@@ -350,8 +358,9 @@ def _json_ready(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Sorted, indented JSON; infinities as "inf"/"-inf", and a NaN raises."""
     path.write_text(
-        json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
+        json.dumps(_json_ready(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
 
 

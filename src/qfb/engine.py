@@ -14,15 +14,22 @@ re-keys a single Generator before each trajectory's one draw instead of
 constructing one per trajectory.  Longer runs keep one Generator per
 trajectory, because each stream carries its position from block to
 block.  Both paths draw the same numbers.
+
+A run may take P feedback laws (operating points) at once.  Each row of
+the batch is then a (point, trajectory) pair, point-major; trajectory i
+draws its noise once from stream (seed, i) and every point reuses it
+(common random numbers), so each point gets the bits it would get if run
+alone, with P times fewer streams, noise fills and step calls.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeedbackChain, FeedbackLaw, validate_law
+from .chain import FeedbackChain, FeedbackLaw, as_laws, validate_law
 from .model import (
     BlochState,
     ModelParams,
@@ -85,19 +92,34 @@ def _steps_for(total_time: float, dt: float) -> int:
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """What to simulate: initial state, duration, recording grid, master seed."""
+    """What to simulate: initial state, duration, recording grid, master seed.
 
-    initial: BlochState
+    ``initial`` is one state, or one state per law of a multi-point run.
+    """
+
+    initial: BlochState | Sequence[BlochState]
     total_time: float
     record_stride: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.initial.require_physical()
+        single = isinstance(self.initial, BlochState)
+        for state in (self.initial,) if single else self.initial:
+            state.require_physical()
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+    def initial_states(self, n_points: int) -> tuple[BlochState, ...]:
+        """The initial state of each of ``n_points`` points; a single state
+        serves them all."""
+        if isinstance(self.initial, BlochState):
+            return (self.initial,) * n_points
+        states = tuple(self.initial)
+        if len(states) != n_points:
+            raise ValueError(f"{len(states)} initial states for {n_points} laws")
+        return states
 
     def n_steps(self, params: ModelParams) -> int:
         n = _steps_for(self.total_time, params.dt)
@@ -157,32 +179,43 @@ class EnsembleResult:
 class BayesStepper:
     """Vectorized one-step update: readout, feedback chain, conditioned evolution.
 
-    Owns the feedback chain state for a batch of trajectories and the
-    running count of sphere renormalizations.
+    ``law`` is one law or P laws; the state holds ``P * batch`` rows,
+    point-major (see :class:`FeedbackChain`), and each step's noise holds
+    one value per trajectory, shared by its P rows.  Owns the feedback
+    chain state and counts sphere renormalizations per point.
     """
 
-    def __init__(self, params: ModelParams, law: FeedbackLaw, batch: int) -> None:
-        self.chain = FeedbackChain(law, params, batch=batch)
+    def __init__(
+        self, params: ModelParams, law: FeedbackLaw | Sequence[FeedbackLaw], batch: int
+    ) -> None:
+        laws = as_laws(law)
+        self.chain = FeedbackChain(laws, params, batch)
+        self._shape = (len(laws), batch)
         self._sigma = params.readout_sigma
         self._s_scale = params.dt / params.tau_m
         self._dt = params.dt
-        self._delta0 = law.delta0
-        self._delta1 = law.delta1
+        self._delta0 = np.array([l.delta0 for l in laws])[:, None]
+        self._delta1 = np.array([l.delta1 for l in laws])[:, None]
         self._ft = params.transverse_decay
         self._e1 = params.t1_decay
-        self.renorms = 0
+        self.point_renorms = np.zeros(len(laws), dtype=np.int64)
+
+    @property
+    def renorms(self) -> int:
+        """Renormalizations summed over the points."""
+        return int(self.point_renorms.sum())
 
     def step(self, x, y, z, n01):
-        rbar = z + self._sigma * n01
-        fed = self.chain.push(rbar)
+        rbar = (z.reshape(self._shape) + self._sigma * n01).reshape(-1)
+        fed = self.chain.push(rbar).reshape(self._shape)
         x, y, z = backaction_update(x, y, z, rbar * self._s_scale)
-        y, z = rotation_update(y, z, self._dt * (self._delta0 + self._delta1 * fed))
+        angle = self._dt * (self._delta0 + self._delta1 * fed)
+        y, z = rotation_update(y, z, angle.reshape(-1))
         x, y, z = dissipation_update(x, y, z, self._ft, self._e1)
         r2 = x * x + y * y + z * z
         outside = r2 > 1.0
-        n_out = int(np.count_nonzero(outside))
-        if n_out:
-            self.renorms += n_out
+        if np.count_nonzero(outside):
+            self.point_renorms += np.count_nonzero(outside.reshape(self._shape), axis=1)
             scale = np.where(outside, 1.0 / np.sqrt(np.where(outside, r2, 1.0)), 1.0)
             x = x * scale
             y = y * scale
@@ -196,19 +229,23 @@ def _run_chunk(
     cfg: TrajectoryConfig,
     params: ModelParams,
     stepper_factory,
+    initials: tuple[BlochState, ...],
     rec_steps: np.ndarray,
     steady_steps: np.ndarray | None,
     rec_sums: np.ndarray,
-    steady_out: np.ndarray | None,
-) -> int:
-    """Advance trajectories ``lo:hi``, adding their sums into ``rec_sums`` and
-    writing their samples into ``steady_out[lo:hi]``; returns the renormalizations."""
+    steady_out: list[np.ndarray] | None,
+):
+    """Advance trajectories ``lo:hi`` at every point, adding point p's sums into
+    ``rec_sums[p]`` and writing its samples into ``steady_out[p][lo:hi]``;
+    returns the renormalizations (per point when there are several)."""
     n = hi - lo
     n_steps = cfg.n_steps(params)
     stepper = stepper_factory(n)
-    x = np.full(n, cfg.initial.x)
-    y = np.full(n, cfg.initial.y)
-    z = np.full(n, cfg.initial.z)
+    x = np.repeat([s.x for s in initials], n)
+    y = np.repeat([s.y for s in initials], n)
+    z = np.repeat([s.z for s in initials], n)
+    # point p's rows of the point-major state
+    rows = [slice(p * n, (p + 1) * n) for p in range(len(initials))]
     if n_steps <= BLOCK_STEPS:
         # One draw per trajectory: re-key one Generator right before each.
         shared = trajectory_rng(cfg.seed, lo)
@@ -221,19 +258,19 @@ def _run_chunk(
     # state index -> slot in the mean-sum / steady-sample buffers
     rec_slot = {int(step): k for k, step in enumerate(rec_steps)}
     steady_slot = {} if steady_out is None else {int(s): k for k, s in enumerate(steady_steps)}
-    steady = None if steady_out is None else steady_out[lo:hi]
+    steady = [] if steady_out is None else [out[lo:hi] for out in steady_out]
 
     noise = np.empty((n, min(BLOCK_STEPS, n_steps)))
     for i in range(n_steps + 1):
         slot = rec_slot.get(i)
         if slot is not None:
-            rec_sums[slot, 0] += x.sum()
-            rec_sums[slot, 1] += y.sum()
-            rec_sums[slot, 2] += z.sum()
+            for sums, r in zip(rec_sums, rows):
+                sums[slot] += (x[r].sum(), y[r].sum(), z[r].sum())
         slot = steady_slot.get(i)
         if slot is not None:
-            steady[:, slot, 0] = y
-            steady[:, slot, 1] = z
+            for out, r in zip(steady, rows):
+                out[:, slot, 0] = y[r]
+                out[:, slot, 1] = z[r]
         if i == n_steps:
             break
         k = i % BLOCK_STEPS
@@ -242,18 +279,19 @@ def _run_chunk(
             for j, g in enumerate(streams()):
                 g.standard_normal(out=noise[j, :block])
         x, y, z = stepper.step(x, y, z, noise[:, k])
-    return stepper.renorms
+    # a custom stepper for a single law need only count ``renorms``
+    return stepper.point_renorms if len(rows) > 1 else stepper.renorms
 
 
 def run_ensemble(
     n_traj: int,
     cfg: TrajectoryConfig,
     params: ModelParams,
-    law: FeedbackLaw,
+    law: FeedbackLaw | Sequence[FeedbackLaw],
     *,
     steady: SteadySampling | None = None,
     stepper_factory=None,
-) -> EnsembleResult:
+) -> EnsembleResult | list[EnsembleResult]:
     """Simulate ``n_traj`` trajectories and reduce them on the fly.
 
     Trajectory i draws from the stream keyed (cfg.seed, i); chunks run in
@@ -261,29 +299,44 @@ def run_ensemble(
     for histograms.  ``stepper_factory`` (batch size -> stepper) swaps
     the physics kernel; the default is the quantum Bayesian update with
     the feedback chain.
+
+    A sequence of laws runs as that many points in one batch and returns
+    one result per law, each bit-identical to running that law alone;
+    ``cfg.initial`` then gives one state per law, or one for all.  A
+    stepper then advances ``len(law) * batch`` rows, point-major, with one
+    noise value per trajectory.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    validate_law(law, params)
+    laws = as_laws(law)
+    for one in laws:
+        validate_law(one, params)
+    initials = cfg.initial_states(len(laws))
     n_steps = cfg.n_steps(params)
     rec_steps = np.arange(0, n_steps + 1, cfg.record_stride)
     steady_steps = None if steady is None else steady.step_indices(n_steps, params.dt)
     if stepper_factory is None:
-        stepper_factory = lambda batch: BayesStepper(params, law, batch)
+        stepper_factory = lambda batch: BayesStepper(params, laws, batch)
 
     # Chunk index order fixes the float sums: 0 + chunk 0 + chunk 1 + ...
-    rec_sums = np.zeros((len(rec_steps), 3))
-    steady_out = None if steady_steps is None else np.empty((n_traj, len(steady_steps), 2))
-    renorms = 0
+    rec_sums = np.zeros((len(laws), len(rec_steps), 3))
+    steady_out = None if steady_steps is None else [
+        np.empty((n_traj, len(steady_steps), 2)) for _ in laws
+    ]
+    renorms = np.zeros(len(laws), dtype=np.int64)
     for lo in range(0, n_traj, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, n_traj)
         renorms += _run_chunk(
-            lo, hi, cfg, params, stepper_factory, rec_steps, steady_steps,
+            lo, hi, cfg, params, stepper_factory, initials, rec_steps, steady_steps,
             rec_sums, steady_out,
         )
-    return EnsembleResult(
-        times=rec_steps * params.dt,
-        mean_xyz=rec_sums / n_traj,
-        renorm_count=renorms,
-        steady_yz=None if steady_out is None else steady_out.reshape(-1, 2),
-    )
+    results = [
+        EnsembleResult(
+            times=rec_steps * params.dt,
+            mean_xyz=rec_sums[p] / n_traj,
+            renorm_count=int(renorms[p]),
+            steady_yz=None if steady_out is None else steady_out[p].reshape(-1, 2),
+        )
+        for p in range(len(laws))
+    ]
+    return results[0] if isinstance(law, FeedbackLaw) else results

@@ -3,11 +3,12 @@
 Steady-state trajectory distributions are summarized by a uniform 2D
 histogram over the yz unit square, its dominant peak (converted to polar
 form), the spread of the samples around that peak, the connected
-high-density lobes and the mean radius.  :func:`steady_state` is the one
-steady-state path: it runs an ensemble from a given state, discards the
-burn-in, pools the (y, z) samples and summarizes them.  Histogram mode
-goes through it, and so does :func:`sweep` at every given operating
-point ``(value, theta_s, law, r_target)``.
+high-density lobes and the mean radius.  :func:`steady_state` runs an
+ensemble from a given state, discards the burn-in, pools the (y, z)
+samples and summarizes them; histogram mode goes through it.
+:func:`sweep` runs every given operating point ``(value, theta_s, law,
+r_target)`` as one batched ensemble and summarizes each point's samples
+the same way, so each row equals that point's :func:`steady_state`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .chain import FeedbackLaw
 from .engine import EnsembleResult, SteadySampling, TrajectoryConfig, _steps_for, run_ensemble
@@ -29,6 +29,7 @@ __all__ = [
     "EnsembleSummary",
     "build_histogram",
     "find_peak",
+    "label_components",
     "summarize",
     "steady_state",
     "sweep",
@@ -131,6 +132,42 @@ class PeakReport:
     tie_bins: tuple[tuple[int, int], ...] = ()
 
 
+def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """8-connected components of a 2D boolean mask.
+
+    Returns ``(labels, count)``: cells off the mask get 0, and components
+    are numbered 1..count in raster order of their first cell, the
+    numbering of ``scipy.ndimage.label`` with a full 3 x 3 structure.
+
+    Every mask cell starts labelled with its own flat index; each pass
+    takes the minimum over the 3 x 3 neighbourhood, then jumps each label
+    to the label of the cell it names.  A label always names a cell of the
+    same component, so the fixed point gives every cell its component's
+    first index.
+    """
+    rows, cols = mask.shape
+    on = mask.ravel()
+    off = rows * cols  # larger than any cell index
+    labels = np.where(on, np.arange(off), off)
+    padded = np.full((rows + 2, cols + 2), off)
+    while True:
+        padded[1:-1, 1:-1] = labels.reshape(rows, cols)
+        low = labels.reshape(rows, cols).copy()
+        for dy in range(3):
+            for dx in range(3):
+                np.minimum(low, padded[dy:dy + rows, dx:dx + cols], out=low)
+        low = low.ravel()
+        low[on] = low[low[on]]
+        low[~on] = off
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    first, number = np.unique(labels[on], return_inverse=True)
+    out = np.zeros(rows * cols, dtype=np.int64)
+    out[on] = number + 1
+    return out.reshape(rows, cols), len(first)
+
+
 def find_peak(grid: HistogramGrid) -> PeakReport:
     """Locate the dominant histogram peak and the high-density lobes."""
     if grid.n_samples == 0:
@@ -150,7 +187,7 @@ def find_peak(grid: HistogramGrid) -> PeakReport:
     sigma = math.sqrt(max(mean_d2 - mean_d * mean_d, 0.0))
 
     mask = grid.counts >= LOBE_THRESHOLD * grid.counts[iy, iz]
-    labels, n_lobes = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    labels, n_lobes = label_components(mask)
     lobes = []
     yy = np.broadcast_to(centers[:, None], grid.counts.shape)
     zz = np.broadcast_to(centers[None, :], grid.counts.shape)
@@ -250,16 +287,22 @@ def sweep(
     Each point runs ``law`` from its target state ``(theta_s, r_target)``
     and pools the steady-state samples ``sampling`` selects.  The same
     master seed is reused at every point (common random numbers), so that
-    rows differ by physics rather than by noise realization.
+    rows differ by physics rather than by noise realization.  All points
+    run as one batched ensemble, and each row equals that point's
+    :func:`steady_state` run alone.
     """
+    points = list(points)
+    initial = [BlochState.from_polar(theta_s, r_target) for _, theta_s, _, r_target in points]
+    cfg = TrajectoryConfig(initial, total_time, _steps_for(total_time, params.dt), seed)
+    results = run_ensemble(
+        n_traj, cfg, params, [law for _, _, law, _ in points], steady=sampling
+    )
     rows, renorm_count = [], 0
     for value, theta_s, law, r_target in points:
-        # the summary is a temporary: none outlives its row
-        row, count = _row(value, theta_s, law, r_target, steady_state(
-            law, BlochState.from_polar(theta_s, r_target), params,
-            n_traj=n_traj, total_time=total_time, sampling=sampling, seed=seed,
-            n_bins=n_bins,
-        ))
+        # each point's samples are freed once summarized; no summary outlives its row
+        row, count = _row(
+            value, theta_s, law, r_target, summarize(results.pop(0), n_bins=n_bins)
+        )
         rows.append(row)
         renorm_count += count
     return rows, renorm_count

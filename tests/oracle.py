@@ -11,6 +11,8 @@
   positivity, so it only flags, rather than corrects, sphere excursions;
   it plugs into :func:`qfb.engine.run_ensemble` through
   ``stepper_factory`` and so shares the engine's streams and reduction.
+* Plain numerical references: a golden-section minimizer and a flood-fill
+  connected-component labeller.
 
 The package itself never calls them.
 """
@@ -281,3 +283,44 @@ def integrate_sme_trajectory(
     )
     result = run_sme_ensemble(1, cfg, params, law, noise_scale=noise_scale)
     return Curve(result.times, result.mean_xyz, result.excursion_count)
+
+
+def minimize_golden(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """Abscissa of the minimum of a unimodal ``f`` on [lo, hi], by golden-section search."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol * max(1.0, abs(a) + abs(b)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def flood_fill_labels(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """8-connected components by a stack flood fill, numbered in raster order
+    of their first cell; 0 off the mask."""
+    rows, cols = mask.shape
+    labels = np.zeros((rows, cols), dtype=np.int64)
+    count = 0
+    for i in range(rows):
+        for j in range(cols):
+            if not mask[i, j] or labels[i, j]:
+                continue
+            count += 1
+            labels[i, j] = count
+            stack = [(i, j)]
+            while stack:
+                y, x = stack.pop()
+                for v in range(max(y - 1, 0), min(y + 2, rows)):
+                    for u in range(max(x - 1, 0), min(x + 2, cols)):
+                        if mask[v, u] and not labels[v, u]:
+                            labels[v, u] = count
+                            stack.append((v, u))
+    return labels, count

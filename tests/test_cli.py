@@ -192,6 +192,25 @@ class TestExecute:
         assert meta["law"]["delta1"] > 0
         assert "renorm_count" in meta
 
+    def test_run_meta_is_strict_json_with_infinite_times(self, tmp_path):
+        cfg = parse_config(None, small_overrides(tmp_path, t1="inf", t2="inf", eta=1.0))
+        execute(cfg)
+
+        def no_constants(name):
+            raise ValueError(f"bare {name} is not JSON")
+
+        text = (tmp_path / "run_meta.json").read_text()
+        meta = json.loads(text, parse_constant=no_constants)
+        assert meta["config"]["t1"] == meta["config"]["t2"] == "inf"
+
+    def test_a_nan_is_refused_instead_of_written(self, tmp_path):
+        from qfb.cli import _write_json
+
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "nan.json", {"r_e": math.nan})
+        _write_json(tmp_path / "inf.json", {"v": -math.inf})
+        assert (tmp_path / "inf.json").read_text() == '{\n  "v": "-inf"\n}\n'
+
     def test_histogram_outputs(self, tmp_path):
         cfg = parse_config(
             None,
@@ -477,6 +496,9 @@ BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
                 "--total-time", "3", "--n-traj", "5", "--sweep-values", "0", "--td", "4"]),
         ("sweep_values", ["--mode", "sweep-delay", "--theta-target", "0.3pi", "--dt", "0.01",
                           "--total-time", "3", "--n-traj", "5", "--sweep-values", "0,1e12"]),
+        # the histogram's counters are sized by n_bins; refuse before running
+        ("n_bins", ["--mode", "histogram", "--theta-target", "0.3pi", "--n-bins", "100000"]),
+        ("n_bins", ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--n-bins", "1001"]),
     ],
 )
 def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
@@ -586,3 +608,20 @@ def test_run_meta_records_every_key_the_mode_reads(run, tmp_path):
     assert set(recorded) == {
         key for key in _FIELDS - UNREAD[run] if getattr(cfg, key) is not None
     }
+
+
+def test_largest_histogram_is_accepted(tmp_path):
+    overrides = small_overrides(tmp_path, mode="histogram", total_time=3.0, n_bins=1000)
+    assert parse_config(None, overrides).n_bins == 1000
+
+
+def test_importing_the_cli_loads_no_scipy():
+    import subprocess
+    import sys
+
+    code = "import sys, qfb.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.stdout.strip() == "False"

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from qfb import (
     BlochState,
@@ -22,7 +21,12 @@ from qfb import (
 )
 from qfb.design import POLE_MARGIN
 from qfb.engine import TrajectoryConfig
-from oracle import integrate_mean_ode, integrate_sme_trajectory, run_sme_ensemble
+from oracle import (
+    integrate_mean_ode,
+    integrate_sme_trajectory,
+    minimize_golden,
+    run_sme_ensemble,
+)
 
 NONIDEAL = ModelParams(tau_m=0.2, dt=0.0005, T1=60.0, T2=40.0, eta=0.41)
 IDEAL = ModelParams(tau_m=0.2, dt=0.0005)
@@ -232,11 +236,9 @@ class TestDisturbance:
             t = TargetSpec(rng.uniform(0.05, 0.95) * math.pi, rng.uniform(0.2, 1.0))
             cost = lambda d1: disturbance(t, d1, 0.2).cost
             closed = optimal_delta1(t, 0.2)
-            res = optimize.minimize_scalar(
-                cost, bracket=(closed - 2.0, closed + 2.0), method="golden"
-            )
-            assert res.x == pytest.approx(closed, rel=1e-4)
-            a = res.x - 1.0
+            x_min = minimize_golden(cost, closed - 2.0, closed + 2.0)
+            assert x_min == pytest.approx(closed, rel=1e-4)
+            a = x_min - 1.0
             fa, fb, fc = cost(a), cost(a + 1.0), cost(a + 2.0)
             denom = fa - 2.0 * fb + fc
             assert denom > 0.0  # convex: a minimum, not a maximum

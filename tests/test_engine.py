@@ -306,6 +306,33 @@ class TestRunEnsemble:
         res = run_ensemble(50, cfg, IDEAL, law)
         assert res.renorm_count > 0  # float drift off the sphere is corrected
 
+    def test_several_laws_give_each_law_its_own_run(self, monkeypatch):
+        import qfb.engine as eng
+
+        monkeypatch.setattr(eng, "CHUNK_SIZE", 16)
+        cfg, base = ideal_setup(seed=4, total_time=0.2, stride=40)
+        laws = [base, FeedbackLaw(base.delta0, base.delta1, Ts=0.002, Td=0.003),
+                FeedbackLaw(0.0, 0.0, Td=0.001)]
+        starts = [BlochState.from_polar(t * math.pi) for t in (0.1, 0.3, 0.5)]
+        sampling = SteadySampling(burn_in=0.1, stride=0.02)
+        batched = run_ensemble(
+            40, TrajectoryConfig(starts, 0.2, 40, seed=4), IDEAL, laws, steady=sampling
+        )
+        assert len(batched) == len(laws)
+        for res, law, start in zip(batched, laws, starts):
+            alone = run_ensemble(
+                40, TrajectoryConfig(start, 0.2, 40, seed=4), IDEAL, law, steady=sampling
+            )
+            assert np.array_equal(res.mean_xyz, alone.mean_xyz)
+            assert np.array_equal(res.steady_yz, alone.steady_yz)
+            assert res.renorm_count == alone.renorm_count > 0
+
+    def test_one_initial_state_per_law(self):
+        cfg, law = ideal_setup()
+        starts = TrajectoryConfig([cfg.initial] * 2, cfg.total_time, cfg.record_stride)
+        with pytest.raises(ValueError, match="2 initial states for 3 laws"):
+            run_ensemble(1, starts, IDEAL, [law] * 3)
+
     def test_invalid_n_traj(self):
         cfg, law = ideal_setup()
         with pytest.raises(ValueError):

@@ -20,6 +20,8 @@ from qfb import (
     summarize,
     sweep,
 )
+from qfb.stats import label_components
+from oracle import flood_fill_labels
 
 NONIDEAL_COARSE = ModelParams(tau_m=0.2, dt=0.01, T1=60.0, T2=40.0, eta=0.41)
 
@@ -107,6 +109,28 @@ class TestFindPeak:
             find_peak(build_histogram(np.empty((0, 2))))
 
 
+class TestLabelComponents:
+    def test_matches_flood_fill_on_random_masks(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            shape = tuple(rng.integers(1, 40, size=2))
+            mask = rng.random(shape) < rng.uniform(0.02, 0.6)
+            labels, count = label_components(mask)
+            want, want_count = flood_fill_labels(mask)
+            assert count == want_count
+            assert np.array_equal(labels, want)
+
+    def test_winding_component_is_one_label(self):
+        # a serpentine path: each row joins the next at alternating ends
+        mask = np.zeros((41, 30), dtype=bool)
+        mask[::2] = True
+        mask[1::4, -1] = True
+        mask[3::4, 0] = True
+        labels, count = label_components(mask)
+        assert count == 1
+        assert np.array_equal(labels, mask.astype(np.int64))
+
+
 class TestSummaryAndSweeps:
     def test_summarize_includes_peak_and_radius(self):
         law, r_s = design_nonideal(0.3 * math.pi, NONIDEAL_COARSE)
@@ -169,6 +193,42 @@ class TestSummaryAndSweeps:
         s = steady_state(law, BlochState.from_polar(theta, 1.0), ideal, **run)
         assert s.renorm_count > 0
         assert total == 2 * s.renorm_count
+
+    @pytest.mark.parametrize("block_steps", [512, 64])  # one noise block; several
+    def test_batched_sweep_equals_each_point_alone(self, monkeypatch, block_steps):
+        """One batched run gives every point's steady_state row, bit for bit,
+        across several chunks, with filters, unequal delays and angles mixed."""
+        import qfb.engine as eng
+
+        monkeypatch.setattr(eng, "CHUNK_SIZE", 16)  # 40 trajectories: three chunks
+        monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
+        # pure states sit on the sphere, where the step renormalizes often
+        ideal = ModelParams(tau_m=0.2, dt=0.01, T1=math.inf, T2=math.inf, eta=1.0)
+        run = dict(n_traj=40, total_time=3.0, sampling=SteadySampling(1.0, 0.2), seed=5)
+        points = []
+        for value, theta, ts, td in [
+            (0.0, 0.3, 0.0, 0.0),
+            (0.02, 0.3, 0.02, 0.0),
+            (0.03, 0.3, 0.0, 0.03),
+            (0.07, 0.2, 0.02, 0.07),
+            (0.0, 0.45, 0.0, 0.0),
+        ]:
+            law = replace(design_ideal(theta * math.pi, ideal.tau_m), Ts=ts, Td=td)
+            points.append((value, theta * math.pi, law, 1.0))
+        rows, renorm_count = sweep(points, ideal, **run)
+        counts = []
+        for row, (value, theta, law, r_target) in zip(rows, points):
+            s = steady_state(law, BlochState.from_polar(theta, r_target), ideal, **run)
+            assert (row.value, row.theta_s, row.r_target, row.delta0, row.delta1) == (
+                value, theta, r_target, law.delta0, law.delta1,
+            )
+            assert (row.theta_p, row.r_p, row.r_e, row.sigma, row.n_lobes) == (
+                s.peak.theta_p, s.peak.r_p, s.r_mean, s.peak.sigma, len(s.peak.lobes),
+            )
+            counts.append(s.renorm_count)
+        assert len(rows) == len(points)
+        assert len(set(counts)) > 1  # the points renormalize differently
+        assert renorm_count == sum(counts)
 
     def test_angular_drift_toward_pole_at_full_chain_lag(self):
         """Filter or delay at tau_m shifts the mean angle ~pi/10 pole-ward."""
