@@ -27,8 +27,11 @@ renormalization count and the config keys the mode reads (``_READS``).
 JSON files write an infinite value (``t1 = inf``) as the string ``"inf"``
 and refuse to write a NaN.
 
-Trajectory chunks run in index order on one thread; the ``threads`` key
-still parses (it must be at least 1) but has no effect.
+``threads`` (1 to ``MAX_THREADS``) is the number of worker processes an
+ensemble, histogram or sweep run uses (see :func:`qfb.engine.run_ensemble`);
+no output byte depends on it, and the default 1 starts no process.  More
+than one needs the ``fork`` start method.  A worker that dies fails the
+run with an ``error: threads: ...`` message.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 from . import __version__
 from .chain import FeedbackLaw
 from .design import design_ideal, design_nonideal
-from .engine import SteadySampling, TrajectoryConfig, _steps_for, run_ensemble
+from .engine import SteadySampling, TrajectoryConfig, WorkerError, _steps_for, run_ensemble
 from .model import BlochState, ModelParams
 from .stats import DEFAULT_BINS, steady_state, sweep
 
@@ -73,8 +76,11 @@ _SWEEP_AXIS = {"sweep-angle": "theta_s", "sweep-filter": "Ts", "sweep-delay": "T
 _POINT_MODES = (*_ANGLE_MODES, *_SWEEP_AXIS)
 
 
-#: Largest histogram resolution: (n_bins + 2)^2 int64 counters, about 8 MB.
+#: Largest histogram resolution: n_bins^2 int64 counters, 8 MB.
 MAX_BINS = 1000
+
+#: Most worker processes a run may start.
+MAX_THREADS = 64
 
 
 class ConfigError(ValueError):
@@ -123,7 +129,9 @@ class RunConfig:
         "0.1pi,0.2pi,0.3pi,0.4pi,0.5pi,0.6pi,0.7pi,0.8pi,0.9pi",
         "comma list of angles (design table / angle sweep)",
     )
-    threads: int = _key(1, "accepted but has no effect: chunks run in order on one thread")
+    threads: int = _key(
+        1, f"worker processes (1 to {MAX_THREADS}; 1 starts none); outputs do not depend on it"
+    )
     out: str = _key(".", "output directory")
 
     def validate(self) -> "RunConfig":
@@ -166,8 +174,10 @@ class RunConfig:
             raise ConfigError("ts/td: must be non-negative")
         if self.r_init <= 0 or self.r_init > 1:
             raise ConfigError(f"r_init: must lie in (0, 1], got {self.r_init}")
-        if self.threads < 1:
-            raise ConfigError(f"threads: must be >= 1, got {self.threads}")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ConfigError(f"threads: must lie in [1, {MAX_THREADS}], got {self.threads}")
+        if self.threads > 1 and not _can_fork():
+            raise ConfigError("threads: more than 1 needs the fork start method")
         if self.sample_every is not None and not round(self.sample_every / self.dt) >= 1:
             raise ConfigError(
                 f"sample_every: must round to at least one step of dt, got {self.sample_every}"
@@ -257,6 +267,12 @@ class RunConfig:
 
     def initial_state(self) -> BlochState:
         return BlochState.from_polar(self.theta_init, self.r_init)
+
+
+def _can_fork() -> bool:
+    import multiprocessing  # only runs with several workers pay for the import
+
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _base_type(hint) -> type:
@@ -454,7 +470,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
     if cfg.mode == "ensemble":
         law, r_target = cfg.feedback_law()
         traj = TrajectoryConfig(cfg.initial_state(), cfg.total_time, cfg.record_stride, cfg.seed)
-        result = run_ensemble(cfg.n_traj, traj, params, law)
+        result = run_ensemble(cfg.n_traj, traj, params, law, workers=cfg.threads)
         path = out_dir / "mean.csv"
         _write_csv(
             path, ["t", "x", "y", "z"],
@@ -469,7 +485,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         summary = steady_state(
             law, cfg.initial_state(), params,
             n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
-            seed=cfg.seed, n_bins=cfg.n_bins,
+            seed=cfg.seed, n_bins=cfg.n_bins, workers=cfg.threads,
         )
         grid = summary.histogram
         centers = grid.centers
@@ -493,7 +509,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         rows, meta["renorm_count"] = sweep(
             points, params,
             n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
-            seed=cfg.seed, n_bins=cfg.n_bins,
+            seed=cfg.seed, n_bins=cfg.n_bins, workers=cfg.threads,
         )
         path = out_dir / "peaks.json"
         _write_json(path, {"sweep": _SWEEP_AXIS[cfg.mode], "rows": [asdict(r) for r in rows]})
@@ -524,6 +540,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(config, args)
         written = execute(cfg)
+    except WorkerError as exc:
+        print(f"error: threads: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

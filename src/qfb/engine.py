@@ -3,10 +3,16 @@
 Each trajectory owns a counter-based random stream keyed by
 ``(master seed, trajectory index)``, so ensembles are bit-reproducible
 for any chunk schedule.  Trajectories advance in fixed-size chunks as
-vectorized numpy operations, one chunk after another in index order on
-the calling thread.  Each chunk adds its mean sums into the run's
-buffer and writes its steady-state samples into the run's sample array,
-so the floating-point sums have one fixed order.
+vectorized numpy operations.  The work is a list of tasks, one per
+(chunk, group of points): each task writes its chunk's mean sums, its
+renormalization counts and its steady-state samples into its own slots
+of buffers allocated before any task runs, and the run then adds the
+per-chunk sums in chunk order, so the floating-point sums have one fixed
+order and every output bit is independent of how tasks are scheduled.
+With ``workers = 1`` (the default) the tasks run one after another in
+the calling process and no process is started; with more, they run in
+that many forked worker processes that write into anonymous shared
+memory, and only task numbers cross a pipe.
 
 A Philox stream is fully set by its key and a zero counter, so when a
 run fits in one noise block (at most ``BLOCK_STEPS`` steps) each chunk
@@ -24,8 +30,11 @@ alone, with P times fewer streams, noise fills and step calls.
 
 from __future__ import annotations
 
+import math
+import mmap
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +54,7 @@ __all__ = [
     "BayesStepper",
     "run_ensemble",
     "trajectory_rng",
+    "WorkerError",
 ]
 
 #: Trajectories per vectorized chunk.  Fixed, so that the summation order of
@@ -223,24 +233,39 @@ class BayesStepper:
         return x, y, z
 
 
+class WorkerError(RuntimeError):
+    """A worker process of a multi-process run died before finishing its task."""
+
+
+def _shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A zeroed array in anonymous shared memory: worker processes forked
+    after it is made write into the pages the calling process reads."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1), flags=mmap.MAP_SHARED)
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
 def _run_chunk(
     lo: int,
     hi: int,
     cfg: TrajectoryConfig,
     params: ModelParams,
     stepper_factory,
+    laws: tuple[FeedbackLaw, ...],
     initials: tuple[BlochState, ...],
     rec_steps: np.ndarray,
     steady_steps: np.ndarray | None,
     rec_sums: np.ndarray,
     steady_out: list[np.ndarray] | None,
 ):
-    """Advance trajectories ``lo:hi`` at every point, adding point p's sums into
-    ``rec_sums[p]`` and writing its samples into ``steady_out[p][lo:hi]``;
-    returns the renormalizations (per point when there are several)."""
+    """Advance trajectories ``lo:hi`` at every point of ``laws``, adding point
+    p's sums into ``rec_sums[p]`` and writing its samples into
+    ``steady_out[p][lo:hi]``; returns the renormalizations (per point when
+    there are several)."""
     n = hi - lo
     n_steps = cfg.n_steps(params)
-    stepper = stepper_factory(n)
+    stepper = stepper_factory(laws, n)
     x = np.repeat([s.x for s in initials], n)
     y = np.repeat([s.y for s in initials], n)
     z = np.repeat([s.z for s in initials], n)
@@ -283,6 +308,80 @@ def _run_chunk(
     return stepper.point_renorms if len(rows) > 1 else stepper.renorms
 
 
+@dataclass(frozen=True)
+class _Job:
+    """One run split into tasks: task t runs chunk ``t // len(groups)`` at
+    the points of group ``t % len(groups)``.  The buffers are allocated
+    before any task runs; task (c, g) writes only its own slots of them."""
+
+    cfg: TrajectoryConfig
+    params: ModelParams
+    stepper_factory: object
+    laws: tuple[FeedbackLaw, ...]
+    initials: tuple[BlochState, ...]
+    rec_steps: np.ndarray
+    steady_steps: np.ndarray | None
+    chunks: list[tuple[int, int]]  # trajectories lo:hi of each chunk
+    groups: list[slice]  # contiguous runs of points
+    chunk_sums: np.ndarray  # (chunk, point, record, xyz) mean sums
+    chunk_renorms: np.ndarray  # (chunk, point) renormalizations
+    steady_out: list[np.ndarray] | None  # per point: (trajectory, sample, yz)
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.chunks) * len(self.groups)
+
+
+def _run_task(job: _Job, task: int) -> None:
+    c, g = divmod(task, len(job.groups))
+    lo, hi = job.chunks[c]
+    points = job.groups[g]
+    job.chunk_renorms[c, points] = _run_chunk(
+        lo, hi, job.cfg, job.params, job.stepper_factory, job.laws[points],
+        job.initials[points], job.rec_steps, job.steady_steps, job.chunk_sums[c, points],
+        None if job.steady_out is None else job.steady_out[points],
+    )
+
+
+#: The job of a worker process, set when the worker starts.
+_JOB: _Job | None = None
+
+
+def _adopt(job: _Job) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _run_adopted(task: int) -> None:
+    _run_task(_JOB, task)
+
+
+def _run_tasks(job: _Job, workers: int) -> None:
+    """Run every task of ``job``: in this process when one worker suffices,
+    otherwise in ``workers`` forked processes, all of them shut down and
+    reaped before this returns.  A task's exception re-raises here."""
+    workers = min(workers, job.n_tasks)
+    if workers == 1:
+        for task in range(job.n_tasks):
+            _run_task(job, task)
+        return
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    # a forked worker inherits the job (and the shared buffers) unpickled
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt, initargs=(job,),
+    )
+    try:
+        for _ in pool.map(_run_adopted, range(job.n_tasks)):
+            pass
+    except BrokenExecutor as exc:
+        raise WorkerError(f"a worker process died: {exc}") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_ensemble(
     n_traj: int,
     cfg: TrajectoryConfig,
@@ -291,23 +390,33 @@ def run_ensemble(
     *,
     steady: SteadySampling | None = None,
     stepper_factory=None,
+    workers: int = 1,
 ) -> EnsembleResult | list[EnsembleResult]:
     """Simulate ``n_traj`` trajectories and reduce them on the fly.
 
-    Trajectory i draws from the stream keyed (cfg.seed, i); chunks run in
-    index order.  ``steady`` enables pooled steady-state (y, z) sampling
-    for histograms.  ``stepper_factory`` (batch size -> stepper) swaps
-    the physics kernel; the default is the quantum Bayesian update with
-    the feedback chain.
+    Trajectory i draws from the stream keyed (cfg.seed, i).  ``steady``
+    enables pooled steady-state (y, z) sampling for histograms.
+    ``stepper_factory`` (laws, batch size -> stepper) swaps the physics
+    kernel; the default is the quantum Bayesian update with the feedback
+    chain.
 
     A sequence of laws runs as that many points in one batch and returns
     one result per law, each bit-identical to running that law alone;
     ``cfg.initial`` then gives one state per law, or one for all.  A
-    stepper then advances ``len(law) * batch`` rows, point-major, with one
-    noise value per trajectory.
+    stepper then advances ``len(laws) * batch`` rows, point-major, with
+    one noise value per trajectory, and exposes ``point_renorms``.
+
+    ``workers`` is the number of processes that run the tasks.  With C
+    chunks, P points and N workers, each chunk's points split into
+    ``min(P, ceil(N / C))`` contiguous groups, one task per chunk and
+    group, so a sweep that fits in one chunk still keeps N workers busy.
+    ``workers = 1`` starts no process.  Every result bit is the same for
+    any ``workers``; a worker that dies raises :class:`WorkerError`.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     laws = as_laws(law)
     for one in laws:
         validate_law(one, params)
@@ -316,27 +425,35 @@ def run_ensemble(
     rec_steps = np.arange(0, n_steps + 1, cfg.record_stride)
     steady_steps = None if steady is None else steady.step_indices(n_steps, params.dt)
     if stepper_factory is None:
-        stepper_factory = lambda batch: BayesStepper(params, laws, batch)
+        stepper_factory = partial(BayesStepper, params)
+
+    n_points = len(laws)
+    chunks = [(lo, min(lo + CHUNK_SIZE, n_traj)) for lo in range(0, n_traj, CHUNK_SIZE)]
+    n_groups = min(n_points, -(-workers // len(chunks)))
+    job = _Job(
+        cfg, params, stepper_factory, laws, initials, rec_steps, steady_steps, chunks,
+        groups=[slice(g * n_points // n_groups, (g + 1) * n_points // n_groups)
+                for g in range(n_groups)],
+        chunk_sums=_shared((len(chunks), n_points, len(rec_steps), 3)),
+        chunk_renorms=_shared((len(chunks), n_points), np.int64),
+        steady_out=None if steady_steps is None else [
+            _shared((n_traj, len(steady_steps), 2)) for _ in laws
+        ],
+    )
+    _run_tasks(job, workers)
 
     # Chunk index order fixes the float sums: 0 + chunk 0 + chunk 1 + ...
-    rec_sums = np.zeros((len(laws), len(rec_steps), 3))
-    steady_out = None if steady_steps is None else [
-        np.empty((n_traj, len(steady_steps), 2)) for _ in laws
-    ]
-    renorms = np.zeros(len(laws), dtype=np.int64)
-    for lo in range(0, n_traj, CHUNK_SIZE):
-        hi = min(lo + CHUNK_SIZE, n_traj)
-        renorms += _run_chunk(
-            lo, hi, cfg, params, stepper_factory, initials, rec_steps, steady_steps,
-            rec_sums, steady_out,
-        )
+    rec_sums = np.zeros((n_points, len(rec_steps), 3))
+    for sums in job.chunk_sums:
+        rec_sums += sums
+    renorms = job.chunk_renorms.sum(axis=0)
     results = [
         EnsembleResult(
             times=rec_steps * params.dt,
             mean_xyz=rec_sums[p] / n_traj,
             renorm_count=int(renorms[p]),
-            steady_yz=None if steady_out is None else steady_out[p].reshape(-1, 2),
+            steady_yz=None if job.steady_out is None else job.steady_out[p].reshape(-1, 2),
         )
-        for p in range(len(laws))
+        for p in range(n_points)
     ]
     return results[0] if isinstance(law, FeedbackLaw) else results

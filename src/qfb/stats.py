@@ -75,12 +75,21 @@ def build_histogram(samples: np.ndarray, n_bins: int = DEFAULT_BINS) -> Histogra
 
     Samples are clipped onto the square before binning (only relevant
     for integrators that can leak slightly outside the sphere), so every
-    sample is counted.
+    sample is counted; a NaN sample raises ValueError.  Bins are
+    half-open, ``edges[i] <= v < edges[i+1]``, except that the last one
+    also holds ``v = 1``: the binning of ``np.histogram2d``.  Each
+    coordinate's bin is estimated arithmetically and then corrected
+    against the edges, which moves it by at most one.
     """
     edges = np.linspace(-1.0, 1.0, n_bins + 1)
-    y, z = np.clip(np.asarray(samples, dtype=float), edges[0], edges[-1]).T
-    counts, _, _ = np.histogram2d(y, z, bins=[edges, edges])
-    return HistogramGrid(edges, counts.astype(np.int64), len(y))
+    yz = np.clip(np.asarray(samples, dtype=float), edges[0], edges[-1])
+    if np.isnan(yz).any():
+        raise ValueError("a steady-state sample is NaN")
+    i = np.minimum(((yz + 1.0) * (0.5 * n_bins)).astype(np.intp), n_bins - 1)
+    i -= yz < edges[i]
+    i += (yz >= edges[i + 1]) & (i < n_bins - 1)
+    counts = np.bincount(i[:, 0] * n_bins + i[:, 1], minlength=n_bins * n_bins)
+    return HistogramGrid(edges, counts.reshape(n_bins, n_bins), len(yz))
 
 
 @dataclass(frozen=True)
@@ -245,14 +254,17 @@ def steady_state(
     sampling: SteadySampling,
     seed: int = 0,
     n_bins: int = DEFAULT_BINS,
+    workers: int = 1,
 ) -> EnsembleSummary:
     """Summary of the steady-state samples ``sampling`` selects from ``n_traj``
-    trajectories started at ``initial`` under ``law``.
+    trajectories started at ``initial`` under ``law``, run by ``workers``
+    processes (see :func:`run_ensemble`).
 
     The run writes no mean curve, so it records only the two endpoints.
     """
     cfg = TrajectoryConfig(initial, total_time, _steps_for(total_time, params.dt), seed)
-    return summarize(run_ensemble(n_traj, cfg, params, law, steady=sampling), n_bins=n_bins)
+    result = run_ensemble(n_traj, cfg, params, law, steady=sampling, workers=workers)
+    return summarize(result, n_bins=n_bins)
 
 
 @dataclass(frozen=True)
@@ -280,6 +292,7 @@ def sweep(
     sampling: SteadySampling,
     seed: int = 0,
     n_bins: int = DEFAULT_BINS,
+    workers: int = 1,
 ) -> tuple[list[SweepRow], int]:
     """Stabilization summary at each ``(value, theta_s, law, r_target)`` point,
     plus the renormalization count summed over the points.
@@ -288,14 +301,16 @@ def sweep(
     and pools the steady-state samples ``sampling`` selects.  The same
     master seed is reused at every point (common random numbers), so that
     rows differ by physics rather than by noise realization.  All points
-    run as one batched ensemble, and each row equals that point's
+    run as one batched ensemble on ``workers`` processes (see
+    :func:`run_ensemble`), and each row equals that point's
     :func:`steady_state` run alone.
     """
     points = list(points)
     initial = [BlochState.from_polar(theta_s, r_target) for _, theta_s, _, r_target in points]
     cfg = TrajectoryConfig(initial, total_time, _steps_for(total_time, params.dt), seed)
     results = run_ensemble(
-        n_traj, cfg, params, [law for _, _, law, _ in points], steady=sampling
+        n_traj, cfg, params, [law for _, _, law, _ in points], steady=sampling,
+        workers=workers,
     )
     rows, renorm_count = [], 0
     for value, theta_s, law, r_target in points:

@@ -260,7 +260,7 @@ def run_sme_ensemble(
     """Ensemble of diffusive trajectories, same streams/reduction as the engine."""
     steppers: list[SmeStepper] = []
 
-    def factory(batch: int) -> SmeStepper:
+    def factory(laws, batch: int) -> SmeStepper:
         steppers.append(SmeStepper(params, law, batch, noise_scale))
         return steppers[-1]
 

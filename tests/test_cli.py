@@ -305,7 +305,10 @@ class TestExecute:
     @staticmethod
     def _outputs_across_threads_and_dirs(tmp_path, monkeypatch, **kw):
         """Every written file for threads 1 and 4, with the noise drawn in one
-        block and in blocks of 16 steps, each run in its own directory."""
+        block and in blocks of 16 steps, each run in its own directory; no
+        worker process outlives its run."""
+        import multiprocessing
+
         import qfb.engine as eng
 
         monkeypatch.setattr(eng, "CHUNK_SIZE", 16)  # several chunks per run
@@ -316,6 +319,7 @@ class TestExecute:
                 out = tmp_path / f"blocks{block_steps}-threads{threads}"
                 cfg = parse_config(None, small_overrides(out, threads=threads, **kw))
                 written = execute(cfg)
+                assert multiprocessing.active_children() == []
                 assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in written)
                 outputs.append({p.name: p.read_bytes() for p in written})
         return outputs
@@ -329,6 +333,15 @@ class TestExecute:
         first, *others = self._outputs_across_threads_and_dirs(
             tmp_path, monkeypatch,
             mode="sweep-filter", sweep_values="0,0.5", total_time=3.0, n_traj=40,
+        )
+        assert set(first) == {"peaks.json", "run_meta.json"}
+        assert all(o == first for o in others)
+
+    def test_sweep_points_split_across_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # one chunk of 12 trajectories: four workers run the three points apart
+        first, *others = self._outputs_across_threads_and_dirs(
+            tmp_path, monkeypatch,
+            mode="sweep-filter", sweep_values="0,0.5,1", total_time=3.0, n_traj=12,
         )
         assert set(first) == {"peaks.json", "run_meta.json"}
         assert all(o == first for o in others)
@@ -499,6 +512,8 @@ BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
         # the histogram's counters are sized by n_bins; refuse before running
         ("n_bins", ["--mode", "histogram", "--theta-target", "0.3pi", "--n-bins", "100000"]),
         ("n_bins", ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--n-bins", "1001"]),
+        # each thread is a worker process
+        ("threads", BASE + ["--threads", "65"]),
     ],
 )
 def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
@@ -523,6 +538,68 @@ def test_out_of_memory_is_reported_without_a_traceback(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert rc == 1
     assert err == "error: Unable to allocate 74.5 GiB for an array\n"
+    assert not (tmp_path / "a").exists()
+
+
+#: A two-point sweep in one chunk: with two threads, two worker processes.
+TWO_WORKERS = ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--dt", "0.01",
+               "--total-time", "3", "--n-traj", "5", "--sweep-values", "0,0.5",
+               "--threads", "2"]
+
+
+def test_most_threads_are_accepted(tmp_path):
+    assert parse_config(None, small_overrides(tmp_path, threads=64)).threads == 64
+
+
+def test_threads_need_fork(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert parse_config(None, small_overrides(tmp_path, threads=1)).threads == 1
+    out = tmp_path / "out"
+    assert main(TWO_WORKERS + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: threads: more than 1 needs the fork start method\n"
+    assert not out.exists()
+
+
+def test_a_worker_error_reraises_in_the_caller(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+    import os
+
+    caller = os.getpid()
+
+    def exhausted(job, task):
+        assert os.getpid() != caller  # runs in a worker
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr("qfb.engine._run_task", exhausted)
+    out = tmp_path / "a" / "out"
+    rc = main(TWO_WORKERS + ["--out", str(out)])
+    assert multiprocessing.active_children() == []
+    assert rc == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array\n"
+    assert not (tmp_path / "a").exists()
+
+
+def test_a_worker_that_dies_fails_the_run_by_key(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+    import os
+
+    caller = os.getpid()
+
+    def dies(job, task):
+        if os.getpid() != caller:  # never end the caller itself
+            os._exit(1)
+        raise AssertionError("a task ran in the caller")
+
+    monkeypatch.setattr("qfb.engine._run_task", dies)
+    out = tmp_path / "a" / "out"
+    rc = main(TWO_WORKERS + ["--out", str(out)])
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: threads: a worker process died") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not (tmp_path / "a").exists()
 
 

@@ -337,3 +337,73 @@ class TestRunEnsemble:
         cfg, law = ideal_setup()
         with pytest.raises(ValueError):
             run_ensemble(0, cfg, IDEAL, law)
+
+    def test_invalid_workers(self):
+        cfg, law = ideal_setup()
+        with pytest.raises(ValueError, match="workers"):
+            run_ensemble(1, cfg, IDEAL, law, workers=0)
+
+
+LOSSY = ModelParams(tau_m=0.2, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
+
+
+def _lossy_laws():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        law, r_s = design_nonideal(0.3 * math.pi, LOSSY)
+    return [law, FeedbackLaw(law.delta0, law.delta1, Ts=0.004),
+            FeedbackLaw(law.delta0, law.delta1, Td=0.006)], r_s
+
+
+class TestWorkers:
+    """The tasks (chunk x point group) write the same bits for any worker count."""
+
+    @staticmethod
+    def _runs(monkeypatch, n_traj, params, law, initial, block_steps):
+        import multiprocessing
+
+        import qfb.engine as eng
+
+        monkeypatch.setattr(eng, "CHUNK_SIZE", 16)
+        monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
+        cfg = TrajectoryConfig(initial, 0.2, record_stride=10, seed=9)
+        sampling = SteadySampling(burn_in=0.1, stride=0.02)
+        runs = [
+            run_ensemble(n_traj, cfg, params, law, steady=sampling, workers=workers)
+            for workers in (1, 3)
+        ]
+        assert multiprocessing.active_children() == []
+        return runs
+
+    @staticmethod
+    def _assert_same(one, three):
+        assert np.array_equal(one.mean_xyz, three.mean_xyz)
+        assert np.array_equal(one.steady_yz, three.steady_yz)
+        assert one.renorm_count == three.renorm_count
+
+    @pytest.mark.parametrize("block_steps", [512, 16])  # one noise block; several
+    def test_one_law_over_several_chunks(self, monkeypatch, block_steps):
+        laws, _ = _lossy_laws()
+        start = BlochState.from_polar(0.1 * math.pi)
+        # four chunks of 16, 16, 16 and 2 trajectories on three workers
+        self._assert_same(*self._runs(monkeypatch, 50, LOSSY, laws[0], start, block_steps))
+
+    @pytest.mark.parametrize("block_steps", [512, 16])
+    def test_point_groups_split_one_chunk(self, monkeypatch, block_steps):
+        laws, r_s = _lossy_laws()
+        start = BlochState.from_polar(0.3 * math.pi, r_s)
+        # one chunk of 12 trajectories: each worker runs one of the three points
+        one, three = self._runs(monkeypatch, 12, LOSSY, laws, start, block_steps)
+        for a, b in zip(one, three):
+            self._assert_same(a, b)
+
+    def test_lossless_renormalizing_run(self, monkeypatch):
+        law = design_ideal(0.3 * math.pi, 0.2)
+        laws = [law, FeedbackLaw(law.delta0, law.delta1, Ts=0.004)]
+        start = BlochState.from_polar(0.1 * math.pi)
+        # two chunks at two points: tasks (chunk, point) on three workers
+        one, three = self._runs(monkeypatch, 20, ModelParams(tau_m=0.2, dt=0.002), laws,
+                                start, 512)
+        for a, b in zip(one, three):
+            self._assert_same(a, b)
+            assert a.renorm_count > 0

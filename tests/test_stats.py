@@ -53,6 +53,28 @@ class TestHistogramGrid:
         grid = build_histogram(samples)
         assert grid.counts.sum() == 3
 
+    @pytest.mark.parametrize("n_bins", [2, 3, 7, 100, 333, 999, 1000])
+    def test_bins_match_histogram2d(self, n_bins):
+        # every edge, one ulp either side of it, and samples outside the
+        # square, which are clipped onto its border
+        rng = np.random.default_rng(n_bins)
+        edges = np.linspace(-1.0, 1.0, n_bins + 1)
+        values = np.concatenate([
+            edges, np.nextafter(edges, 2.0), np.nextafter(edges, -2.0),
+            rng.uniform(-1.3, 1.3, 3000), [-1.0000001, 1.0000001, -5.0, 5.0],
+        ])
+        samples = np.stack([rng.permutation(values), rng.permutation(values)], axis=1)
+        grid = build_histogram(samples, n_bins=n_bins)
+        clipped = np.clip(samples, -1.0, 1.0)
+        expected, _, _ = np.histogram2d(*clipped.T, bins=[edges, edges])
+        assert grid.counts.dtype == np.int64
+        assert np.array_equal(grid.counts, expected.astype(np.int64))
+        assert grid.counts.sum() == grid.n_samples == len(samples)
+
+    def test_a_nan_sample_is_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            build_histogram(np.array([[0.1, 0.2], [np.nan, 0.0]]))
+
     def test_uniform_chi_square_sanity(self):
         rng = np.random.default_rng(8)
         samples = rng.uniform(-1, 1, size=(200000, 2))
