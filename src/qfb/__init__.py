@@ -13,9 +13,9 @@ The package splits into:
 * :mod:`qfb.design` -- closed-form feedback design and stationary-state
   analysis,
 * :mod:`qfb.stats` -- ensemble summaries: steady-state histograms, peak
-  and lobe detection, the steady-state path ``steady_state`` that
-  histogram mode runs through, and ``sweep``, which gives each operating
-  point the same summary from one batched ensemble,
+  and lobe detection, and ``steady_state``, the one steady-state path,
+  which summarizes each of one or more laws from one batched ensemble
+  (histogram mode runs one law, the sweeps one per operating point),
 * :mod:`qfb.cli` -- the ``qfb`` command-line harness.
 """
 
@@ -50,7 +50,6 @@ from .stats import (
     find_peak,
     steady_state,
     summarize,
-    sweep,
 )
 
 __all__ = [
@@ -82,5 +81,4 @@ __all__ = [
     "find_peak",
     "summarize",
     "steady_state",
-    "sweep",
 ]

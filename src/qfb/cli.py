@@ -21,6 +21,8 @@ Every mode designs through :meth:`RunConfig.design`: ideal parameters use
 the ideal design, anything else the lossy design at maximum radius.
 :meth:`RunConfig.points` builds the design table's and the sweeps' laws;
 a chain sweep keeps the configured ``ts``/``td`` it does not sweep.
+Histogram mode and the sweeps run :func:`qfb.stats.steady_state`, with one
+law or one per point; the design table runs nothing and reads no ``dt``.
 
 Every mode also writes run_meta.json: the package version, the summed
 renormalization count and the config keys the mode reads (``_READS``).
@@ -31,7 +33,8 @@ and refuse to write a NaN.
 ensemble, histogram or sweep run uses (see :func:`qfb.engine.run_ensemble`);
 no output byte depends on it, and the default 1 starts no process.  More
 than one needs the ``fork`` start method.  A worker that dies fails the
-run with an ``error: threads: ...`` message.
+run with an ``error: threads: ...`` message.  :func:`main` prints each
+distinct warning once, as ``warning: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .chain import FeedbackLaw
 from .design import design_ideal, design_nonideal
 from .engine import SteadySampling, TrajectoryConfig, WorkerError, _steps_for, run_ensemble
 from .model import BlochState, ModelParams
-from .stats import DEFAULT_BINS, steady_state, sweep
+from .stats import DEFAULT_BINS, steady_state
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
@@ -178,10 +181,6 @@ class RunConfig:
             raise ConfigError(f"threads: must lie in [1, {MAX_THREADS}], got {self.threads}")
         if self.threads > 1 and not _can_fork():
             raise ConfigError("threads: more than 1 needs the fork start method")
-        if self.sample_every is not None and not round(self.sample_every / self.dt) >= 1:
-            raise ConfigError(
-                f"sample_every: must round to at least one step of dt, got {self.sample_every}"
-            )
         _sweep_values_us(self)
         _theta_list(self)
         if self.mode != "design-table":
@@ -198,6 +197,10 @@ class RunConfig:
 
     def _check_time_grid(self) -> None:
         """The step, record and burn-in grids the engine would reject at run time."""
+        if self.sample_every is not None and not round(self.sample_every / self.dt) >= 1:
+            raise ConfigError(
+                f"sample_every: must round to at least one step of dt, got {self.sample_every}"
+            )
         try:
             n_steps = _steps_for(self.total_time, self.dt)
         except ValueError as exc:
@@ -227,9 +230,9 @@ class RunConfig:
                 raise ConfigError(f"{key}: {exc}") from exc
 
     def model_params(self) -> ModelParams:
-        return ModelParams(
-            tau_m=self.tau_m, dt=self.dt, T1=self.t1, T2=self.t2, eta=self.eta
-        )
+        # the design table reads no dt: it takes the largest step that draws no warning
+        dt = self.tau_m / 10.0 if self.mode == "design-table" else self.dt
+        return ModelParams(tau_m=self.tau_m, dt=dt, T1=self.t1, T2=self.t2, eta=self.eta)
 
     def design(self, theta: float) -> tuple[FeedbackLaw, float]:
         """Designed law at ``theta`` plus its target radius (ideal qubit: 1)."""
@@ -458,6 +461,10 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         "version": __version__,
         "renorm_count": 0,
     }
+    steady = dict(
+        n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
+        seed=cfg.seed, n_bins=cfg.n_bins, workers=cfg.threads,
+    )
 
     if cfg.mode in _ANGLE_MODES:
         path = out_dir / "design.csv"
@@ -482,11 +489,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
 
     elif cfg.mode == "histogram":
         law, r_target = cfg.feedback_law()
-        summary = steady_state(
-            law, cfg.initial_state(), params,
-            n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
-            seed=cfg.seed, n_bins=cfg.n_bins, workers=cfg.threads,
-        )
+        (summary,) = steady_state([law], [cfg.initial_state()], params, **steady)
         grid = summary.histogram
         centers = grid.centers
         path = out_dir / "hist.csv"
@@ -506,13 +509,26 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         meta["renorm_count"] = summary.renorm_count
 
     elif cfg.mode in _SWEEP_AXIS:
-        rows, meta["renorm_count"] = sweep(
-            points, params,
-            n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
-            seed=cfg.seed, n_bins=cfg.n_bins, workers=cfg.threads,
+        # each point runs its law from its target state
+        summaries = steady_state(
+            [law for _, _, law, _ in points],
+            [BlochState.from_polar(theta_s, r_target) for _, theta_s, _, r_target in points],
+            params, **steady,
         )
+        rows = []
+        for value, theta_s, law, r_target in points:
+            s = next(summaries)
+            rows.append({
+                "value": value, "theta_s": theta_s, "r_target": r_target,
+                "delta0": law.delta0, "delta1": law.delta1,
+                "theta_p": s.peak.theta_p, "r_p": s.peak.r_p, "r_e": s.r_mean,
+                "sigma": s.peak.sigma, "n_lobes": len(s.peak.lobes),
+            })
+            meta["renorm_count"] += s.renorm_count
+            # a summary still bound while the next one is built raises peak RSS
+            del s
         path = out_dir / "peaks.json"
-        _write_json(path, {"sweep": _SWEEP_AXIS[cfg.mode], "rows": [asdict(r) for r in rows]})
+        _write_json(path, {"sweep": _SWEEP_AXIS[cfg.mode], "rows": rows})
         written.append(path)
 
     meta_path = out_dir / "run_meta.json"
@@ -537,15 +553,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))
     config = args.pop("config")
-    try:
-        cfg = parse_config(config, args)
-        written = execute(cfg)
-    except WorkerError as exc:
-        print(f"error: threads: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    shown: set[str] = set()
+
+    def show(message, *_) -> None:
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show  # each distinct message once, without a source line
+        try:
+            cfg = parse_config(config, args)
+            written = execute(cfg)
+        except WorkerError as exc:
+            print(f"error: threads: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, OSError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     for path in written:
         print(path)
     return 0

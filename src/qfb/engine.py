@@ -3,12 +3,13 @@
 Each trajectory owns a counter-based random stream keyed by
 ``(master seed, trajectory index)``, so ensembles are bit-reproducible
 for any chunk schedule.  Trajectories advance in fixed-size chunks as
-vectorized numpy operations.  The work is a list of tasks, one per
-(chunk, group of points): each task writes its chunk's mean sums, its
-renormalization counts and its steady-state samples into its own slots
-of buffers allocated before any task runs, and the run then adds the
-per-chunk sums in chunk order, so the floating-point sums have one fixed
-order and every output bit is independent of how tasks are scheduled.
+vectorized numpy operations.  The work is a list of tasks, one call of
+``_run_chunk`` per (chunk, group of points): each task writes its chunk's
+mean sums, its renormalization counts and its steady-state samples into
+its own slots of buffers allocated before any task runs, and the run
+then adds the per-chunk sums in chunk order, so the floating-point sums
+have one fixed order and every output bit is independent of how tasks
+are scheduled.
 With ``workers = 1`` (the default) the tasks run one after another in
 the calling process and no process is started; with more, they run in
 that many forked worker processes that write into anonymous shared
@@ -257,12 +258,12 @@ def _run_chunk(
     rec_steps: np.ndarray,
     steady_steps: np.ndarray | None,
     rec_sums: np.ndarray,
+    renorms: np.ndarray,
     steady_out: list[np.ndarray] | None,
-):
+) -> None:
     """Advance trajectories ``lo:hi`` at every point of ``laws``, adding point
-    p's sums into ``rec_sums[p]`` and writing its samples into
-    ``steady_out[p][lo:hi]``; returns the renormalizations (per point when
-    there are several)."""
+    p's sums into ``rec_sums[p]``, writing its renormalizations into
+    ``renorms[p]`` and its samples into ``steady_out[p][lo:hi]``."""
     n = hi - lo
     n_steps = cfg.n_steps(params)
     stepper = stepper_factory(laws, n)
@@ -304,77 +305,41 @@ def _run_chunk(
             for j, g in enumerate(streams()):
                 g.standard_normal(out=noise[j, :block])
         x, y, z = stepper.step(x, y, z, noise[:, k])
-    # a custom stepper for a single law need only count ``renorms``
-    return stepper.point_renorms if len(rows) > 1 else stepper.renorms
+    renorms[:] = stepper.point_renorms
 
 
-@dataclass(frozen=True)
-class _Job:
-    """One run split into tasks: task t runs chunk ``t // len(groups)`` at
-    the points of group ``t % len(groups)``.  The buffers are allocated
-    before any task runs; task (c, g) writes only its own slots of them."""
-
-    cfg: TrajectoryConfig
-    params: ModelParams
-    stepper_factory: object
-    laws: tuple[FeedbackLaw, ...]
-    initials: tuple[BlochState, ...]
-    rec_steps: np.ndarray
-    steady_steps: np.ndarray | None
-    chunks: list[tuple[int, int]]  # trajectories lo:hi of each chunk
-    groups: list[slice]  # contiguous runs of points
-    chunk_sums: np.ndarray  # (chunk, point, record, xyz) mean sums
-    chunk_renorms: np.ndarray  # (chunk, point) renormalizations
-    steady_out: list[np.ndarray] | None  # per point: (trajectory, sample, yz)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.chunks) * len(self.groups)
+#: The tasks of a worker process, set when the worker starts.
+_TASKS: list = []
 
 
-def _run_task(job: _Job, task: int) -> None:
-    c, g = divmod(task, len(job.groups))
-    lo, hi = job.chunks[c]
-    points = job.groups[g]
-    job.chunk_renorms[c, points] = _run_chunk(
-        lo, hi, job.cfg, job.params, job.stepper_factory, job.laws[points],
-        job.initials[points], job.rec_steps, job.steady_steps, job.chunk_sums[c, points],
-        None if job.steady_out is None else job.steady_out[points],
-    )
-
-
-#: The job of a worker process, set when the worker starts.
-_JOB: _Job | None = None
-
-
-def _adopt(job: _Job) -> None:
-    global _JOB
-    _JOB = job
+def _adopt(tasks: list) -> None:
+    global _TASKS
+    _TASKS = tasks
 
 
 def _run_adopted(task: int) -> None:
-    _run_task(_JOB, task)
+    _TASKS[task]()
 
 
-def _run_tasks(job: _Job, workers: int) -> None:
-    """Run every task of ``job``: in this process when one worker suffices,
-    otherwise in ``workers`` forked processes, all of them shut down and
-    reaped before this returns.  A task's exception re-raises here."""
-    workers = min(workers, job.n_tasks)
+def _run_tasks(tasks: list, workers: int) -> None:
+    """Call every task: in this process when one worker suffices, otherwise
+    in ``workers`` forked processes, all of them shut down and reaped
+    before this returns.  A task's exception re-raises here."""
+    workers = min(workers, len(tasks))
     if workers == 1:
-        for task in range(job.n_tasks):
-            _run_task(job, task)
+        for task in tasks:
+            task()
         return
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    # a forked worker inherits the job (and the shared buffers) unpickled
+    # a forked worker inherits the tasks (and the shared buffers) unpickled
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt, initargs=(job,),
+        initializer=_adopt, initargs=(tasks,),
     )
     try:
-        for _ in pool.map(_run_adopted, range(job.n_tasks)):
+        for _ in pool.map(_run_adopted, range(len(tasks))):
             pass
     except BrokenExecutor as exc:
         raise WorkerError(f"a worker process died: {exc}") from exc
@@ -398,13 +363,13 @@ def run_ensemble(
     enables pooled steady-state (y, z) sampling for histograms.
     ``stepper_factory`` (laws, batch size -> stepper) swaps the physics
     kernel; the default is the quantum Bayesian update with the feedback
-    chain.
+    chain.  A stepper advances ``len(laws) * batch`` rows, point-major,
+    with one noise value per trajectory, and counts its renormalizations
+    per point in ``point_renorms``.
 
     A sequence of laws runs as that many points in one batch and returns
     one result per law, each bit-identical to running that law alone;
-    ``cfg.initial`` then gives one state per law, or one for all.  A
-    stepper then advances ``len(laws) * batch`` rows, point-major, with
-    one noise value per trajectory, and exposes ``point_renorms``.
+    ``cfg.initial`` then gives one state per law, or one for all.
 
     ``workers`` is the number of processes that run the tasks.  With C
     chunks, P points and N workers, each chunk's points split into
@@ -430,29 +395,39 @@ def run_ensemble(
     n_points = len(laws)
     chunks = [(lo, min(lo + CHUNK_SIZE, n_traj)) for lo in range(0, n_traj, CHUNK_SIZE)]
     n_groups = min(n_points, -(-workers // len(chunks)))
-    job = _Job(
-        cfg, params, stepper_factory, laws, initials, rec_steps, steady_steps, chunks,
-        groups=[slice(g * n_points // n_groups, (g + 1) * n_points // n_groups)
-                for g in range(n_groups)],
-        chunk_sums=_shared((len(chunks), n_points, len(rec_steps), 3)),
-        chunk_renorms=_shared((len(chunks), n_points), np.int64),
-        steady_out=None if steady_steps is None else [
-            _shared((n_traj, len(steady_steps), 2)) for _ in laws
-        ],
-    )
-    _run_tasks(job, workers)
+    groups = [slice(g * n_points // n_groups, (g + 1) * n_points // n_groups)
+              for g in range(n_groups)]
+    # (chunk, point, record, xyz) mean sums; (chunk, point) renormalizations;
+    # per point, (trajectory, sample, yz) steady-state samples
+    chunk_sums = _shared((len(chunks), n_points, len(rec_steps), 3))
+    chunk_renorms = _shared((len(chunks), n_points), np.int64)
+    steady_out = None if steady_steps is None else [
+        _shared((n_traj, len(steady_steps), 2)) for _ in laws
+    ]
+    # task (c, g) runs chunk c at the points of group g and writes only its
+    # own slots of the buffers
+    tasks = [
+        partial(
+            _run_chunk, lo, hi, cfg, params, stepper_factory, laws[g], initials[g],
+            rec_steps, steady_steps, chunk_sums[c, g], chunk_renorms[c, g],
+            None if steady_out is None else steady_out[g],
+        )
+        for c, (lo, hi) in enumerate(chunks)
+        for g in groups
+    ]
+    _run_tasks(tasks, workers)
 
     # Chunk index order fixes the float sums: 0 + chunk 0 + chunk 1 + ...
     rec_sums = np.zeros((n_points, len(rec_steps), 3))
-    for sums in job.chunk_sums:
+    for sums in chunk_sums:
         rec_sums += sums
-    renorms = job.chunk_renorms.sum(axis=0)
+    renorms = chunk_renorms.sum(axis=0)
     results = [
         EnsembleResult(
             times=rec_steps * params.dt,
             mean_xyz=rec_sums[p] / n_traj,
             renorm_count=int(renorms[p]),
-            steady_yz=None if job.steady_out is None else job.steady_out[p].reshape(-1, 2),
+            steady_yz=None if steady_out is None else steady_out[p].reshape(-1, 2),
         )
         for p in range(n_points)
     ]

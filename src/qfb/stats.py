@@ -3,17 +3,17 @@
 Steady-state trajectory distributions are summarized by a uniform 2D
 histogram over the yz unit square, its dominant peak (converted to polar
 form), the spread of the samples around that peak, the connected
-high-density lobes and the mean radius.  :func:`steady_state` runs an
-ensemble from a given state, discards the burn-in, pools the (y, z)
-samples and summarizes them; histogram mode goes through it.
-:func:`sweep` runs every given operating point ``(value, theta_s, law,
-r_target)`` as one batched ensemble and summarizes each point's samples
-the same way, so each row equals that point's :func:`steady_state`.
+high-density lobes and the mean radius.  :func:`steady_state` is the one
+steady-state path: it runs one or more laws as one batched ensemble,
+discards the burn-in, pools each law's (y, z) samples and summarizes
+them.  Histogram mode runs it with one law, the sweeps with one law per
+operating point.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +32,6 @@ __all__ = [
     "label_components",
     "summarize",
     "steady_state",
-    "sweep",
-    "SweepRow",
     "DEFAULT_BINS",
     "LOBE_THRESHOLD",
     "MIN_LOBE_MASS",
@@ -245,8 +243,8 @@ def summarize(result: EnsembleResult, n_bins: int = DEFAULT_BINS) -> EnsembleSum
 
 
 def steady_state(
-    law: FeedbackLaw,
-    initial: BlochState,
+    laws: Sequence[FeedbackLaw],
+    initials: Sequence[BlochState],
     params: ModelParams,
     *,
     n_traj: int,
@@ -255,85 +253,19 @@ def steady_state(
     seed: int = 0,
     n_bins: int = DEFAULT_BINS,
     workers: int = 1,
-) -> EnsembleSummary:
-    """Summary of the steady-state samples ``sampling`` selects from ``n_traj``
-    trajectories started at ``initial`` under ``law``, run by ``workers``
-    processes (see :func:`run_ensemble`).
+) -> Iterator[EnsembleSummary]:
+    """Summaries of the steady-state samples ``sampling`` selects from
+    ``n_traj`` trajectories under each law, started at that law's initial
+    state, in law order.
 
-    The run writes no mean curve, so it records only the two endpoints.
+    All laws run as one batched ensemble on ``workers`` processes (see
+    :func:`run_ensemble`) with the same master seed (common random
+    numbers), so each summary equals that law's run alone and summaries
+    differ by physics rather than by noise realization.  The run writes
+    no mean curve, so it records only the two endpoints.  Each law's
+    samples are freed once summarized.
     """
-    cfg = TrajectoryConfig(initial, total_time, _steps_for(total_time, params.dt), seed)
-    result = run_ensemble(n_traj, cfg, params, law, steady=sampling, workers=workers)
-    return summarize(result, n_bins=n_bins)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One swept operating point and its stabilization summary."""
-
-    value: float
-    theta_s: float
-    r_target: float
-    delta0: float
-    delta1: float
-    theta_p: float
-    r_p: float
-    r_e: float
-    sigma: float
-    n_lobes: int
-
-
-def sweep(
-    points,
-    params: ModelParams,
-    *,
-    n_traj: int,
-    total_time: float,
-    sampling: SteadySampling,
-    seed: int = 0,
-    n_bins: int = DEFAULT_BINS,
-    workers: int = 1,
-) -> tuple[list[SweepRow], int]:
-    """Stabilization summary at each ``(value, theta_s, law, r_target)`` point,
-    plus the renormalization count summed over the points.
-
-    Each point runs ``law`` from its target state ``(theta_s, r_target)``
-    and pools the steady-state samples ``sampling`` selects.  The same
-    master seed is reused at every point (common random numbers), so that
-    rows differ by physics rather than by noise realization.  All points
-    run as one batched ensemble on ``workers`` processes (see
-    :func:`run_ensemble`), and each row equals that point's
-    :func:`steady_state` run alone.
-    """
-    points = list(points)
-    initial = [BlochState.from_polar(theta_s, r_target) for _, theta_s, _, r_target in points]
-    cfg = TrajectoryConfig(initial, total_time, _steps_for(total_time, params.dt), seed)
-    results = run_ensemble(
-        n_traj, cfg, params, [law for _, _, law, _ in points], steady=sampling,
-        workers=workers,
-    )
-    rows, renorm_count = [], 0
-    for value, theta_s, law, r_target in points:
-        # each point's samples are freed once summarized; no summary outlives its row
-        row, count = _row(
-            value, theta_s, law, r_target, summarize(results.pop(0), n_bins=n_bins)
-        )
-        rows.append(row)
-        renorm_count += count
-    return rows, renorm_count
-
-
-def _row(value, theta_s, law, r_target, summary: EnsembleSummary) -> tuple[SweepRow, int]:
-    row = SweepRow(
-        value=value,
-        theta_s=theta_s,
-        r_target=r_target,
-        delta0=law.delta0,
-        delta1=law.delta1,
-        theta_p=summary.peak.theta_p,
-        r_p=summary.peak.r_p,
-        r_e=summary.r_mean,
-        sigma=summary.peak.sigma,
-        n_lobes=len(summary.peak.lobes),
-    )
-    return row, summary.renorm_count
+    cfg = TrajectoryConfig(tuple(initials), total_time, _steps_for(total_time, params.dt), seed)
+    results = run_ensemble(n_traj, cfg, params, list(laws), steady=sampling, workers=workers)
+    while results:
+        yield summarize(results.pop(0), n_bins=n_bins)

@@ -218,7 +218,7 @@ class SmeStepper:
         self._taum_d1 = params.tau_m * law.delta1
         # dW/sqrt(tau_m) with dW = sqrt(dt) * N(0,1)
         self._noise_amp = noise_scale * math.sqrt(params.dt / params.tau_m)
-        self.renorms = 0
+        self.point_renorms = np.zeros(1, dtype=np.int64)  # never renormalizes
         self.excursions = 0
 
     def step(self, x, y, z, n01):

@@ -126,7 +126,13 @@ def test_criterion_3_histogram_peaks():
     for theta_s = pi/10."""
     checks = []
     law, r_s = design_nonideal(THETA_TARGET, LOSSY_COARSE)
-    top = steady_state(law, BlochState.from_polar(THETA_TARGET, r_s), LOSSY_COARSE, **STEADY)
+    theta_lo = 0.1 * math.pi
+    law2, r_s2 = design_nonideal(theta_lo, LOSSY_COARSE)
+    top, bottom = steady_state(
+        [law, law2],
+        [BlochState.from_polar(THETA_TARGET, r_s), BlochState.from_polar(theta_lo, r_s2)],
+        LOSSY_COARSE, **STEADY,
+    )
     pk = top.peak
     assert top.histogram.n_samples == 100_000
     _check(checks, "top_lobes", len(pk.lobes), len(pk.lobes) == 1)
@@ -139,9 +145,6 @@ def test_criterion_3_histogram_peaks():
     _check(checks, "top_r_p", f"{pk.r_p:.3f}", abs(pk.r_p - 0.78) <= 0.05)
     _check(checks, "top_sigma", f"{pk.sigma:.3f}", abs(pk.sigma - 0.23) <= 0.05)
 
-    theta_lo = 0.1 * math.pi
-    law2, r_s2 = design_nonideal(theta_lo, LOSSY_COARSE)
-    bottom = steady_state(law2, BlochState.from_polar(theta_lo, r_s2), LOSSY_COARSE, **STEADY)
     pk2 = bottom.peak
     _check(checks, "bottom_lobes", len(pk2.lobes), len(pk2.lobes) == 2)
     _check(
@@ -163,16 +166,20 @@ def test_criterion_4_filter_delay_degradation():
     from dataclasses import replace
 
     base, r_s = design_nonideal(THETA_TARGET, LOSSY_COARSE)
-
-    def point(law):
-        return steady_state(law, BlochState.from_polar(THETA_TARGET, r_s), LOSSY_COARSE, **STEADY)
+    filter_fracs = (0.0, 0.1, 0.2)
+    grid = [round(0.1 * k, 1) for k in range(11)]
+    laws = [replace(base, Ts=round(frac * TAU_M, 6)) for frac in filter_fracs]
+    laws += [replace(base, Td=round(frac * TAU_M, 6)) for frac in grid]
+    # all 14 points run as one batch; each equals its run alone
+    summaries = list(steady_state(
+        laws, [BlochState.from_polar(THETA_TARGET, r_s)] * len(laws), LOSSY_COARSE, **STEADY
+    ))
 
     checks = []
     # filter column
     r_e_filter = {}
     peaks_filter = {}
-    for frac in (0.0, 0.1, 0.2):
-        s = point(replace(base, Ts=round(frac * TAU_M, 6)))
+    for frac, s in zip(filter_fracs, summaries):
         r_e_filter[frac] = s.r_mean
         peaks_filter[frac] = s.peak
     _check(
@@ -191,11 +198,9 @@ def test_criterion_4_filter_delay_degradation():
     )
 
     # delay column
-    grid = [round(0.1 * k, 1) for k in range(11)]
     r_e_delay = []
     peak_delay = None
-    for frac in grid:
-        s = point(replace(base, Td=round(frac * TAU_M, 6)))
+    for frac, s in zip(grid, summaries[len(filter_fracs):]):
         r_e_delay.append(s.r_mean)
         if frac == 0.2:
             peak_delay = s.peak
@@ -227,13 +232,15 @@ def test_criterion_4_filter_delay_degradation():
 def test_criterion_5_angle_sweep():
     """Angle sweep: constant mean radius 0.64 +- 0.02 away from the poles, peak
     coincides with the mean only at the equator, and purifies near poles."""
-    rows = {}
-    for k in range(1, 10):
-        theta = k * math.pi / 10.0
-        law, r_t = design_nonideal(theta, LOSSY_SWEEP)
-        rows[round(k * 0.1, 1)] = steady_state(
-            law, BlochState.from_polar(theta, r_t), LOSSY_SWEEP, **STEADY
-        )
+    thetas = [k * math.pi / 10.0 for k in range(1, 10)]
+    designs = [design_nonideal(theta, LOSSY_SWEEP) for theta in thetas]
+    # all nine angles run as one batch; each equals its run alone
+    summaries = steady_state(
+        [law for law, _ in designs],
+        [BlochState.from_polar(theta, r_t) for theta, (_, r_t) in zip(thetas, designs)],
+        LOSSY_SWEEP, **STEADY,
+    )
+    rows = {round(k * 0.1, 1): s for k, s in zip(range(1, 10), summaries)}
 
     away_from_poles = [round(k * 0.1, 1) for k in range(2, 10)]
     r_e_all = {f: rows[f].r_mean for f in rows}

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from qfb import design_ideal
+from qfb import BlochState, design_ideal, steady_state
 from qfb.cli import (
     MODES,
     ConfigError,
     RunConfig,
+    _json_ready,
     execute,
     main,
     parse_angle,
@@ -65,8 +66,9 @@ class TestParseConfig:
 
     def test_dt_above_half_tau_rejected(self, tmp_path):
         f = tmp_path / "bad.cfg"
-        f.write_text("mode=design-table\ndt=0.5\ntau_m=0.2\n")
-        with pytest.raises(ConfigError):
+        # the design table reads no dt, so a mode that runs trajectories
+        f.write_text("mode=histogram\ntheta_target=0.3pi\ndt=0.5\ntau_m=0.2\n")
+        with pytest.raises(ConfigError, match="dt = 0.5 exceeds tau_m/2"):
             parse_config(f)
 
     def test_unknown_key_named(self, tmp_path):
@@ -272,6 +274,26 @@ class TestExecute:
         assert hist > 0
         assert renorm_count("sweep", mode="sweep-filter", sweep_values="0,0") == 2 * hist
 
+    def test_sweep_row_is_the_steady_state_from_its_target(self, tmp_path):
+        cfg = parse_config(None, small_overrides(
+            tmp_path, mode="sweep-delay", sweep_values="0,0.2", total_time=3.0, n_traj=40,
+        ))
+        execute(cfg)
+        rows = json.loads((tmp_path / "peaks.json").read_text())["rows"]
+        assert len(rows) == 2
+        for row, (value, theta_s, law, r_target) in zip(rows, cfg.points()):
+            (s,) = steady_state(
+                [law], [BlochState.from_polar(theta_s, r_target)], cfg.model_params(),
+                n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
+                seed=cfg.seed, n_bins=cfg.n_bins,
+            )
+            assert row == _json_ready({
+                "value": value, "theta_s": theta_s, "r_target": r_target,
+                "delta0": law.delta0, "delta1": law.delta1,
+                "theta_p": s.peak.theta_p, "r_p": s.peak.r_p, "r_e": s.r_mean,
+                "sigma": s.peak.sigma, "n_lobes": len(s.peak.lobes),
+            })
+
     def test_sweeps_honour_burn_in_and_sample_every(self, tmp_path):
         def peaks(name, **kw):
             out = tmp_path / name
@@ -401,6 +423,33 @@ class TestMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "design.csv" in out
+
+    @pytest.mark.filterwarnings("always")
+    def test_design_table_neither_rejects_nor_warns_on_dt(self, tmp_path, capsys):
+        outputs = []
+        for dt in ([], ["--dt", "1"], ["--dt", "0.05"],
+                   ["--dt", "1", "--sample-every", "0.2"]):
+            out = tmp_path / f"dt{len(outputs)}"
+            rc = main(["--mode", "design-table", "--theta-list", "0.3pi", "--out", str(out)] + dt)
+            assert rc == 0
+            assert capsys.readouterr().err == ""
+            outputs.append((out / "design.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+
+    @pytest.mark.filterwarnings("always")
+    def test_each_warning_prints_once_without_its_source(self, tmp_path, capsys):
+        argv = ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--dt", "0.01",
+                "--total-time", "3", "--n-traj", "5", "--sweep-values", "0,0.5"]
+        # both points carry the same oversized delta1, and each run validates it
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        out, err = capsys.readouterr()
+        assert out == f"{tmp_path / 'a' / 'peaks.json'}\n{tmp_path / 'a' / 'run_meta.json'}\n"
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: delta1 = "), err
+        assert "UserWarning" not in err and ".py" not in err
+        # a second run in the same process warns again
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err == err
 
     def test_cli_error_exit(self, tmp_path, capsys):
         rc = main(["--mode", "ensemble", "--out", str(tmp_path)])
@@ -568,11 +617,11 @@ def test_a_worker_error_reraises_in_the_caller(tmp_path, capsys, monkeypatch):
 
     caller = os.getpid()
 
-    def exhausted(job, task):
+    def exhausted(*task):
         assert os.getpid() != caller  # runs in a worker
         raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
-    monkeypatch.setattr("qfb.engine._run_task", exhausted)
+    monkeypatch.setattr("qfb.engine._run_chunk", exhausted)
     out = tmp_path / "a" / "out"
     rc = main(TWO_WORKERS + ["--out", str(out)])
     assert multiprocessing.active_children() == []
@@ -587,12 +636,12 @@ def test_a_worker_that_dies_fails_the_run_by_key(tmp_path, capsys, monkeypatch):
 
     caller = os.getpid()
 
-    def dies(job, task):
+    def dies(*task):
         if os.getpid() != caller:  # never end the caller itself
             os._exit(1)
         raise AssertionError("a task ran in the caller")
 
-    monkeypatch.setattr("qfb.engine._run_task", dies)
+    monkeypatch.setattr("qfb.engine._run_chunk", dies)
     out = tmp_path / "a" / "out"
     rc = main(TWO_WORKERS + ["--out", str(out)])
     assert multiprocessing.active_children() == []
@@ -692,13 +741,26 @@ def test_largest_histogram_is_accepted(tmp_path):
     assert parse_config(None, overrides).n_bins == 1000
 
 
-def test_importing_the_cli_loads_no_scipy():
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    """Neither the import nor a one-worker run loads scipy or any process
+    machinery, which only a run with several workers pays for."""
     import subprocess
     import sys
 
-    code = "import sys, qfb.cli; print('scipy' in sys.modules)"
+    out = tmp_path / "out"
+    code = (
+        "import sys, warnings, qfb.cli\n"
+        "heavy = lambda: sorted({'scipy', 'multiprocessing', 'concurrent.futures'}"
+        " & set(sys.modules))\n"
+        "print(heavy())\n"
+        "warnings.simplefilter('ignore')\n"
+        "qfb.cli.execute(qfb.cli.parse_config(None, dict(mode='histogram', threads=1,"
+        f" theta_target='0.3pi', dt=0.01, total_time=3.0, n_traj=5, out={str(out)!r})))\n"
+        "print(heavy())\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(REPO / "src")},
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert (out / "hist.csv").is_file()

@@ -1,4 +1,4 @@
-"""Histograms, peak/lobe detection, summaries, sweeps."""
+"""Histograms, peak/lobe detection, summaries, batched steady states."""
 
 import math
 from dataclasses import replace
@@ -18,7 +18,6 @@ from qfb import (
     run_ensemble,
     steady_state,
     summarize,
-    sweep,
 )
 from qfb.stats import label_components
 from oracle import flood_fill_labels
@@ -173,53 +172,41 @@ class TestSummaryAndSweeps:
         with pytest.raises(ValueError, match="no steady-state samples"):
             summarize(run_ensemble(5, cfg, NONIDEAL_COARSE, law))
 
-    def test_sweep_row_is_the_steady_state_from_its_target(self):
-        theta = 0.3 * math.pi
-        sampling = SteadySampling(2.0, 0.2)
-        run = dict(n_traj=200, total_time=9.8, sampling=sampling, seed=3)
-        base, r_s = design_nonideal(theta, NONIDEAL_COARSE)
-        law = replace(base, Td=0.04)
-        (row,), renorm_count = sweep([(0.04, theta, law, r_s)], NONIDEAL_COARSE, **run)
-        s = steady_state(law, BlochState.from_polar(theta, r_s), NONIDEAL_COARSE, **run)
-        assert (row.value, row.theta_s, row.r_target, row.delta0, row.delta1) == (
-            0.04, theta, r_s, law.delta0, law.delta1,
-        )
-        assert (row.theta_p, row.r_p, row.r_e, row.sigma, row.n_lobes) == (
-            s.peak.theta_p, s.peak.r_p, s.r_mean, s.peak.sigma, len(s.peak.lobes),
-        )
-        assert renorm_count == s.renorm_count
-
     def test_sweep_chain_common_seed_and_values(self):
         theta = 0.3 * math.pi
         base, r_s = design_nonideal(theta, NONIDEAL_COARSE)
-        points = [(td, theta, replace(base, Td=td), r_s) for td in (0.0, 0.04)]
-        rows, _ = sweep(
-            points,
+        laws = [replace(base, Td=td) for td in (0.0, 0.04, 0.0)]
+        none, delayed, again = steady_state(
+            laws,
+            [BlochState.from_polar(theta, r_s)] * 3,
             NONIDEAL_COARSE,
             n_traj=300,
             total_time=9.8,
             sampling=SteadySampling(2.0, 0.2),
             seed=3,
         )
-        assert [r.value for r in rows] == [0.0, 0.04]
-        assert rows[0].delta0 == rows[1].delta0  # same designed law
-        assert rows[1].r_e < rows[0].r_e  # delay degrades the mean radius
+        # every law draws the same noise: equal laws give equal summaries
+        assert np.array_equal(none.histogram.counts, again.histogram.counts)
+        assert (none.peak, none.r_mean) == (again.peak, again.r_mean)
+        assert delayed.r_mean < none.r_mean  # delay degrades the mean radius
 
     def test_sweep_sums_the_renormalizations_of_its_points(self):
         # pure states sit on the sphere, where the step renormalizes often
         ideal = ModelParams(tau_m=0.2, dt=0.01, T1=math.inf, T2=math.inf, eta=1.0)
         theta = 0.3 * math.pi
         law = design_ideal(theta, ideal.tau_m)
+        start = BlochState.from_polar(theta, 1.0)
         run = dict(n_traj=50, total_time=3.0, sampling=SteadySampling(2.0, 0.2), seed=3)
-        (_, _), total = sweep([(0.0, theta, law, 1.0)] * 2, ideal, **run)
-        s = steady_state(law, BlochState.from_polar(theta, 1.0), ideal, **run)
-        assert s.renorm_count > 0
-        assert total == 2 * s.renorm_count
+        (alone,) = steady_state([law], [start], ideal, **run)
+        first, second = steady_state([law] * 2, [start] * 2, ideal, **run)
+        assert alone.renorm_count > 0
+        assert first.renorm_count == second.renorm_count == alone.renorm_count
 
     @pytest.mark.parametrize("block_steps", [512, 64])  # one noise block; several
     def test_batched_sweep_equals_each_point_alone(self, monkeypatch, block_steps):
-        """One batched run gives every point's steady_state row, bit for bit,
-        across several chunks, with filters, unequal delays and angles mixed."""
+        """One batched run gives every law the summary it gets alone, bit for
+        bit, across several chunks, with filters, unequal delays and angles
+        mixed."""
         import qfb.engine as eng
 
         monkeypatch.setattr(eng, "CHUNK_SIZE", 16)  # 40 trajectories: three chunks
@@ -227,30 +214,25 @@ class TestSummaryAndSweeps:
         # pure states sit on the sphere, where the step renormalizes often
         ideal = ModelParams(tau_m=0.2, dt=0.01, T1=math.inf, T2=math.inf, eta=1.0)
         run = dict(n_traj=40, total_time=3.0, sampling=SteadySampling(1.0, 0.2), seed=5)
-        points = []
-        for value, theta, ts, td in [
-            (0.0, 0.3, 0.0, 0.0),
-            (0.02, 0.3, 0.02, 0.0),
-            (0.03, 0.3, 0.0, 0.03),
-            (0.07, 0.2, 0.02, 0.07),
-            (0.0, 0.45, 0.0, 0.0),
+        laws, starts = [], []
+        for theta, ts, td in [
+            (0.3, 0.0, 0.0),
+            (0.3, 0.02, 0.0),
+            (0.3, 0.0, 0.03),
+            (0.2, 0.02, 0.07),
+            (0.45, 0.0, 0.0),
         ]:
-            law = replace(design_ideal(theta * math.pi, ideal.tau_m), Ts=ts, Td=td)
-            points.append((value, theta * math.pi, law, 1.0))
-        rows, renorm_count = sweep(points, ideal, **run)
-        counts = []
-        for row, (value, theta, law, r_target) in zip(rows, points):
-            s = steady_state(law, BlochState.from_polar(theta, r_target), ideal, **run)
-            assert (row.value, row.theta_s, row.r_target, row.delta0, row.delta1) == (
-                value, theta, r_target, law.delta0, law.delta1,
+            laws.append(replace(design_ideal(theta * math.pi, ideal.tau_m), Ts=ts, Td=td))
+            starts.append(BlochState.from_polar(theta * math.pi, 1.0))
+        batched = list(steady_state(laws, starts, ideal, **run))
+        assert len(batched) == len(laws)
+        for s, law, start in zip(batched, laws, starts):
+            (alone,) = steady_state([law], [start], ideal, **run)
+            assert np.array_equal(s.histogram.counts, alone.histogram.counts)
+            assert (s.peak, s.r_mean, s.renorm_count) == (
+                alone.peak, alone.r_mean, alone.renorm_count,
             )
-            assert (row.theta_p, row.r_p, row.r_e, row.sigma, row.n_lobes) == (
-                s.peak.theta_p, s.peak.r_p, s.r_mean, s.peak.sigma, len(s.peak.lobes),
-            )
-            counts.append(s.renorm_count)
-        assert len(rows) == len(points)
-        assert len(set(counts)) > 1  # the points renormalize differently
-        assert renorm_count == sum(counts)
+        assert len({s.renorm_count for s in batched}) > 1  # the laws renormalize differently
 
     def test_angular_drift_toward_pole_at_full_chain_lag(self):
         """Filter or delay at tau_m shifts the mean angle ~pi/10 pole-ward."""
