@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import ModelParams
 
-__all__ = ["FeedbackLaw", "FeedbackChain", "as_laws", "validate_law"]
+__all__ = ["FeedbackLaw", "FeedbackChain", "validate_law"]
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,13 @@ def validate_law(law: FeedbackLaw, params: ModelParams) -> None:
         )
 
 
-def as_laws(law: FeedbackLaw | Sequence[FeedbackLaw]) -> tuple[FeedbackLaw, ...]:
-    """One law as a one-point tuple; a sequence of laws (one per point) as a tuple."""
-    return (law,) if isinstance(law, FeedbackLaw) else tuple(law)
-
-
 class FeedbackChain:
     """Filter accumulators plus one delay ring for a batch of trajectories.
 
-    ``law`` is one law or a sequence of P laws (operating points).  The
-    chain carries ``P * batch`` rows in point-major order: rows
-    ``p * batch`` to ``(p + 1) * batch - 1`` follow law ``p``, so a single
-    law covers the whole batch.  The rows advance in lockstep and must be
-    pushed sequentially.
+    ``laws`` holds P >= 1 laws (operating points).  The chain carries
+    ``P * batch`` rows in point-major order: rows ``p * batch`` to
+    ``(p + 1) * batch - 1`` follow law ``p``.  The rows advance in lockstep
+    and must be pushed sequentially.
 
     The filter accumulator starts at 0 (the unconditioned mean readout
     for an unbiased initial state).  The delay is one ring as deep as the
@@ -93,13 +87,7 @@ class FeedbackChain:
     a row with delay d outputs 0 until d values have been pushed.
     """
 
-    def __init__(
-        self,
-        law: FeedbackLaw | Sequence[FeedbackLaw],
-        params: ModelParams,
-        batch: int,
-    ) -> None:
-        laws = as_laws(law)
+    def __init__(self, laws: Sequence[FeedbackLaw], params: ModelParams, batch: int) -> None:
         alpha = np.array([l.filter_alpha(params.dt) for l in laws])
         self.alpha = alpha[:, None]
         # points whose rows pass through the filter / the delay unchanged

@@ -19,10 +19,11 @@ sweep-delay   degradation vs feedback delay      -> peaks.json
 
 Every mode designs through :meth:`RunConfig.design`: ideal parameters use
 the ideal design, anything else the lossy design at maximum radius.
-:meth:`RunConfig.points` builds the design table's and the sweeps' laws;
-a chain sweep keeps the configured ``ts``/``td`` it does not sweep.
-Histogram mode and the sweeps run :func:`qfb.stats.steady_state`, with one
-law or one per point; the design table runs nothing and reads no ``dt``.
+:meth:`RunConfig.points` builds every mode's laws as one list of operating
+points (ensemble and histogram mode have one); a chain sweep keeps the
+configured ``ts``/``td`` it does not sweep.  Histogram mode and the sweeps
+run :func:`qfb.stats.steady_state` on those laws; the design table runs
+nothing and reads no ``dt``.
 
 Every mode also writes run_meta.json: the package version, the summed
 renormalization count and the config keys the mode reads (``_READS``).
@@ -74,10 +75,6 @@ _ANGLE_MODES = ("design-table", "sweep-angle")
 
 #: The sweep modes and the row value each one sweeps.
 _SWEEP_AXIS = {"sweep-angle": "theta_s", "sweep-filter": "Ts", "sweep-delay": "Td"}
-
-#: Modes that design their own laws, one per operating point.
-_POINT_MODES = (*_ANGLE_MODES, *_SWEEP_AXIS)
-
 
 #: Largest histogram resolution: n_bins^2 int64 counters, 8 MB.
 MAX_BINS = 1000
@@ -149,7 +146,7 @@ class RunConfig:
                 allowed = "finite or inf" if inf_ok else "finite"
                 raise ConfigError(f"{key}: must be {allowed}, got {value}")
         explicit = self.delta0 is not None or self.delta1 is not None
-        if explicit and self.mode in _POINT_MODES:
+        if explicit and "delta0" not in _READS[self.mode]:
             raise ConfigError(
                 f"delta0/delta1: mode {self.mode} designs its own constants; "
                 "explicit values would be ignored"
@@ -225,7 +222,7 @@ class RunConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                (self.points if self.mode in _POINT_MODES else self.feedback_law)()
+                self.points()
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
 
@@ -240,22 +237,20 @@ class RunConfig:
             return design_ideal(theta, self.tau_m, Ts=self.ts, Td=self.td), 1.0
         return design_nonideal(theta, self.model_params(), Ts=self.ts, Td=self.td)
 
-    def feedback_law(self) -> tuple[FeedbackLaw, float | None]:
-        """Resolved law plus the designed target radius (None when explicit)."""
-        if self.delta0 is not None:
-            return FeedbackLaw(self.delta0, self.delta1, Ts=self.ts, Td=self.td), None
-        return self.design(self.theta_target)
-
-    def points(self) -> list[tuple[float, float, FeedbackLaw, float]]:
+    def points(self) -> list[tuple[float | None, float | None, FeedbackLaw, float | None]]:
         """The mode's ``(value, theta_s, law, r_target)`` operating points: one
         per ``theta_list`` angle (value = theta_s) for the design table and
         the angle sweep; for the chain sweeps, the law designed at
         ``theta_target`` with its swept ``Ts``/``Td`` set to each
-        ``sweep_values`` entry (value, in us).  Other modes have none."""
+        ``sweep_values`` entry (value, in us).  Ensemble and histogram mode
+        have the one point ``(None, theta_target, law, r_target)``, or
+        ``(None, None, law, None)`` for explicit ``delta0``/``delta1``."""
         if self.mode in _ANGLE_MODES:
             return [(theta, theta, *self.design(theta)) for theta in _theta_list(self)]
+        if self.delta0 is not None:
+            return [(None, None, FeedbackLaw(self.delta0, self.delta1, self.ts, self.td), None)]
         if self.mode not in _SWEEP_AXIS:
-            return []
+            return [(None, self.theta_target, *self.design(self.theta_target))]
         axis = _SWEEP_AXIS[self.mode]
         base, r_target = self.design(self.theta_target)
         return [
@@ -451,6 +446,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
     """Write the outputs of ``cfg.mode``, appending each path as it is written."""
     params = cfg.model_params()
     points = cfg.points()
+    laws = [law for _, _, law, _ in points]
     reads = _READS[cfg.mode]
     meta: dict = {
         "config": {
@@ -475,9 +471,9 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         written.append(path)
 
     if cfg.mode == "ensemble":
-        law, r_target = cfg.feedback_law()
-        traj = TrajectoryConfig(cfg.initial_state(), cfg.total_time, cfg.record_stride, cfg.seed)
-        result = run_ensemble(cfg.n_traj, traj, params, law, workers=cfg.threads)
+        [(_, _, law, r_target)] = points
+        traj = TrajectoryConfig((cfg.initial_state(),), cfg.total_time, cfg.record_stride, cfg.seed)
+        (result,) = run_ensemble(cfg.n_traj, traj, params, laws, workers=cfg.threads)
         path = out_dir / "mean.csv"
         _write_csv(
             path, ["t", "x", "y", "z"],
@@ -488,8 +484,8 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         meta["law"] = {**asdict(law), "r_target": r_target}
 
     elif cfg.mode == "histogram":
-        law, r_target = cfg.feedback_law()
-        (summary,) = steady_state([law], [cfg.initial_state()], params, **steady)
+        [(_, _, law, r_target)] = points
+        (summary,) = steady_state(laws, [cfg.initial_state()], params, **steady)
         grid = summary.histogram
         centers = grid.centers
         path = out_dir / "hist.csv"
@@ -511,8 +507,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
     elif cfg.mode in _SWEEP_AXIS:
         # each point runs its law from its target state
         summaries = steady_state(
-            [law for _, _, law, _ in points],
-            [BlochState.from_polar(theta_s, r_target) for _, theta_s, _, r_target in points],
+            laws, [BlochState.from_polar(theta_s, r_target) for _, theta_s, _, r_target in points],
             params, **steady,
         )
         rows = []
@@ -568,7 +563,10 @@ def main(argv=None) -> int:
         except WorkerError as exc:
             print(f"error: threads: {exc}", file=sys.stderr)
             return 1
-        except (ValueError, OSError, MemoryError) as exc:
+        except MemoryError as exc:  # a failed allocation may carry no text
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+            return 1
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     for path in written:

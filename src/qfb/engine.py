@@ -22,11 +22,12 @@ constructing one per trajectory.  Longer runs keep one Generator per
 trajectory, because each stream carries its position from block to
 block.  Both paths draw the same numbers.
 
-A run may take P feedback laws (operating points) at once.  Each row of
-the batch is then a (point, trajectory) pair, point-major; trajectory i
-draws its noise once from stream (seed, i) and every point reuses it
-(common random numbers), so each point gets the bits it would get if run
-alone, with P times fewer streams, noise fills and step calls.
+A run takes a sequence of P >= 1 feedback laws (operating points), each
+started from its own initial state.  Each row of the batch is a (point,
+trajectory) pair, point-major; trajectory i draws its noise once from
+stream (seed, i) and every point reuses it (common random numbers), so
+each point gets the bits it would get if run alone, with P times fewer
+streams, noise fills and step calls.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .chain import FeedbackChain, FeedbackLaw, as_laws, validate_law
+from .chain import FeedbackChain, FeedbackLaw, validate_law
 from .model import (
     BlochState,
     ModelParams,
@@ -103,34 +104,23 @@ def _steps_for(total_time: float, dt: float) -> int:
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """What to simulate: initial state, duration, recording grid, master seed.
+    """What to simulate: initial states, duration, recording grid, master seed.
 
-    ``initial`` is one state, or one state per law of a multi-point run.
+    ``initial`` holds one state per law of the run.
     """
 
-    initial: BlochState | Sequence[BlochState]
+    initial: Sequence[BlochState]
     total_time: float
     record_stride: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        single = isinstance(self.initial, BlochState)
-        for state in (self.initial,) if single else self.initial:
+        for state in self.initial:
             state.require_physical()
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    def initial_states(self, n_points: int) -> tuple[BlochState, ...]:
-        """The initial state of each of ``n_points`` points; a single state
-        serves them all."""
-        if isinstance(self.initial, BlochState):
-            return (self.initial,) * n_points
-        states = tuple(self.initial)
-        if len(states) != n_points:
-            raise ValueError(f"{len(states)} initial states for {n_points} laws")
-        return states
 
     def n_steps(self, params: ModelParams) -> int:
         n = _steps_for(self.total_time, params.dt)
@@ -190,16 +180,13 @@ class EnsembleResult:
 class BayesStepper:
     """Vectorized one-step update: readout, feedback chain, conditioned evolution.
 
-    ``law`` is one law or P laws; the state holds ``P * batch`` rows,
-    point-major (see :class:`FeedbackChain`), and each step's noise holds
-    one value per trajectory, shared by its P rows.  Owns the feedback
-    chain state and counts sphere renormalizations per point.
+    For P ``laws`` the state holds ``P * batch`` rows, point-major (see
+    :class:`FeedbackChain`), and each step's noise holds one value per
+    trajectory, shared by its P rows.  Owns the feedback chain state and
+    counts sphere renormalizations per point.
     """
 
-    def __init__(
-        self, params: ModelParams, law: FeedbackLaw | Sequence[FeedbackLaw], batch: int
-    ) -> None:
-        laws = as_laws(law)
+    def __init__(self, params: ModelParams, laws: Sequence[FeedbackLaw], batch: int) -> None:
         self.chain = FeedbackChain(laws, params, batch)
         self._shape = (len(laws), batch)
         self._sigma = params.readout_sigma
@@ -247,14 +234,16 @@ def _shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
+# an overflowing law goes non-finite, and run_ensemble refuses its result
+@np.errstate(over="ignore", invalid="ignore")
 def _run_chunk(
     lo: int,
     hi: int,
     cfg: TrajectoryConfig,
     params: ModelParams,
     stepper_factory,
-    laws: tuple[FeedbackLaw, ...],
-    initials: tuple[BlochState, ...],
+    laws: Sequence[FeedbackLaw],
+    initials: Sequence[BlochState],
     rec_steps: np.ndarray,
     steady_steps: np.ndarray | None,
     rec_sums: np.ndarray,
@@ -351,13 +340,14 @@ def run_ensemble(
     n_traj: int,
     cfg: TrajectoryConfig,
     params: ModelParams,
-    law: FeedbackLaw | Sequence[FeedbackLaw],
+    laws: Sequence[FeedbackLaw],
     *,
     steady: SteadySampling | None = None,
     stepper_factory=None,
     workers: int = 1,
-) -> EnsembleResult | list[EnsembleResult]:
-    """Simulate ``n_traj`` trajectories and reduce them on the fly.
+) -> list[EnsembleResult]:
+    """Simulate ``n_traj`` trajectories under each of ``laws`` and reduce them
+    on the fly; returns one result per law.
 
     Trajectory i draws from the stream keyed (cfg.seed, i).  ``steady``
     enables pooled steady-state (y, z) sampling for histograms.
@@ -367,9 +357,10 @@ def run_ensemble(
     with one noise value per trajectory, and counts its renormalizations
     per point in ``point_renorms``.
 
-    A sequence of laws runs as that many points in one batch and returns
-    one result per law, each bit-identical to running that law alone;
-    ``cfg.initial`` then gives one state per law, or one for all.
+    The laws run as that many points in one batch, law p started from
+    ``cfg.initial[p]``, and each result is bit-identical to running that
+    law alone.  A law whose state goes non-finite raises ValueError; a
+    non-finite state never recovers, so only the last record is checked.
 
     ``workers`` is the number of processes that run the tasks.  With C
     chunks, P points and N workers, each chunk's points split into
@@ -378,14 +369,14 @@ def run_ensemble(
     ``workers = 1`` starts no process.  Every result bit is the same for
     any ``workers``; a worker that dies raises :class:`WorkerError`.
     """
+    if not len(cfg.initial) == len(laws) >= 1:
+        raise ValueError(f"{len(cfg.initial)} initial states for {len(laws)} laws")
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    laws = as_laws(law)
-    for one in laws:
-        validate_law(one, params)
-    initials = cfg.initial_states(len(laws))
+    for law in laws:
+        validate_law(law, params)
     n_steps = cfg.n_steps(params)
     rec_steps = np.arange(0, n_steps + 1, cfg.record_stride)
     steady_steps = None if steady is None else steady.step_indices(n_steps, params.dt)
@@ -408,7 +399,7 @@ def run_ensemble(
     # own slots of the buffers
     tasks = [
         partial(
-            _run_chunk, lo, hi, cfg, params, stepper_factory, laws[g], initials[g],
+            _run_chunk, lo, hi, cfg, params, stepper_factory, laws[g], cfg.initial[g],
             rec_steps, steady_steps, chunk_sums[c, g], chunk_renorms[c, g],
             None if steady_out is None else steady_out[g],
         )
@@ -421,8 +412,11 @@ def run_ensemble(
     rec_sums = np.zeros((n_points, len(rec_steps), 3))
     for sums in chunk_sums:
         rec_sums += sums
+    for law, sums in zip(laws, rec_sums):
+        if not np.isfinite(sums[-1]).all():
+            raise ValueError(f"delta0/delta1: the state went non-finite under {law}")
     renorms = chunk_renorms.sum(axis=0)
-    results = [
+    return [
         EnsembleResult(
             times=rec_steps * params.dt,
             mean_xyz=rec_sums[p] / n_traj,
@@ -431,4 +425,3 @@ def run_ensemble(
         )
         for p in range(n_points)
     ]
-    return results[0] if isinstance(law, FeedbackLaw) else results

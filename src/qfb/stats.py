@@ -266,6 +266,6 @@ def steady_state(
     samples are freed once summarized.
     """
     cfg = TrajectoryConfig(tuple(initials), total_time, _steps_for(total_time, params.dt), seed)
-    results = run_ensemble(n_traj, cfg, params, list(laws), steady=sampling, workers=workers)
+    results = run_ensemble(n_traj, cfg, params, laws, steady=sampling, workers=workers)
     while results:
         yield summarize(results.pop(0), n_bins=n_bins)

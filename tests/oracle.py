@@ -264,7 +264,7 @@ def run_sme_ensemble(
         steppers.append(SmeStepper(params, law, batch, noise_scale))
         return steppers[-1]
 
-    result = run_ensemble(n_traj, cfg, params, law, steady=steady, stepper_factory=factory)
+    (result,) = run_ensemble(n_traj, cfg, params, [law], steady=steady, stepper_factory=factory)
     return SmeEnsemble(**vars(result), excursion_count=sum(s.excursions for s in steppers))
 
 
@@ -279,7 +279,7 @@ def integrate_sme_trajectory(
 ) -> Curve:
     """One diffusive trajectory (Euler-Maruyama), cross-validating the engine."""
     cfg = TrajectoryConfig(
-        initial=initial, total_time=total_time, record_stride=record_stride, seed=seed
+        initial=(initial,), total_time=total_time, record_stride=record_stride, seed=seed
     )
     result = run_sme_ensemble(1, cfg, params, law, noise_scale=noise_scale)
     return Curve(result.times, result.mean_xyz, result.excursion_count)

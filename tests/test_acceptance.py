@@ -58,11 +58,11 @@ def test_criterion_1_ideal_stabilization():
     t0 = time.time()
     law = design_ideal(THETA_TARGET, TAU_M)
     cfg = TrajectoryConfig(
-        BlochState.from_polar(THETA_INIT), 2.0, record_stride=40, seed=SEED
+        (BlochState.from_polar(THETA_INIT),), 2.0, record_stride=40, seed=SEED
     )
-    res = run_ensemble(10_000, cfg, IDEAL_FINE, law)
+    (res,) = run_ensemble(10_000, cfg, IDEAL_FINE, [law])
     ode = integrate_mean_ode(
-        cfg.initial, law, IDEAL_FINE, 2.0, IDEAL_FINE.dt / 10.0, record_stride=400
+        cfg.initial[0], law, IDEAL_FINE, 2.0, IDEAL_FINE.dt / 10.0, record_stride=400
     )
     elapsed = time.time() - t0
 
@@ -87,9 +87,9 @@ def test_criterion_2_nonideal_stabilization():
     radius formula gives 0.64 +- 0.005."""
     law, r_s = design_nonideal(THETA_TARGET, LOSSY_FINE)
     cfg = TrajectoryConfig(
-        BlochState.from_polar(THETA_INIT), 2.0, record_stride=40, seed=SEED
+        (BlochState.from_polar(THETA_INIT),), 2.0, record_stride=40, seed=SEED
     )
-    res = run_ensemble(10_000, cfg, LOSSY_FINE, law)
+    (res,) = run_ensemble(10_000, cfg, LOSSY_FINE, [law])
     late = res.times >= 1.5
     mean_y = res.mean_xyz[late, 1].mean()
     mean_z = res.mean_xyz[late, 2].mean()
@@ -334,7 +334,7 @@ def test_criterion_6_property_suites():
 
     p = ModelParams(tau_m=TAU_M, dt=0.005)
     law_f = FeedbackLaw(0.0, 0.0, Ts=0.04)
-    chain = FeedbackChain(law_f, p, batch=1)
+    chain = FeedbackChain([law_f], p, batch=1)
     out = 0.0
     for _ in range(4000):
         out = chain.filter_push(0.77)
@@ -343,7 +343,7 @@ def test_criterion_6_property_suites():
     v = rng.normal(size=200)
 
     def run_filter(seq):
-        c = FeedbackChain(law_f, p, batch=1)
+        c = FeedbackChain([law_f], p, batch=1)
         return np.array([c.filter_push(r).item() for r in seq])
 
     assert np.max(
@@ -351,7 +351,7 @@ def test_criterion_6_property_suites():
     ) < 1e-12
 
     # (f) delay shift-equality
-    chain_d = FeedbackChain(FeedbackLaw(0.0, 0.0, Td=40 * p.dt), p, batch=1)
+    chain_d = FeedbackChain([FeedbackLaw(0.0, 0.0, Td=40 * p.dt)], p, batch=1)
     seq = rng.normal(size=300)
     outs = np.array([chain_d.delay_pop_push(r).item() for r in seq])
     assert np.array_equal(outs[40:], seq[:-40]) and np.all(outs[:40] == 0.0)
@@ -379,10 +379,10 @@ def test_criterion_7_cross_model_check():
     params = ModelParams(tau_m=TAU_M, dt=TAU_M / 400.0)
     law = design_ideal(THETA_TARGET, TAU_M)
     cfg = TrajectoryConfig(
-        BlochState.from_polar(THETA_INIT), 9.8, record_stride=400, seed=SEED
+        (BlochState.from_polar(THETA_INIT),), 9.8, record_stride=400, seed=SEED
     )
     sampling = SteadySampling(burn_in=2.0, stride=TAU_M)
-    bayes = run_ensemble(1280, cfg, params, law, steady=sampling)
+    (bayes,) = run_ensemble(1280, cfg, params, [law], steady=sampling)
     sme = run_sme_ensemble(1280, cfg, params, law, steady=sampling)
 
     mb = bayes.steady_yz.mean(axis=0)

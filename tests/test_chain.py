@@ -44,19 +44,19 @@ class TestFeedbackLaw:
 
 class TestFilter:
     def test_passthrough_when_ts_zero(self):
-        chain = FeedbackChain(law(Ts=0.0), P, batch=1)
+        chain = FeedbackChain([law(Ts=0.0)], P, batch=1)
         for r in (0.3, -2.0, 11.0):
             assert chain.filter_push(r) == r
 
     def test_half_step_convergence(self):
         # dt = Ts ln2 -> one push from 0 toward 1 lands exactly at 0.5
         ts = P.dt / math.log(2.0)
-        chain = FeedbackChain(law(Ts=ts), P, batch=1)
+        chain = FeedbackChain([law(Ts=ts)], P, batch=1)
         assert chain.filter_push(1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_geometric_convergence_and_sum_oracle(self):
         ts = 0.05
-        chain = FeedbackChain(law(Ts=ts), P, batch=1)
+        chain = FeedbackChain([law(Ts=ts)], P, batch=1)
         c = 0.8
         alpha = 1.0 - math.exp(-P.dt / ts)
         decay = math.exp(-P.dt / ts)
@@ -74,7 +74,7 @@ class TestFilter:
 
     def test_dc_gain_is_one(self):
         for ts in (0.0, 0.02, 0.2):
-            chain = FeedbackChain(law(Ts=ts), P, batch=1)
+            chain = FeedbackChain([law(Ts=ts)], P, batch=1)
             out = 0.0
             for _ in range(5000):
                 out = chain.filter_push(1.7)
@@ -87,7 +87,7 @@ class TestFilter:
         a, b = 1.3, -0.7
 
         def run(seq):
-            chain = FeedbackChain(law(Ts=0.04), P, batch=1)
+            chain = FeedbackChain([law(Ts=0.04)], P, batch=1)
             return np.array([chain.filter_push(r).item() for r in seq])
 
         lhs = run(a * u + b * v)
@@ -97,11 +97,11 @@ class TestFilter:
 
 class TestDelay:
     def test_zero_delay_passthrough(self):
-        chain = FeedbackChain(law(Td=0.0), P, batch=1)
+        chain = FeedbackChain([law(Td=0.0)], P, batch=1)
         assert chain.delay_pop_push(0.42) == 0.42
 
     def test_buffer_fill_semantics(self):
-        chain = FeedbackChain(law(Td=3 * P.dt), P, batch=1)
+        chain = FeedbackChain([law(Td=3 * P.dt)], P, batch=1)
         outs = [chain.delay_pop_push(v).item() for v in (1.0, 2.0, 3.0, 4.0)]
         assert outs == [0.0, 0.0, 0.0, 1.0]
 
@@ -109,7 +109,7 @@ class TestDelay:
         # n_d = 40 at dt = 0.005, Td = 0.2
         rng = np.random.default_rng(11)
         seq = rng.normal(size=500)
-        chain = FeedbackChain(law(Td=0.2), P, batch=1)
+        chain = FeedbackChain([law(Td=0.2)], P, batch=1)
         outs = np.array([chain.delay_pop_push(v).item() for v in seq])
         assert np.array_equal(outs[40:], seq[:-40])
         assert np.all(outs[:40] == 0.0)
@@ -117,8 +117,8 @@ class TestDelay:
     def test_batch_mode_matches_scalar(self):
         rng = np.random.default_rng(4)
         seq = rng.normal(size=(100, 3))
-        batch = FeedbackChain(law(Ts=0.03, Td=5 * P.dt), P, batch=3)
-        scalars = [FeedbackChain(law(Ts=0.03, Td=5 * P.dt), P, batch=1) for _ in range(3)]
+        batch = FeedbackChain([law(Ts=0.03, Td=5 * P.dt)], P, batch=3)
+        scalars = [FeedbackChain([law(Ts=0.03, Td=5 * P.dt)], P, batch=1) for _ in range(3)]
         for row in seq:
             got = batch.push(row)
             want = [c.push(r).item() for c, r in zip(scalars, row)]
@@ -127,7 +127,7 @@ class TestDelay:
 
 class TestChainComposition:
     def test_markovian_chain_is_identity(self):
-        chain = FeedbackChain(law(Ts=0.0, Td=0.0), P, batch=1)
+        chain = FeedbackChain([law(Ts=0.0, Td=0.0)], P, batch=1)
         rng = np.random.default_rng(8)
         for r in rng.normal(size=100):
             assert chain.push(r) == r
@@ -136,8 +136,8 @@ class TestChainComposition:
         # output is the *filtered* value from n_d steps ago
         ts = 0.05
         n_d = 4
-        chain = FeedbackChain(law(Ts=ts, Td=n_d * P.dt), P, batch=1)
-        ref = FeedbackChain(law(Ts=ts, Td=0.0), P, batch=1)
+        chain = FeedbackChain([law(Ts=ts, Td=n_d * P.dt)], P, batch=1)
+        ref = FeedbackChain([law(Ts=ts, Td=0.0)], P, batch=1)
         seq = np.linspace(-1, 1, 50)
         outs = [chain.push(r).item() for r in seq]
         filt = [ref.push(r).item() for r in seq]
@@ -172,7 +172,7 @@ class TestPerPointLaws:
         rng = np.random.default_rng(5)
         batch = 3
         chain = FeedbackChain(self.LAWS, P, batch=batch)
-        alone = [FeedbackChain(l, P, batch=batch) for l in self.LAWS]
+        alone = [FeedbackChain([l], P, batch=batch) for l in self.LAWS]
         for row in rng.normal(size=(60, len(self.LAWS) * batch)):
             got = chain.push(row).reshape(len(self.LAWS), batch)
             for p, c in enumerate(alone):

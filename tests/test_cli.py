@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qfb import BlochState, design_ideal, steady_state
+from qfb import BlochState, FeedbackLaw, design_ideal, steady_state
 from qfb.cli import (
     MODES,
     ConfigError,
@@ -94,7 +94,7 @@ class TestParseConfig:
 
     def test_explicit_law_accepted(self):
         cfg = parse_config(None, {"mode": "ensemble", "delta0": -1.0, "delta1": 4.0})
-        law, r_target = cfg.feedback_law()
+        [(_, _, law, r_target)] = cfg.points()
         assert (law.delta0, law.delta1) == (-1.0, 4.0)
         assert r_target is None
 
@@ -103,7 +103,7 @@ class TestParseConfig:
         f.write_text("mode=ensemble\ntheta_target=0.3pi\nt1=inf\nt2=inf\neta=1.0\n")
         cfg = parse_config(f)
         assert math.isinf(cfg.t1) and math.isinf(cfg.t2)
-        law, r_target = cfg.feedback_law()
+        [(_, _, law, r_target)] = cfg.points()
         assert r_target == 1.0
         assert law.delta1 == pytest.approx(4.0450849718747371, rel=1e-12)
 
@@ -143,6 +143,16 @@ class TestPoints:
         for value, theta, law, r_target in points:
             assert value == theta
             assert (law, r_target) == (design_ideal(theta, cfg.tau_m), 1.0)
+
+    @pytest.mark.parametrize("mode", ["ensemble", "histogram"])
+    def test_a_one_law_mode_has_one_point(self, mode):
+        cfg = parse_config(None, small_overrides("out", mode=mode, total_time=3.0))
+        assert cfg.points() == [(None, cfg.theta_target, *cfg.design(cfg.theta_target))]
+        explicit = parse_config(None, small_overrides(
+            "out", mode=mode, theta_target="none", delta0=-1.0, delta1=4.0, ts=0.02,
+            total_time=3.0,
+        ))
+        assert explicit.points() == [(None, None, FeedbackLaw(-1.0, 4.0, Ts=0.02), None)]
 
     def test_design_table_points_are_its_rows(self, tmp_path):
         cfg = parse_config(None, small_overrides(
@@ -587,6 +597,38 @@ def test_out_of_memory_is_reported_without_a_traceback(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert rc == 1
     assert err == "error: Unable to allocate 74.5 GiB for an array\n"
+    assert not (tmp_path / "a").exists()
+
+
+def test_out_of_memory_without_a_message_is_named(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qfb.cli.steady_state", exhausted)
+    out = tmp_path / "a" / "out"
+    argv = ["--mode", "histogram", "--theta-target", "0.3pi", "--dt", "0.01",
+            "--total-time", "3", "--n-traj", "5", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "ensemble", "--delta1", "1e307", "--total-time", "0.1", "--dt", "0.0005",
+     "--record-stride", "20"],
+    ["--mode", "ensemble", "--delta1", "1e307", "--total-time", "0.1", "--dt", "0.0005",
+     "--record-stride", "20", "--threads", "2"],
+    ["--mode", "histogram", "--delta1", "1e308", "--total-time", "3", "--dt", "0.01"],
+])
+def test_a_state_gone_non_finite_fails_by_key(argv, tmp_path, capsys):
+    out = tmp_path / "a" / "out"
+    rc = main(argv + ["--delta0", "0", "--n-traj", "5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    # the oversized delta1 also draws its warning line
+    errors = [line for line in err.splitlines() if not line.startswith("warning: delta1 = ")]
+    assert len(errors) == 1 and errors[0].startswith("error: delta0/delta1: "), err
+    assert "Traceback" not in err
     assert not (tmp_path / "a").exists()
 
 

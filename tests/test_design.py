@@ -299,7 +299,7 @@ class TestSmeModel:
         p = ModelParams(tau_m=0.2, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
         law, r_s = design_nonideal(0.3 * math.pi, p)
         init = BlochState.from_polar(0.1 * math.pi)
-        cfg = TrajectoryConfig(initial=init, total_time=2.0, record_stride=100, seed=17)
+        cfg = TrajectoryConfig(initial=(init,), total_time=2.0, record_stride=100, seed=17)
         res = run_sme_ensemble(4000, cfg, p, law)
         ode = integrate_mean_ode(init, law, p, 2.0, p.dt / 10.0, record_stride=1000)
         assert np.abs(res.mean_xyz - ode.xyz).max() < 0.03

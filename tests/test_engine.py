@@ -25,7 +25,7 @@ IDEAL = ModelParams(tau_m=0.2, dt=0.0005)
 def ideal_setup(seed=7, total_time=2.0, stride=40):
     law = design_ideal(0.3 * math.pi, 0.2)
     cfg = TrajectoryConfig(
-        initial=BlochState.from_polar(0.1 * math.pi),
+        initial=(BlochState.from_polar(0.1 * math.pi),),
         total_time=total_time,
         record_stride=stride,
         seed=seed,
@@ -36,27 +36,28 @@ def ideal_setup(seed=7, total_time=2.0, stride=40):
 def final_states(n_traj, cfg, params, law):
     """(y, z) of every trajectory at the end of the run, in index order."""
     at_end = SteadySampling(burn_in=cfg.total_time, stride=cfg.total_time)
-    return run_ensemble(n_traj, cfg, params, law, steady=at_end).steady_yz
+    (res,) = run_ensemble(n_traj, cfg, params, [law], steady=at_end)
+    return res.steady_yz
 
 
 class TestConfigValidation:
     def test_non_integer_steps_rejected(self):
-        cfg = TrajectoryConfig(BlochState(0, 0, 1), total_time=1.00037)
+        cfg = TrajectoryConfig((BlochState(0, 0, 1),), total_time=1.00037)
         with pytest.raises(ValueError):
             cfg.n_steps(IDEAL)
 
     def test_stride_must_divide(self):
-        cfg = TrajectoryConfig(BlochState(0, 0, 1), total_time=1.0, record_stride=3)
+        cfg = TrajectoryConfig((BlochState(0, 0, 1),), total_time=1.0, record_stride=3)
         with pytest.raises(ValueError):
             cfg.n_steps(IDEAL)
 
     def test_bad_seed(self):
         with pytest.raises(ValueError):
-            TrajectoryConfig(BlochState(0, 0, 1), total_time=1.0, seed=-1)
+            TrajectoryConfig((BlochState(0, 0, 1),), total_time=1.0, seed=-1)
 
     def test_unphysical_initial(self):
         with pytest.raises(ValueError):
-            TrajectoryConfig(BlochState(1.0, 1.0, 1.0), total_time=1.0)
+            TrajectoryConfig((BlochState(1.0, 1.0, 1.0),), total_time=1.0)
 
 
 class TestStreams:
@@ -97,22 +98,23 @@ class TestRunTrajectory:
 
     def test_pole_without_feedback_is_constant(self):
         law = FeedbackLaw(0.0, 0.0)
-        cfg = TrajectoryConfig(BlochState(0, 0, 1), total_time=0.5, record_stride=10, seed=3)
-        xyz = run_ensemble(1, cfg, IDEAL, law).mean_xyz
+        cfg = TrajectoryConfig((BlochState(0, 0, 1),), total_time=0.5, record_stride=10, seed=3)
+        (res,) = run_ensemble(1, cfg, IDEAL, [law])
+        xyz = res.mean_xyz
         assert np.all(xyz[:, 2] == 1.0)
         assert np.all(xyz[:, :2] == 0.0)
 
     def test_same_seed_bit_identical(self):
         cfg, law = ideal_setup(seed=11)
-        a = run_ensemble(1, cfg, IDEAL, law)
-        b = run_ensemble(1, cfg, IDEAL, law)
+        (a,) = run_ensemble(1, cfg, IDEAL, [law])
+        (b,) = run_ensemble(1, cfg, IDEAL, [law])
         assert np.array_equal(a.mean_xyz, b.mean_xyz)
         assert np.array_equal(a.times, b.times)
         assert a.renorm_count == b.renorm_count
 
     def test_record_grid_includes_endpoints(self):
         cfg, law = ideal_setup(seed=2, total_time=1.0, stride=100)
-        res = run_ensemble(1, cfg, IDEAL, law)
+        (res,) = run_ensemble(1, cfg, IDEAL, [law])
         assert res.times[0] == 0.0
         assert res.times[-1] == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(np.diff(res.times), 100 * IDEAL.dt)
@@ -122,11 +124,14 @@ class TestRunTrajectory:
         # readouts rebuilt from the trajectory's own stream drive the scalar
         # reference step to the same states as the engine
         law = design_ideal(0.3 * math.pi, 0.2)  # Markovian: r_fed = r
-        cfg = TrajectoryConfig(BlochState(0.3, 0.5, 0.4), total_time=0.05, record_stride=1, seed=5)
-        xyz = run_ensemble(1, cfg, IDEAL, law).mean_xyz
+        cfg = TrajectoryConfig(
+            (BlochState(0.3, 0.5, 0.4),), total_time=0.05, record_stride=1, seed=5
+        )
+        (res,) = run_ensemble(1, cfg, IDEAL, [law])
+        xyz = res.mean_xyz
         n_steps = round(0.05 / IDEAL.dt)
         noise = trajectory_rng(cfg.seed, 0).standard_normal(n_steps)
-        s = cfg.initial
+        s = cfg.initial[0]
         for k in range(n_steps):
             r = s.z + IDEAL.readout_sigma * noise[k]
             s = composite_step(s, ReadoutSample(r), r, law, IDEAL)
@@ -147,9 +152,9 @@ class TestRunEnsemble:
     def test_single_trajectory_matches_trajectory_zero(self):
         # trajectory 0 follows the same path alone and inside a larger ensemble
         cfg, law = ideal_setup(seed=21)
-        alone = run_ensemble(1, cfg, IDEAL, law)
+        (alone,) = run_ensemble(1, cfg, IDEAL, [law])
         every_record = SteadySampling(burn_in=0.0, stride=cfg.record_stride * IDEAL.dt)
-        many = run_ensemble(5, cfg, IDEAL, law, steady=every_record)
+        (many,) = run_ensemble(5, cfg, IDEAL, [law], steady=every_record)
         n_rec = len(alone.times)
         assert many.steady_yz.shape == (5 * n_rec, 2)
         assert np.array_equal(alone.mean_xyz[:, 1:], many.steady_yz[:n_rec])
@@ -167,10 +172,11 @@ class TestRunEnsemble:
         monkeypatch.setattr(eng, "CHUNK_SIZE", chunk_size)
         monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
         cfg = TrajectoryConfig(
-            BlochState.from_polar(0.1 * math.pi), 0.2, record_stride=10, seed=9
+            (BlochState.from_polar(0.1 * math.pi),), 0.2, record_stride=10, seed=9
         )
         sampling = SteadySampling(burn_in=0.1, stride=0.02)
-        return run_ensemble(300, cfg, p, law, steady=sampling)
+        (res,) = run_ensemble(300, cfg, p, [law], steady=sampling)
+        return res
 
     def test_chunk_schedule_does_not_change_bits(self, monkeypatch):
         import qfb.engine as eng
@@ -209,11 +215,11 @@ class TestRunEnsemble:
         monkeypatch.setattr(np.random, "Philox", counting_philox)
         monkeypatch.setattr(eng, "CHUNK_SIZE", 16)
         cfg, law = ideal_setup(seed=3, total_time=0.1, stride=20)  # 200 steps
-        run_ensemble(50, cfg, IDEAL, law)
+        run_ensemble(50, cfg, IDEAL, [law])
         assert len(built) == 4  # chunks of 16, 16, 16 and 2 trajectories
         monkeypatch.setattr(eng, "BLOCK_STEPS", 16)  # several blocks: one per trajectory
         built.clear()
-        run_ensemble(50, cfg, IDEAL, law)
+        run_ensemble(50, cfg, IDEAL, [law])
         assert len(built) == 50
 
     @pytest.mark.parametrize("n_steps", [200, 800])  # one noise block; several
@@ -230,7 +236,7 @@ class TestRunEnsemble:
         for n_traj in (512, 1536):
             tracemalloc.start()
             try:
-                run_ensemble(n_traj, cfg, IDEAL, law)
+                run_ensemble(n_traj, cfg, IDEAL, [law])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -238,9 +244,9 @@ class TestRunEnsemble:
 
     def test_ensemble_mean_tracks_ode(self):
         cfg, law = ideal_setup(seed=7)
-        res = run_ensemble(2000, cfg, IDEAL, law)
+        (res,) = run_ensemble(2000, cfg, IDEAL, [law])
         ode = integrate_mean_ode(
-            cfg.initial, law, IDEAL, cfg.total_time, IDEAL.dt / 10.0, record_stride=400
+            cfg.initial[0], law, IDEAL, cfg.total_time, IDEAL.dt / 10.0, record_stride=400
         )
         assert np.allclose(res.times, ode.times)
         assert np.abs(res.mean_xyz - ode.xyz).max() <= 0.02
@@ -250,7 +256,7 @@ class TestRunEnsemble:
         p = ModelParams(tau_m=0.2, dt=0.002)
         z0 = 0.3
         y0 = math.sqrt(1 - z0 * z0)
-        cfg = TrajectoryConfig(BlochState(0.0, y0, z0), 2.0, record_stride=100, seed=33)
+        cfg = TrajectoryConfig((BlochState(0.0, y0, z0),), 2.0, record_stride=100, seed=33)
         n = 3000
         finals_z = final_states(n, cfg, p, FeedbackLaw(0.0, 0.0))[:, 1]
         se = finals_z.std(ddof=1) / math.sqrt(n)
@@ -274,9 +280,9 @@ class TestRunEnsemble:
 
     def test_steady_samples_pooled_per_trajectory(self):
         p = ModelParams(tau_m=0.2, dt=0.002)
-        cfg = TrajectoryConfig(BlochState(0, 0, 1), 4.0, record_stride=200, seed=2)
+        cfg = TrajectoryConfig((BlochState(0, 0, 1),), 4.0, record_stride=200, seed=2)
         sampling = SteadySampling(burn_in=2.0, stride=0.2)
-        res = run_ensemble(7, cfg, p, FeedbackLaw(0.0, 0.0), steady=sampling)
+        (res,) = run_ensemble(7, cfg, p, [FeedbackLaw(0.0, 0.0)], steady=sampling)
         per = len(sampling.step_indices(2000, p.dt))
         assert res.steady_yz.shape == (7 * per, 2)
         # pole start + no feedback: all steady samples are exactly (0, 1)
@@ -289,11 +295,11 @@ class TestRunEnsemble:
             warnings.simplefilter("ignore")
             law, r_s = design_nonideal(0.3 * math.pi, p)
         init = BlochState(0.0, r_s * math.sin(0.3 * math.pi), r_s * math.cos(0.3 * math.pi))
-        cfg = TrajectoryConfig(init, 26.0, record_stride=100, seed=6)
+        cfg = TrajectoryConfig((init,), 26.0, record_stride=100, seed=6)
         means = []
         for burn in (2.0, 4.0):
-            res = run_ensemble(
-                800, cfg, p, law, steady=SteadySampling(burn_in=burn, stride=0.2)
+            (res,) = run_ensemble(
+                800, cfg, p, [law], steady=SteadySampling(burn_in=burn, stride=0.2)
             )
             my, mz = res.steady_yz.mean(axis=0)
             means.append((my, mz, math.hypot(my, mz)))
@@ -303,7 +309,7 @@ class TestRunEnsemble:
 
     def test_renorms_counted_for_pure_states(self):
         cfg, law = ideal_setup(seed=4, total_time=0.2, stride=400)
-        res = run_ensemble(50, cfg, IDEAL, law)
+        (res,) = run_ensemble(50, cfg, IDEAL, [law])
         assert res.renorm_count > 0  # float drift off the sphere is corrected
 
     def test_several_laws_give_each_law_its_own_run(self, monkeypatch):
@@ -320,8 +326,8 @@ class TestRunEnsemble:
         )
         assert len(batched) == len(laws)
         for res, law, start in zip(batched, laws, starts):
-            alone = run_ensemble(
-                40, TrajectoryConfig(start, 0.2, 40, seed=4), IDEAL, law, steady=sampling
+            (alone,) = run_ensemble(
+                40, TrajectoryConfig((start,), 0.2, 40, seed=4), IDEAL, [law], steady=sampling
             )
             assert np.array_equal(res.mean_xyz, alone.mean_xyz)
             assert np.array_equal(res.steady_yz, alone.steady_yz)
@@ -329,19 +335,38 @@ class TestRunEnsemble:
 
     def test_one_initial_state_per_law(self):
         cfg, law = ideal_setup()
-        starts = TrajectoryConfig([cfg.initial] * 2, cfg.total_time, cfg.record_stride)
+        starts = TrajectoryConfig([cfg.initial[0]] * 2, cfg.total_time, cfg.record_stride)
         with pytest.raises(ValueError, match="2 initial states for 3 laws"):
             run_ensemble(1, starts, IDEAL, [law] * 3)
+
+    def test_no_laws_are_refused_before_any_worker_starts(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="0 initial states for 0 laws"):
+                run_ensemble(5, TrajectoryConfig((), 3.0, 300), IDEAL, [], workers=workers)
+
+    def test_a_law_that_drives_the_state_non_finite_is_refused(self):
+        cfg, law = ideal_setup(total_time=0.1, stride=20)
+        starts = TrajectoryConfig(cfg.initial * 2, cfg.total_time, cfg.record_stride)
+        # the rotation angle dt * (delta0 + delta1 * r) overflows to inf
+        huge = FeedbackLaw(0.0, 1e307)
+        with pytest.raises(ValueError, match=r"delta0/delta1: .*delta1=1e\+307"):
+            run_ensemble(5, starts, IDEAL, [law, huge])
 
     def test_invalid_n_traj(self):
         cfg, law = ideal_setup()
         with pytest.raises(ValueError):
-            run_ensemble(0, cfg, IDEAL, law)
+            run_ensemble(0, cfg, IDEAL, [law])
 
     def test_invalid_workers(self):
         cfg, law = ideal_setup()
         with pytest.raises(ValueError, match="workers"):
-            run_ensemble(1, cfg, IDEAL, law, workers=0)
+            run_ensemble(1, cfg, IDEAL, [law], workers=0)
 
 
 LOSSY = ModelParams(tau_m=0.2, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
@@ -359,17 +384,17 @@ class TestWorkers:
     """The tasks (chunk x point group) write the same bits for any worker count."""
 
     @staticmethod
-    def _runs(monkeypatch, n_traj, params, law, initial, block_steps):
+    def _runs(monkeypatch, n_traj, params, laws, initials, block_steps):
         import multiprocessing
 
         import qfb.engine as eng
 
         monkeypatch.setattr(eng, "CHUNK_SIZE", 16)
         monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
-        cfg = TrajectoryConfig(initial, 0.2, record_stride=10, seed=9)
+        cfg = TrajectoryConfig(initials, 0.2, record_stride=10, seed=9)
         sampling = SteadySampling(burn_in=0.1, stride=0.02)
         runs = [
-            run_ensemble(n_traj, cfg, params, law, steady=sampling, workers=workers)
+            run_ensemble(n_traj, cfg, params, laws, steady=sampling, workers=workers)
             for workers in (1, 3)
         ]
         assert multiprocessing.active_children() == []
@@ -386,14 +411,15 @@ class TestWorkers:
         laws, _ = _lossy_laws()
         start = BlochState.from_polar(0.1 * math.pi)
         # four chunks of 16, 16, 16 and 2 trajectories on three workers
-        self._assert_same(*self._runs(monkeypatch, 50, LOSSY, laws[0], start, block_steps))
+        (one,), (three,) = self._runs(monkeypatch, 50, LOSSY, laws[:1], (start,), block_steps)
+        self._assert_same(one, three)
 
     @pytest.mark.parametrize("block_steps", [512, 16])
     def test_point_groups_split_one_chunk(self, monkeypatch, block_steps):
         laws, r_s = _lossy_laws()
         start = BlochState.from_polar(0.3 * math.pi, r_s)
         # one chunk of 12 trajectories: each worker runs one of the three points
-        one, three = self._runs(monkeypatch, 12, LOSSY, laws, start, block_steps)
+        one, three = self._runs(monkeypatch, 12, LOSSY, laws, (start,) * 3, block_steps)
         for a, b in zip(one, three):
             self._assert_same(a, b)
 
@@ -403,7 +429,7 @@ class TestWorkers:
         start = BlochState.from_polar(0.1 * math.pi)
         # two chunks at two points: tasks (chunk, point) on three workers
         one, three = self._runs(monkeypatch, 20, ModelParams(tau_m=0.2, dt=0.002), laws,
-                                start, 512)
+                                (start,) * 2, 512)
         for a, b in zip(one, three):
             self._assert_same(a, b)
             assert a.renorm_count > 0

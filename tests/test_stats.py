@@ -156,9 +156,9 @@ class TestSummaryAndSweeps:
     def test_summarize_includes_peak_and_radius(self):
         law, r_s = design_nonideal(0.3 * math.pi, NONIDEAL_COARSE)
         init = BlochState.from_polar(0.3 * math.pi, r_s)
-        cfg = TrajectoryConfig(init, 9.8, record_stride=20, seed=14)
-        res = run_ensemble(
-            400, cfg, NONIDEAL_COARSE, law, steady=SteadySampling(2.0, 0.2)
+        cfg = TrajectoryConfig((init,), 9.8, record_stride=20, seed=14)
+        (res,) = run_ensemble(
+            400, cfg, NONIDEAL_COARSE, [law], steady=SteadySampling(2.0, 0.2)
         )
         summary = summarize(res)
         assert summary.histogram.n_samples == res.steady_yz.shape[0]
@@ -168,9 +168,10 @@ class TestSummaryAndSweeps:
 
     def test_summarize_rejects_a_run_without_samples(self):
         law, r_s = design_nonideal(0.3 * math.pi, NONIDEAL_COARSE)
-        cfg = TrajectoryConfig(BlochState.from_polar(0.3 * math.pi, r_s), 0.2, seed=1)
+        cfg = TrajectoryConfig((BlochState.from_polar(0.3 * math.pi, r_s),), 0.2, seed=1)
+        (res,) = run_ensemble(5, cfg, NONIDEAL_COARSE, [law])
         with pytest.raises(ValueError, match="no steady-state samples"):
-            summarize(run_ensemble(5, cfg, NONIDEAL_COARSE, law))
+            summarize(res)
 
     def test_sweep_chain_common_seed_and_values(self):
         theta = 0.3 * math.pi
@@ -201,6 +202,17 @@ class TestSummaryAndSweeps:
         first, second = steady_state([law] * 2, [start] * 2, ideal, **run)
         assert alone.renorm_count > 0
         assert first.renorm_count == second.renorm_count == alone.renorm_count
+
+    def test_no_laws_are_refused_before_any_worker_starts(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        run = dict(n_traj=5, total_time=3.0, sampling=SteadySampling(2.0, 0.2), workers=2)
+        with pytest.raises(ValueError, match="0 initial states for 0 laws"):
+            list(steady_state([], [], NONIDEAL_COARSE, **run))
 
     @pytest.mark.parametrize("block_steps", [512, 64])  # one noise block; several
     def test_batched_sweep_equals_each_point_alone(self, monkeypatch, block_steps):
@@ -240,11 +252,11 @@ class TestSummaryAndSweeps:
         theta = 0.3 * math.pi
         base, r_s = design_nonideal(theta, p)
         init = BlochState.from_polar(theta, r_s)
-        cfg = TrajectoryConfig(init, 17.8, record_stride=20, seed=44)
+        cfg = TrajectoryConfig((init,), 17.8, record_stride=20, seed=44)
         for which in ("Ts", "Td"):
             law = replace(base, **{which: p.tau_m})
-            res = run_ensemble(
-                1250, cfg, p, law, steady=SteadySampling(2.0, 0.2)
+            (res,) = run_ensemble(
+                1250, cfg, p, [law], steady=SteadySampling(2.0, 0.2)
             )
             my, mz = res.steady_yz.mean(axis=0)
             drift = math.atan2(my, mz) - theta
@@ -261,8 +273,8 @@ class TestSummaryAndSweeps:
             law, r_s = design_nonideal(theta, p)
             law = type(law)(law.delta0, law.delta1, Ts=0.0, Td=td)
             init = BlochState.from_polar(theta, r_s)
-            cfg = TrajectoryConfig(init, 9.8, record_stride=20, seed=13)
-            res = run_ensemble(500, cfg, p, law, steady=SteadySampling(2.0, 0.2))
+            cfg = TrajectoryConfig((init,), 9.8, record_stride=20, seed=13)
+            (res,) = run_ensemble(500, cfg, p, [law], steady=SteadySampling(2.0, 0.2))
             yz = res.steady_yz
             return float(np.std(np.arctan2(yz[:, 0], yz[:, 1]) - theta))
 
