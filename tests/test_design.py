@@ -10,22 +10,22 @@ from qfb import (
     BlochState,
     FeedbackLaw,
     ModelParams,
-    TargetSpec,
     design_ideal,
     design_nonideal,
-    disturbance,
     max_radius,
-    optimal_delta1,
-    stationary_delta1_roots,
-    stationary_state,
 )
 from qfb.design import POLE_MARGIN
 from qfb.engine import TrajectoryConfig
 from oracle import (
+    TargetSpec,
+    disturbance,
     integrate_mean_ode,
     integrate_sme_trajectory,
     minimize_golden,
+    optimal_delta1,
     run_sme_ensemble,
+    stationary_delta1_roots,
+    stationary_state,
 )
 
 NONIDEAL = ModelParams(tau_m=0.2, dt=0.0005, T1=60.0, T2=40.0, eta=0.41)

@@ -339,6 +339,10 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="2 initial states for 3 laws"):
             run_ensemble(1, starts, IDEAL, [law] * 3)
 
+    def test_a_single_initial_state_is_refused_by_key(self):
+        with pytest.raises(ValueError, match=r"^initial: .*one per law"):
+            TrajectoryConfig(BlochState(0.0, 0.0, 1.0), 1.0)
+
     def test_no_laws_are_refused_before_any_worker_starts(self, monkeypatch):
         import concurrent.futures
 
