@@ -77,9 +77,8 @@ class FeedbackChain:
     """Filter accumulators plus one delay ring for a batch of trajectories.
 
     ``laws`` holds P >= 1 laws (operating points).  The chain carries
-    ``P * batch`` rows in point-major order: rows ``p * batch`` to
-    ``(p + 1) * batch - 1`` follow law ``p``.  The rows advance in lockstep
-    and must be pushed sequentially.
+    (P, batch) arrays: row ``p`` follows law ``p``.  The rows advance in
+    lockstep and must be pushed sequentially.
 
     The filter accumulator starts at 0 (the unconditioned mean readout
     for an unbiased initial state).  The delay is one ring as deep as the
@@ -112,11 +111,11 @@ class FeedbackChain:
         # passthrough rows copy r: acc + (r - acc) would round
         if len(self._passthrough) == len(r):
             self.filter_acc = r
-            return r.reshape(-1)
+            return r
         self.filter_acc = self.filter_acc + self.alpha * (r - self.filter_acc)
         if len(self._passthrough):
             self.filter_acc[self._passthrough] = r[self._passthrough]
-        return self.filter_acc.reshape(-1)
+        return self.filter_acc
 
     def delay_pop_push(self, filtered):
         """Push ``filtered`` into the delay ring; returns each row's value from
@@ -126,7 +125,6 @@ class FeedbackChain:
         """
         if not len(self.delay_ring):
             return filtered
-        filtered = np.reshape(filtered, self.filter_acc.shape)
         # read before write: the slot n_delay back holds the oldest value a
         # row needs, and slot _cursor (n_delay = depth) is overwritten next
         out = self.delay_ring[self._read[self._cursor], self._points]
@@ -134,8 +132,8 @@ class FeedbackChain:
             out[self._no_delay] = filtered[self._no_delay]
         self.delay_ring[self._cursor] = filtered
         self._cursor = (self._cursor + 1) % len(self.delay_ring)
-        return out.reshape(-1)
+        return out
 
     def push(self, r):
-        """Filter then delay: the value the controller sees this step."""
+        """Filter then delay: the (P, batch) values the controller sees this step."""
         return self.delay_pop_push(self.filter_push(r))

@@ -395,7 +395,10 @@ def _finite(values: list[float]) -> list[float]:
 
 def _sweep_values_us(cfg: RunConfig) -> list[float]:
     try:
-        return _finite([float(v) * cfg.tau_m for v in cfg.sweep_values.split(",") if v.strip()])
+        values = _finite([float(v) * cfg.tau_m for v in cfg.sweep_values.split(",") if v.strip()])
+        if min(values) < 0.0:
+            raise ValueError(f"must be non-negative, got {cfg.sweep_values}")
+        return values
     except ValueError as exc:
         raise ConfigError(f"sweep_values: {exc}") from exc
 

@@ -23,8 +23,8 @@ trajectory, because each stream carries its position from block to
 block.  Both paths draw the same numbers.
 
 A run takes a sequence of P >= 1 feedback laws (operating points), each
-started from its own initial state.  Each row of the batch is a (point,
-trajectory) pair, point-major; trajectory i draws its noise once from
+started from its own initial state.  The batch is held as (P, batch)
+arrays, one row per point; trajectory i draws its noise once from
 stream (seed, i) and every point reuses it (common random numbers), so
 each point gets the bits it would get if run alone, with P times fewer
 streams, noise fills and step calls.
@@ -186,15 +186,19 @@ class EnsembleResult:
 class BayesStepper:
     """Vectorized one-step update: readout, feedback chain, conditioned evolution.
 
-    For P ``laws`` the state holds ``P * batch`` rows, point-major (see
-    :class:`FeedbackChain`), and each step's noise holds one value per
-    trajectory, shared by its P rows.  Owns the feedback chain state and
-    counts sphere renormalizations per point.
+    Owns its batch: the coordinates ``x``, ``y``, ``z`` as (P, batch) arrays,
+    row p following ``laws[p]`` from ``initials[p]``, the feedback chain and
+    the per-point renormalization counts.  ``step`` takes one noise value
+    per trajectory, shared by its P rows.
     """
 
-    def __init__(self, params: ModelParams, laws: Sequence[FeedbackLaw], batch: int) -> None:
+    def __init__(
+        self, params: ModelParams, laws: Sequence[FeedbackLaw],
+        initials: Sequence[BlochState], batch: int,
+    ) -> None:
         self.chain = FeedbackChain(laws, params, batch)
-        self._shape = (len(laws), batch)
+        xyz = np.transpose([[s.x, s.y, s.z] for s in initials])  # (3, P)
+        self.x, self.y, self.z = np.repeat(xyz[:, :, None], batch, axis=2)
         self._sigma = params.readout_sigma
         self._s_scale = params.dt / params.tau_m
         self._dt = params.dt
@@ -209,22 +213,21 @@ class BayesStepper:
         """Renormalizations summed over the points."""
         return int(self.point_renorms.sum())
 
-    def step(self, x, y, z, n01):
-        rbar = (z.reshape(self._shape) + self._sigma * n01).reshape(-1)
-        fed = self.chain.push(rbar).reshape(self._shape)
-        x, y, z = backaction_update(x, y, z, rbar * self._s_scale)
-        angle = self._dt * (self._delta0 + self._delta1 * fed)
-        y, z = rotation_update(y, z, angle.reshape(-1))
+    def step(self, n01) -> None:
+        rbar = self.z + self._sigma * n01
+        fed = self.chain.push(rbar)
+        x, y, z = backaction_update(self.x, self.y, self.z, rbar * self._s_scale)
+        y, z = rotation_update(y, z, self._dt * (self._delta0 + self._delta1 * fed))
         x, y, z = dissipation_update(x, y, z, self._ft, self._e1)
         r2 = x * x + y * y + z * z
         outside = r2 > 1.0
         if np.count_nonzero(outside):
-            self.point_renorms += np.count_nonzero(outside.reshape(self._shape), axis=1)
+            self.point_renorms += np.count_nonzero(outside, axis=1)
             scale = np.where(outside, 1.0 / np.sqrt(np.where(outside, r2, 1.0)), 1.0)
             x = x * scale
             y = y * scale
             z = z * scale
-        return x, y, z
+        self.x, self.y, self.z = x, y, z
 
 
 class WorkerError(RuntimeError):
@@ -261,12 +264,7 @@ def _run_chunk(
     ``renorms[p]`` and its samples into ``steady_out[p][lo:hi]``."""
     n = hi - lo
     n_steps = cfg.n_steps(params)
-    stepper = stepper_factory(laws, n)
-    x = np.repeat([s.x for s in initials], n)
-    y = np.repeat([s.y for s in initials], n)
-    z = np.repeat([s.z for s in initials], n)
-    # point p's rows of the point-major state
-    rows = [slice(p * n, (p + 1) * n) for p in range(len(initials))]
+    batch = stepper_factory(laws, initials, n)
     if n_steps <= BLOCK_STEPS:
         # One draw per trajectory: re-key one Generator right before each.
         shared = trajectory_rng(cfg.seed, lo)
@@ -285,13 +283,12 @@ def _run_chunk(
     for i in range(n_steps + 1):
         slot = rec_slot.get(i)
         if slot is not None:
-            for sums, r in zip(rec_sums, rows):
-                sums[slot] += (x[r].sum(), y[r].sum(), z[r].sum())
+            for c, coord in enumerate((batch.x, batch.y, batch.z)):
+                rec_sums[:, slot, c] += coord.sum(axis=1)
         slot = steady_slot.get(i)
         if slot is not None:
-            for out, r in zip(steady, rows):
-                out[:, slot, 0] = y[r]
-                out[:, slot, 1] = z[r]
+            for out, y, z in zip(steady, batch.y, batch.z):
+                out[:, slot, 0], out[:, slot, 1] = y, z
         if i == n_steps:
             break
         k = i % BLOCK_STEPS
@@ -299,8 +296,8 @@ def _run_chunk(
             block = min(BLOCK_STEPS, n_steps - i)
             for j, g in enumerate(streams()):
                 g.standard_normal(out=noise[j, :block])
-        x, y, z = stepper.step(x, y, z, noise[:, k])
-    renorms[:] = stepper.point_renorms
+        batch.step(noise[:, k])
+    renorms[:] = batch.point_renorms
 
 
 #: The tasks of a worker process, set when the worker starts.
@@ -357,11 +354,12 @@ def run_ensemble(
 
     Trajectory i draws from the stream keyed (cfg.seed, i).  ``steady``
     enables pooled steady-state (y, z) sampling for histograms.
-    ``stepper_factory`` (laws, batch size -> stepper) swaps the physics
-    kernel; the default is the quantum Bayesian update with the feedback
-    chain.  A stepper advances ``len(laws) * batch`` rows, point-major,
-    with one noise value per trajectory, and counts its renormalizations
-    per point in ``point_renorms``.
+    ``stepper_factory`` (laws, initial states, batch size -> stepper)
+    swaps the physics kernel; the default is :class:`BayesStepper`.  A
+    stepper owns (len(laws), batch) arrays ``x``, ``y``, ``z`` started from
+    the initial states, advances them by ``step(n01)`` on one noise value
+    per trajectory, and counts its renormalizations per law in
+    ``point_renorms``.
 
     The laws run as that many points in one batch, law p started from
     ``cfg.initial[p]``, and each result is bit-identical to running that

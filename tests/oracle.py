@@ -14,7 +14,8 @@
   Markovian (no filter, no delay) limit.  The latter does not preserve
   positivity, so it only flags, rather than corrects, sphere excursions;
   it plugs into :func:`qfb.engine.run_ensemble` through
-  ``stepper_factory`` and so shares the engine's streams and reduction.
+  ``stepper_factory``, owning its batch like the engine's own stepper,
+  and so shares the engine's streams and reduction.
 * Plain numerical references: a golden-section minimizer and a flood-fill
   connected-component labeller.
 
@@ -292,10 +293,12 @@ class SmeStepper:
     """Euler-Maruyama step of the diffusive Markovian-feedback equations.
 
     An independent model of the same physics as the Bayesian update,
-    valid only with a passthrough chain (Ts = Td = 0).  The scheme does
-    not preserve positivity: excursions with R > 1.05 are counted in
-    ``excursions`` but not corrected.  ``noise_scale=0`` freezes the
-    noise, reducing the step to an Euler step of the mean equations.
+    valid only with a passthrough chain (Ts = Td = 0).  Like the engine's
+    steppers it owns its batch: ``x``, ``y``, ``z`` are (1, batch) arrays
+    started from ``initial``.  The scheme does not preserve positivity:
+    excursions with R > 1.05 are counted in ``excursions`` but not
+    corrected.  ``noise_scale=0`` freezes the noise, reducing the step to
+    an Euler step of the mean equations.
     """
 
     EXCURSION_RADIUS = 1.05
@@ -304,6 +307,7 @@ class SmeStepper:
         self,
         params: ModelParams,
         law: FeedbackLaw,
+        initial: BlochState,
         batch: int,
         noise_scale: float = 1.0,
     ) -> None:
@@ -311,6 +315,9 @@ class SmeStepper:
             raise ValueError(
                 "the diffusive model is Markovian only: requires Ts = 0 and Td = 0"
             )
+        self.x, self.y, self.z = (
+            np.full((1, batch), c) for c in (initial.x, initial.y, initial.z)
+        )
         self._dt = params.dt
         self._g = params.gamma_total
         self._a = 0.5 * params.tau_m * law.delta1**2
@@ -323,8 +330,8 @@ class SmeStepper:
         self.point_renorms = np.zeros(1, dtype=np.int64)  # never renormalizes
         self.excursions = 0
 
-    def step(self, x, y, z, n01):
-        dt = self._dt
+    def step(self, n01) -> None:
+        x, y, z, dt = self.x, self.y, self.z, self._dt
         g = self._noise_amp * n01
         dx = -self._g * x * dt - x * z * g
         dy = (
@@ -340,7 +347,7 @@ class SmeStepper:
         z = z + dz
         r2 = x * x + y * y + z * z
         self.excursions += int(np.count_nonzero(r2 > self.EXCURSION_RADIUS**2))
-        return x, y, z
+        self.x, self.y, self.z = x, y, z
 
 
 @dataclass
@@ -362,8 +369,8 @@ def run_sme_ensemble(
     """Ensemble of diffusive trajectories, same streams/reduction as the engine."""
     steppers: list[SmeStepper] = []
 
-    def factory(laws, batch: int) -> SmeStepper:
-        steppers.append(SmeStepper(params, law, batch, noise_scale))
+    def factory(laws, initials, batch: int) -> SmeStepper:
+        steppers.append(SmeStepper(params, law, initials[0], batch, noise_scale))
         return steppers[-1]
 
     (result,) = run_ensemble(n_traj, cfg, params, [law], steady=steady, stepper_factory=factory)

@@ -173,23 +173,23 @@ class TestPerPointLaws:
         batch = 3
         chain = FeedbackChain(self.LAWS, P, batch=batch)
         alone = [FeedbackChain([l], P, batch=batch) for l in self.LAWS]
-        for row in rng.normal(size=(60, len(self.LAWS) * batch)):
-            got = chain.push(row).reshape(len(self.LAWS), batch)
+        for rows in rng.normal(size=(60, len(self.LAWS), batch)):
+            got = chain.push(rows)
             for p, c in enumerate(alone):
-                assert np.array_equal(got[p], c.push(row[p * batch:(p + 1) * batch]))
+                assert np.array_equal(got[p], c.push(rows[p])[0])
 
     def test_passthrough_rows_are_exact(self):
         rng = np.random.default_rng(6)
         chain = FeedbackChain((law(Ts=0.0), law(Ts=0.04)), P, batch=2)
-        for row in rng.normal(size=(20, 4)):
-            assert np.array_equal(chain.filter_push(row)[:2], row[:2])
+        for rows in rng.normal(size=(20, 2, 2)):
+            assert np.array_equal(chain.filter_push(rows)[0], rows[0])
 
     def test_ring_reads_each_delay_before_writing(self):
         delays = (0, 1, 3, 5)
         chain = FeedbackChain([law(Td=d * P.dt) for d in delays], P, batch=1)
         assert chain.delay_ring.shape == (5, 4, 1)
         pushed = np.arange(1.0, 13.0)
-        outs = np.array([chain.delay_pop_push(np.full(4, v)) for v in pushed])
+        outs = np.array([chain.delay_pop_push(np.full((4, 1), v))[:, 0] for v in pushed])
         for p, d in enumerate(delays):
             assert np.all(outs[:d, p] == 0.0)
             assert np.array_equal(outs[d:, p], pushed[:len(pushed) - d])

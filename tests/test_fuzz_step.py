@@ -1,15 +1,21 @@
-"""Property test of the step kernel and the feedback chain over drawn laws.
+"""Property tests of the step kernel, the feedback chain and the ensemble
+over drawn laws.
 
-Each example builds one ``BayesStepper`` for 1-3 laws whose gains stay
-below the practical bound of :func:`qfb.validate_law`, with filter and
-delay settings of 0 or a few whole steps mixed within the one chain,
+Each step example builds one ``BayesStepper`` for 1-3 laws whose gains
+stay below the practical bound of :func:`qfb.validate_law`, with filter
+and delay settings of 0 or a few whole steps mixed within the one chain,
 starts every law from a drawn physical state, and steps a batch of at
 most 8 trajectories of an ideal or a lossy qubit for at most 60 steps
-on standard-normal noise.
+on standard-normal noise.  The property: after every step every
+coordinate is finite and every state lies on or inside the Bloch sphere,
+``x^2 + y^2 + z^2 <= 1 + SPHERE_TOL``.
 
-The property: after every step every coordinate is finite and every
-state lies on or inside the Bloch sphere, ``x^2 + y^2 + z^2 <= 1 +
-SPHERE_TOL``.
+Each ensemble example runs 1-3 laws whose ``delta1`` is drawn
+log-uniformly from 1e300 to 1.7e308, far past the bound, through
+:func:`qfb.engine.run_ensemble` with steady-state sampling.  The
+property: either every mean curve and every steady sample is finite, or
+the run raises a ``delta0/delta1:`` ValueError that names a drawn law;
+a non-finite state is never returned.
 """
 
 import math
@@ -19,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfb import BlochState, FeedbackLaw, ModelParams
-from qfb.engine import BayesStepper
+from qfb.engine import BayesStepper, SteadySampling, TrajectoryConfig, run_ensemble
 from qfb.model import SPHERE_TOL
 
 TAU_M = 0.2
@@ -71,13 +77,60 @@ def runs(draw):
 @given(run=runs())
 def test_every_step_keeps_the_state_finite_and_on_the_sphere(run):
     params, drawn_laws, initials, batch, n_steps, seed = run
-    stepper = BayesStepper(params, drawn_laws, batch)
-    x = np.repeat([s.x for s in initials], batch)
-    y = np.repeat([s.y for s in initials], batch)
-    z = np.repeat([s.z for s in initials], batch)
+    stepper = BayesStepper(params, drawn_laws, initials, batch)
     noise = np.random.default_rng(seed).standard_normal((n_steps, batch))
     for k in range(n_steps):
-        x, y, z = stepper.step(x, y, z, noise[k])
+        stepper.step(noise[k])
+        x, y, z = stepper.x, stepper.y, stepper.z
         assert np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(z).all(), k
         r2 = x * x + y * y + z * z
         assert r2.max() <= 1.0 + SPHERE_TOL, (k, r2.max())
+
+
+@st.composite
+def huge_laws(draw, dt):
+    whole_steps = st.integers(0, 4).map(lambda k: k * dt)
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    return FeedbackLaw(
+        delta0=draw(st.floats(-50.0, 50.0)),
+        delta1=sign * 10.0 ** draw(st.floats(300.0, math.log10(1.7e308))),
+        Ts=draw(whole_steps),
+        Td=draw(whole_steps),
+    )
+
+
+@st.composite
+def huge_runs(draw):
+    dt = draw(st.sampled_from((0.0005, 0.01)))
+    if draw(st.booleans()):
+        params = ModelParams(tau_m=TAU_M, dt=dt, T1=60.0, T2=40.0, eta=0.41)
+    else:
+        params = ModelParams(tau_m=TAU_M, dt=dt)
+    n_laws = draw(st.integers(1, 3))
+    n_steps = draw(st.integers(1, 60))
+    cfg = TrajectoryConfig(
+        initial=draw(st.lists(states(), min_size=n_laws, max_size=n_laws)),
+        total_time=n_steps * dt,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    steady = SteadySampling(
+        burn_in=draw(st.integers(0, n_steps)) * dt, stride=draw(st.integers(1, 5)) * dt
+    )
+    drawn_laws = draw(st.lists(huge_laws(dt), min_size=n_laws, max_size=n_laws))
+    return params, drawn_laws, cfg, steady, draw(st.integers(1, 8))
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(run=huge_runs())
+def test_a_non_finite_state_is_refused_never_returned(run):
+    params, drawn_laws, cfg, steady, n_traj = run
+    try:
+        results = run_ensemble(n_traj, cfg, params, drawn_laws, steady=steady)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith("delta0/delta1:"), message
+        assert any(str(law) in message for law in drawn_laws), message
+        return
+    for result in results:
+        assert np.isfinite(result.mean_xyz).all()
+        assert np.isfinite(result.steady_yz).all()
