@@ -568,16 +568,16 @@ BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
                 "--total-time", "3", "--n-traj", "5", "--sweep-values", "0", "--td", "4"]),
         ("sweep_values", ["--mode", "sweep-delay", "--theta-target", "0.3pi", "--dt", "0.01",
                           "--total-time", "3", "--n-traj", "5", "--sweep-values", "0,1e12"]),
-        # a negative filter time or delay is the sweep's fault, not the target's
-        ("sweep_values", ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--dt", "0.01",
-                          "--total-time", "3", "--n-traj", "5", "--sweep-values=-0.1"]),
-        ("sweep_values", ["--mode", "sweep-delay", "--theta-target", "0.3pi", "--dt", "0.01",
-                          "--total-time", "3", "--n-traj", "5", "--sweep-values=-0.1"]),
         # the histogram's counters are sized by n_bins; refuse before running
         ("n_bins", ["--mode", "histogram", "--theta-target", "0.3pi", "--n-bins", "100000"]),
         ("n_bins", ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--n-bins", "1001"]),
         # each thread is a worker process
         ("threads", BASE + ["--threads", "65"]),
+        # a negative filter time or delay is the sweep's fault, not the target's
+        ("sweep_values", ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--dt", "0.01",
+                          "--total-time", "3", "--n-traj", "5", "--sweep-values=-0.1"]),
+        ("sweep_values", ["--mode", "sweep-delay", "--theta-target", "0.3pi", "--dt", "0.01",
+                          "--total-time", "3", "--n-traj", "5", "--sweep-values=-0.1"]),
     ],
 )
 def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
