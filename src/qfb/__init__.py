@@ -25,7 +25,6 @@ from .design import design_ideal, design_nonideal, max_radius
 from .engine import (
     EnsembleResult,
     SteadySampling,
-    TrajectoryConfig,
     run_ensemble,
     trajectory_rng,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "ModelParams",
     "FeedbackLaw",
     "FeedbackChain",
-    "TrajectoryConfig",
     "SteadySampling",
     "EnsembleResult",
     "EnsembleSummary",

@@ -54,7 +54,7 @@ import numpy as np
 from . import __version__
 from .chain import FeedbackLaw
 from .design import design_ideal, design_nonideal
-from .engine import SteadySampling, TrajectoryConfig, WorkerError, _steps_for, run_ensemble
+from .engine import SteadySampling, WorkerError, _steps_for, _whole_steps, run_ensemble
 from .model import BlochState, ModelParams
 from .stats import DEFAULT_BINS, steady_state
 
@@ -140,7 +140,7 @@ class RunConfig:
         for key, kind in _TYPES.items():
             value = getattr(self, key)
             inf_ok = key in ("t1", "t2")
-            if kind is float and value is not None and not (
+            if kind is float and key in _READS[self.mode] and value is not None and not (
                 math.isfinite(value) or (inf_ok and value == math.inf)
             ):
                 allowed = "finite or inf" if inf_ok else "finite"
@@ -193,11 +193,7 @@ class RunConfig:
         return self
 
     def _check_time_grid(self) -> None:
-        """The step, record and burn-in grids the engine would reject at run time."""
-        if self.sample_every is not None and not round(self.sample_every / self.dt) >= 1:
-            raise ConfigError(
-                f"sample_every: must round to at least one step of dt, got {self.sample_every}"
-            )
+        """The step, record and sampling grids the engine would reject at run time."""
         try:
             n_steps = _steps_for(self.total_time, self.dt)
         except ValueError as exc:
@@ -207,10 +203,17 @@ class RunConfig:
                 f"record_stride: must be >= 1 and divide the {n_steps} steps, "
                 f"got {self.record_stride}"
             )
-        if self.mode != "histogram" and self.mode not in _SWEEP_AXIS:
+        if "sample_every" not in _READS[self.mode]:
             return
+        sampling = self.sampling()
+        if not 1 <= _whole_steps(sampling.stride, self.dt) < math.inf:
+            key = "tau_m" if self.sample_every is None else "sample_every"
+            raise ConfigError(
+                f"{key}: the sampling stride {sampling.stride} must round to at least one, "
+                f"and finitely many, steps of dt = {self.dt}"
+            )
         try:
-            self.sampling().step_indices(n_steps, self.dt)
+            sampling.step_indices(n_steps, self.dt)
         except ValueError as exc:
             key = "total_time" if self.burn_in is None else "burn_in"
             raise ConfigError(f"{key}: {exc}") from exc
@@ -232,10 +235,12 @@ class RunConfig:
         return ModelParams(tau_m=self.tau_m, dt=dt, T1=self.t1, T2=self.t2, eta=self.eta)
 
     def design(self, theta: float) -> tuple[FeedbackLaw, float]:
-        """Designed law at ``theta`` plus its target radius (ideal qubit: 1)."""
+        """Designed law at ``theta`` plus its target radius (ideal qubit: 1); its
+        chain takes ``ts``/``td`` only where the mode reads them."""
+        ts, td = (getattr(self, k) if k in _READS[self.mode] else 0.0 for k in ("ts", "td"))
         if math.isinf(self.t1) and math.isinf(self.t2) and self.eta == 1.0:
-            return design_ideal(theta, self.tau_m, Ts=self.ts, Td=self.td), 1.0
-        return design_nonideal(theta, self.model_params(), Ts=self.ts, Td=self.td)
+            return design_ideal(theta, self.tau_m, Ts=ts, Td=td), 1.0
+        return design_nonideal(theta, self.model_params(), Ts=ts, Td=td)
 
     def points(self) -> list[tuple[float | None, float | None, FeedbackLaw, float | None]]:
         """The mode's ``(value, theta_s, law, r_target)`` operating points: one
@@ -430,14 +435,17 @@ def execute(cfg: RunConfig) -> list[Path]:
     cfg.validate()
     out_dir = Path(cfg.out)
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # such as a file in the way
+            raise ConfigError(f"out: {exc}") from exc
         _execute_inner(cfg, out_dir, written)
     except Exception:
         for p in written:
             p.unlink(missing_ok=True)
-        for d in created:  # deepest first; only directories left empty
+        for d in filter(Path.exists, created):  # deepest first; only directories left empty
             if any(d.iterdir()):
                 break
             d.rmdir()
@@ -460,10 +468,8 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         "version": __version__,
         "renorm_count": 0,
     }
-    steady = dict(
-        n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
-        seed=cfg.seed, n_bins=cfg.n_bins, workers=cfg.threads,
-    )
+    run = dict(n_traj=cfg.n_traj, total_time=cfg.total_time, seed=cfg.seed, workers=cfg.threads)
+    sampled = dict(run, steady=cfg.sampling(), n_bins=cfg.n_bins)
 
     if cfg.mode in _ANGLE_MODES:
         path = out_dir / "design.csv"
@@ -475,8 +481,9 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
 
     if cfg.mode == "ensemble":
         [(_, _, law, r_target)] = points
-        traj = TrajectoryConfig((cfg.initial_state(),), cfg.total_time, cfg.record_stride, cfg.seed)
-        (result,) = run_ensemble(cfg.n_traj, traj, params, laws, workers=cfg.threads)
+        (result,) = run_ensemble(
+            laws, [cfg.initial_state()], params, record_stride=cfg.record_stride, **run
+        )
         path = out_dir / "mean.csv"
         _write_csv(
             path, ["t", "x", "y", "z"],
@@ -488,7 +495,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
 
     elif cfg.mode == "histogram":
         [(_, _, law, r_target)] = points
-        (summary,) = steady_state(laws, [cfg.initial_state()], params, **steady)
+        (summary,) = steady_state(laws, [cfg.initial_state()], params, **sampled)
         grid = summary.histogram
         centers = grid.centers
         path = out_dir / "hist.csv"
@@ -511,7 +518,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         # each point runs its law from its target state
         summaries = steady_state(
             laws, [BlochState.from_polar(theta_s, r_target) for _, theta_s, _, r_target in points],
-            params, **steady,
+            params, **sampled,
         )
         rows = []
         for value, theta_s, law, r_target in points:

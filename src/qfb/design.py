@@ -87,7 +87,8 @@ def design_nonideal(
 
     Angles within POLE_MARGIN of a pole are rejected: the constant drive
     grows as 1/y_s there.  Stabilize a nearby angle instead and let the
-    final unassisted collapse herald the pole.
+    final unassisted collapse herald the pole.  Rates so extreme that
+    R_s tau_m underflows to 0 leave no gain and are rejected too.
     """
     if not (POLE_MARGIN <= theta_s <= math.pi - POLE_MARGIN):
         raise ValueError(
@@ -96,6 +97,10 @@ def design_nonideal(
             "letting the measurement finish the collapse"
         )
     r_s = max_radius(theta_s, params)
+    if not r_s * params.tau_m > 0.0:
+        raise ValueError(
+            f"R_s tau_m underflows to 0 (R_s = {r_s}, tau_m = {params.tau_m}): no gain exists"
+        )
     delta1 = math.sin(theta_s) / (r_s * params.tau_m)
     y_s = r_s * math.sin(theta_s)
     z_s = r_s * math.cos(theta_s)

@@ -22,12 +22,13 @@ constructing one per trajectory.  Longer runs keep one Generator per
 trajectory, because each stream carries its position from block to
 block.  Both paths draw the same numbers.
 
-A run takes a sequence of P >= 1 feedback laws (operating points), each
-started from its own initial state.  The batch is held as (P, batch)
-arrays, one row per point; trajectory i draws its noise once from
-stream (seed, i) and every point reuses it (common random numbers), so
-each point gets the bits it would get if run alone, with P times fewer
-streams, noise fills and step calls.
+A run, ``run_ensemble(laws, initials, params, **run)`` like
+:func:`qfb.stats.steady_state`, takes P >= 1 feedback laws (operating
+points), each started from its own initial state.  The batch is held
+as (P, batch) arrays, one row per point; trajectory i draws its noise
+once from stream (seed, i) and every point reuses it (common random
+numbers), so each point gets the bits it would get if run alone, with
+P times fewer streams, noise fills and step calls.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .model import (
 )
 
 __all__ = [
-    "TrajectoryConfig",
     "SteadySampling",
     "EnsembleResult",
     "BayesStepper",
@@ -93,49 +93,19 @@ def trajectory_rng(
     return reuse
 
 
+def _whole_steps(time: float, dt: float) -> float:
+    """``time / dt`` rounded half to even, like ``round``; inf or nan where
+    that overflows, so a caller refuses it by comparison."""
+    return float(np.rint(time / dt))
+
+
 def _steps_for(total_time: float, dt: float) -> int:
-    n = int(round(total_time / dt))
-    if n < 1 or abs(n * dt - total_time) > 1e-9 * max(total_time, dt):
+    n = _whole_steps(total_time, dt)
+    if not 1 <= n < math.inf or abs(n * dt - total_time) > 1e-9 * max(total_time, dt):
         raise ValueError(
-            f"total_time = {total_time} is not a whole number of steps of dt = {dt}"
+            f"total_time = {total_time} is not a whole, finite number of steps of dt = {dt}"
         )
-    return n
-
-
-@dataclass(frozen=True)
-class TrajectoryConfig:
-    """What to simulate: initial states, duration, recording grid, master seed.
-
-    ``initial`` holds one state per law of the run.
-    """
-
-    initial: Sequence[BlochState]
-    total_time: float
-    record_stride: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        try:
-            initial = tuple(self.initial)
-        except TypeError:
-            raise ValueError(
-                f"initial: expected a sequence of states, one per law, got {self.initial!r}"
-            ) from None
-        for state in initial:
-            state.require_physical()
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    def n_steps(self, params: ModelParams) -> int:
-        n = _steps_for(self.total_time, params.dt)
-        if n % self.record_stride != 0:
-            raise ValueError(
-                f"record_stride = {self.record_stride} does not divide "
-                f"the {n} total steps; recorded times would be non-uniform"
-            )
-        return n
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -151,19 +121,18 @@ class SteadySampling:
     stride: float
 
     def step_indices(self, n_steps: int, dt: float) -> np.ndarray:
-        burn = int(round(self.burn_in / dt))
-        stride = int(round(self.stride / dt))
-        if stride < 1:
+        burn, stride = _whole_steps(self.burn_in, dt), _whole_steps(self.stride, dt)
+        if not 1 <= stride < math.inf:
             raise ValueError(
-                f"sampling stride = {self.stride} rounds to no whole step "
-                f"of dt = {dt}"
+                f"sampling stride = {self.stride} rounds to no whole, finite number "
+                f"of steps of dt = {dt}"
             )
         if not 0 <= burn <= n_steps:
             raise ValueError(
                 f"burn_in = {self.burn_in} lies outside the simulated time "
                 f"span [0, {n_steps * dt:.9g}]"
             )
-        return np.arange(burn, n_steps + 1, stride)
+        return np.arange(int(burn), n_steps + 1, int(stride))
 
 
 @dataclass
@@ -248,8 +217,7 @@ def _shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
 def _run_chunk(
     lo: int,
     hi: int,
-    cfg: TrajectoryConfig,
-    params: ModelParams,
+    seed: int,
     stepper_factory,
     laws: Sequence[FeedbackLaw],
     initials: Sequence[BlochState],
@@ -261,17 +229,18 @@ def _run_chunk(
 ) -> None:
     """Advance trajectories ``lo:hi`` at every point of ``laws``, adding point
     p's sums into ``rec_sums[p]``, writing its renormalizations into
-    ``renorms[p]`` and its samples into ``steady_out[p][lo:hi]``."""
+    ``renorms[p]`` and its samples into ``steady_out[p][lo:hi]``.  The run
+    lasts until its last record, ``rec_steps[-1]``."""
     n = hi - lo
-    n_steps = cfg.n_steps(params)
+    n_steps = int(rec_steps[-1])
     batch = stepper_factory(laws, initials, n)
     if n_steps <= BLOCK_STEPS:
         # One draw per trajectory: re-key one Generator right before each.
-        shared = trajectory_rng(cfg.seed, lo)
-        streams = lambda: (trajectory_rng(cfg.seed, i, reuse=shared) for i in range(lo, hi))
+        shared = trajectory_rng(seed, lo)
+        streams = lambda: (trajectory_rng(seed, i, reuse=shared) for i in range(lo, hi))
     else:
         # Each stream resumes where the previous block left it.
-        gens = [trajectory_rng(cfg.seed, i) for i in range(lo, hi)]
+        gens = [trajectory_rng(seed, i) for i in range(lo, hi)]
         streams = lambda: gens
 
     # state index -> slot in the mean-sum / steady-sample buffers
@@ -340,31 +309,38 @@ def _run_tasks(tasks: list, workers: int) -> None:
 
 
 def run_ensemble(
-    n_traj: int,
-    cfg: TrajectoryConfig,
-    params: ModelParams,
     laws: Sequence[FeedbackLaw],
+    initials: Sequence[BlochState],
+    params: ModelParams,
     *,
+    n_traj: int,
+    total_time: float,
+    record_stride: int = 1,
+    seed: int = 0,
     steady: SteadySampling | None = None,
     stepper_factory=None,
     workers: int = 1,
 ) -> list[EnsembleResult]:
-    """Simulate ``n_traj`` trajectories under each of ``laws`` and reduce them
-    on the fly; returns one result per law.
+    """Simulate ``n_traj`` trajectories under each of ``laws`` for
+    ``total_time``, law p started from ``initials[p]``, and reduce them on
+    the fly; returns one result per law.
 
-    Trajectory i draws from the stream keyed (cfg.seed, i).  ``steady``
-    enables pooled steady-state (y, z) sampling for histograms.
-    ``stepper_factory`` (laws, initial states, batch size -> stepper)
-    swaps the physics kernel; the default is :class:`BayesStepper`.  A
-    stepper owns (len(laws), batch) arrays ``x``, ``y``, ``z`` started from
-    the initial states, advances them by ``step(n01)`` on one noise value
-    per trajectory, and counts its renormalizations per law in
-    ``point_renorms``.
+    ``total_time`` must be a whole number of steps of ``params.dt``, and
+    the mean curve is recorded every ``record_stride`` of them.
+    Trajectory i draws from the stream keyed (seed, i), ``seed`` an
+    unsigned 64-bit integer.  ``steady`` enables pooled steady-state
+    (y, z) sampling for histograms.  ``stepper_factory`` (laws, initial
+    states, batch size -> stepper) swaps the physics kernel; the default
+    is :class:`BayesStepper`.  A stepper owns (len(laws), batch) arrays
+    ``x``, ``y``, ``z`` started from the initial states, advances them by
+    ``step(n01)`` on one noise value per trajectory, and counts its
+    renormalizations per law in ``point_renorms``.
 
-    The laws run as that many points in one batch, law p started from
-    ``cfg.initial[p]``, and each result is bit-identical to running that
-    law alone.  A law whose state goes non-finite raises ValueError; a
-    non-finite state never recovers, so only the last record is checked.
+    The laws run as that many points in one batch, and each result is
+    bit-identical to running that law alone.  A law whose state goes
+    non-finite raises ValueError; a non-finite state never recovers, so
+    only the last record is checked.  Every other argument is checked
+    before any buffer or worker exists.
 
     ``workers`` is the number of processes that run the tasks.  With C
     chunks, P points and N workers, each chunk's points split into
@@ -373,16 +349,27 @@ def run_ensemble(
     ``workers = 1`` starts no process.  Every result bit is the same for
     any ``workers``; a worker that dies raises :class:`WorkerError`.
     """
-    if not len(cfg.initial) == len(laws) >= 1:
-        raise ValueError(f"{len(cfg.initial)} initial states for {len(laws)} laws")
+    if isinstance(initials, BlochState):
+        raise ValueError(f"initials: expected a sequence of states, one per law, got {initials!r}")
+    if not len(initials) == len(laws) >= 1:
+        raise ValueError(f"{len(initials)} initial states for {len(laws)} laws")
+    for state in initials:
+        state.require_physical()
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     for law in laws:
         validate_law(law, params)
-    n_steps = cfg.n_steps(params)
-    rec_steps = np.arange(0, n_steps + 1, cfg.record_stride)
+    n_steps = _steps_for(total_time, params.dt)
+    if record_stride < 1 or n_steps % record_stride:
+        raise ValueError(
+            f"record_stride = {record_stride} must be >= 1 and divide the {n_steps} "
+            "total steps; recorded times would be non-uniform"
+        )
+    rec_steps = np.arange(0, n_steps + 1, record_stride)
     steady_steps = None if steady is None else steady.step_indices(n_steps, params.dt)
     if stepper_factory is None:
         stepper_factory = partial(BayesStepper, params)
@@ -403,7 +390,7 @@ def run_ensemble(
     # own slots of the buffers
     tasks = [
         partial(
-            _run_chunk, lo, hi, cfg, params, stepper_factory, laws[g], cfg.initial[g],
+            _run_chunk, lo, hi, seed, stepper_factory, laws[g], initials[g],
             rec_steps, steady_steps, chunk_sums[c, g], chunk_renorms[c, g],
             None if steady_out is None else steady_out[g],
         )

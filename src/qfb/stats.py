@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import FeedbackLaw
-from .engine import EnsembleResult, SteadySampling, TrajectoryConfig, _steps_for, run_ensemble
+from .engine import EnsembleResult, SteadySampling, _steps_for, run_ensemble
 from .model import BlochState, ModelParams
 
 __all__ = [
@@ -249,23 +249,24 @@ def steady_state(
     *,
     n_traj: int,
     total_time: float,
-    sampling: SteadySampling,
+    steady: SteadySampling,
     seed: int = 0,
     n_bins: int = DEFAULT_BINS,
     workers: int = 1,
 ) -> Iterator[EnsembleSummary]:
-    """Summaries of the steady-state samples ``sampling`` selects from
+    """Summaries of the steady-state samples ``steady`` selects from
     ``n_traj`` trajectories under each law, started at that law's initial
     state, in law order.
 
-    All laws run as one batched ensemble on ``workers`` processes (see
-    :func:`run_ensemble`) with the same master seed (common random
+    All laws run as one batched ensemble of :func:`run_ensemble`, which
+    takes the same arguments, with the same master seed (common random
     numbers), so each summary equals that law's run alone and summaries
     differ by physics rather than by noise realization.  The run writes
     no mean curve, so it records only the two endpoints.  Each law's
     samples are freed once summarized.
     """
-    cfg = TrajectoryConfig(tuple(initials), total_time, _steps_for(total_time, params.dt), seed)
-    results = run_ensemble(n_traj, cfg, params, laws, steady=sampling, workers=workers)
+    stride = _steps_for(total_time, params.dt)
+    results = run_ensemble(laws, initials, params, n_traj=n_traj, total_time=total_time,
+                           record_stride=stride, seed=seed, steady=steady, workers=workers)
     while results:
         yield summarize(results.pop(0), n_bins=n_bins)

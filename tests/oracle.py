@@ -15,7 +15,9 @@
   positivity, so it only flags, rather than corrects, sphere excursions;
   it plugs into :func:`qfb.engine.run_ensemble` through
   ``stepper_factory``, owning its batch like the engine's own stepper,
-  and so shares the engine's streams and reduction.
+  and so shares the engine's streams and reduction.  ``run_sme_ensemble``
+  and ``integrate_sme_trajectory`` take ``(law, initial, params)`` and
+  the engine's keywords.
 * Plain numerical references: a golden-section minimizer and a flood-fill
   connected-component labeller.
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from qfb.chain import FeedbackLaw
 from qfb.design import max_radius
-from qfb.engine import EnsembleResult, SteadySampling, TrajectoryConfig, run_ensemble
+from qfb.engine import EnsembleResult, run_ensemble
 from qfb.model import (
     BlochState,
     ModelParams,
@@ -358,39 +360,41 @@ class SmeEnsemble(EnsembleResult):
 
 
 def run_sme_ensemble(
-    n_traj: int,
-    cfg: TrajectoryConfig,
-    params: ModelParams,
     law: FeedbackLaw,
+    initial: BlochState,
+    params: ModelParams,
     *,
     noise_scale: float = 1.0,
-    steady: SteadySampling | None = None,
+    **run,
 ) -> SmeEnsemble:
-    """Ensemble of diffusive trajectories, same streams/reduction as the engine."""
+    """Ensemble of diffusive trajectories under ``law`` from ``initial``: the
+    engine's streams and reduction, with ``run`` the keywords of
+    :func:`qfb.engine.run_ensemble`."""
     steppers: list[SmeStepper] = []
 
     def factory(laws, initials, batch: int) -> SmeStepper:
         steppers.append(SmeStepper(params, law, initials[0], batch, noise_scale))
         return steppers[-1]
 
-    (result,) = run_ensemble(n_traj, cfg, params, [law], steady=steady, stepper_factory=factory)
+    (result,) = run_ensemble([law], [initial], params, stepper_factory=factory, **run)
     return SmeEnsemble(**vars(result), excursion_count=sum(s.excursions for s in steppers))
 
 
 def integrate_sme_trajectory(
-    initial: BlochState,
     law: FeedbackLaw,
+    initial: BlochState,
     params: ModelParams,
+    *,
     total_time: float,
     seed: int,
     record_stride: int = 1,
     noise_scale: float = 1.0,
 ) -> Curve:
     """One diffusive trajectory (Euler-Maruyama), cross-validating the engine."""
-    cfg = TrajectoryConfig(
-        initial=(initial,), total_time=total_time, record_stride=record_stride, seed=seed
+    result = run_sme_ensemble(
+        law, initial, params, noise_scale=noise_scale, n_traj=1, total_time=total_time,
+        record_stride=record_stride, seed=seed,
     )
-    result = run_sme_ensemble(1, cfg, params, law, noise_scale=noise_scale)
     return Curve(result.times, result.mean_xyz, result.excursion_count)
 
 

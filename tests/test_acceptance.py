@@ -18,7 +18,6 @@ from qfb import (
     FeedbackLaw,
     ModelParams,
     SteadySampling,
-    TrajectoryConfig,
     build_histogram,
     design_ideal,
     design_nonideal,
@@ -50,7 +49,7 @@ LOSSY_SWEEP = ModelParams(tau_m=TAU_M, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
 #: then sample every tau_m.  Runs start at the target state.
 STEADY = dict(
     n_traj=1250, total_time=17.8, seed=SEED,
-    sampling=SteadySampling(burn_in=10.0 * TAU_M, stride=TAU_M),
+    steady=SteadySampling(burn_in=10.0 * TAU_M, stride=TAU_M),
 )
 
 
@@ -60,12 +59,12 @@ def test_criterion_1_ideal_stabilization():
     track the deterministic oracle within 0.02 at every recorded time."""
     t0 = time.time()
     law = design_ideal(THETA_TARGET, TAU_M)
-    cfg = TrajectoryConfig(
-        (BlochState.from_polar(THETA_INIT),), 2.0, record_stride=40, seed=SEED
+    start = BlochState.from_polar(THETA_INIT)
+    (res,) = run_ensemble(
+        [law], [start], IDEAL_FINE, n_traj=10_000, total_time=2.0, record_stride=40, seed=SEED
     )
-    (res,) = run_ensemble(10_000, cfg, IDEAL_FINE, [law])
     ode = integrate_mean_ode(
-        cfg.initial[0], law, IDEAL_FINE, 2.0, IDEAL_FINE.dt / 10.0, record_stride=400
+        start, law, IDEAL_FINE, 2.0, IDEAL_FINE.dt / 10.0, record_stride=400
     )
     elapsed = time.time() - t0
 
@@ -89,10 +88,10 @@ def test_criterion_2_nonideal_stabilization():
     """Lossy-qubit stabilization: the ensemble settles at (0.52, 0.37) +- 0.02; the maximum
     radius formula gives 0.64 +- 0.005."""
     law, r_s = design_nonideal(THETA_TARGET, LOSSY_FINE)
-    cfg = TrajectoryConfig(
-        (BlochState.from_polar(THETA_INIT),), 2.0, record_stride=40, seed=SEED
+    (res,) = run_ensemble(
+        [law], [BlochState.from_polar(THETA_INIT)], LOSSY_FINE,
+        n_traj=10_000, total_time=2.0, record_stride=40, seed=SEED,
     )
-    (res,) = run_ensemble(10_000, cfg, LOSSY_FINE, [law])
     late = res.times >= 1.5
     mean_y = res.mean_xyz[late, 1].mean()
     mean_z = res.mean_xyz[late, 2].mean()
@@ -381,12 +380,11 @@ def test_criterion_7_cross_model_check():
     histogram peaks within one bin."""
     params = ModelParams(tau_m=TAU_M, dt=TAU_M / 400.0)
     law = design_ideal(THETA_TARGET, TAU_M)
-    cfg = TrajectoryConfig(
-        (BlochState.from_polar(THETA_INIT),), 9.8, record_stride=400, seed=SEED
-    )
-    sampling = SteadySampling(burn_in=2.0, stride=TAU_M)
-    (bayes,) = run_ensemble(1280, cfg, params, [law], steady=sampling)
-    sme = run_sme_ensemble(1280, cfg, params, law, steady=sampling)
+    start = BlochState.from_polar(THETA_INIT)
+    run = dict(n_traj=1280, total_time=9.8, record_stride=400, seed=SEED,
+               steady=SteadySampling(burn_in=2.0, stride=TAU_M))
+    (bayes,) = run_ensemble([law], [start], params, **run)
+    sme = run_sme_ensemble(law, start, params, **run)
 
     mb = bayes.steady_yz.mean(axis=0)
     ms = sme.steady_yz.mean(axis=0)

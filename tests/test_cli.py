@@ -294,7 +294,7 @@ class TestExecute:
         for row, (value, theta_s, law, r_target) in zip(rows, cfg.points()):
             (s,) = steady_state(
                 [law], [BlochState.from_polar(theta_s, r_target)], cfg.model_params(),
-                n_traj=cfg.n_traj, total_time=cfg.total_time, sampling=cfg.sampling(),
+                n_traj=cfg.n_traj, total_time=cfg.total_time, steady=cfg.sampling(),
                 seed=cfg.seed, n_bins=cfg.n_bins,
             )
             assert row == _json_ready({
@@ -438,13 +438,34 @@ class TestMain:
     def test_design_table_neither_rejects_nor_warns_on_dt(self, tmp_path, capsys):
         outputs = []
         for dt in ([], ["--dt", "1"], ["--dt", "0.05"],
-                   ["--dt", "1", "--sample-every", "0.2"]):
+                   ["--dt", "1", "--sample-every", "0.2"], ["--dt", "nan"], ["--dt", "inf"]):
             out = tmp_path / f"dt{len(outputs)}"
             rc = main(["--mode", "design-table", "--theta-list", "0.3pi", "--out", str(out)] + dt)
             assert rc == 0
             assert capsys.readouterr().err == ""
             outputs.append((out / "design.csv").read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3] == outputs[4] == outputs[5]
+
+    def test_ensemble_neither_rejects_nor_reads_the_sampling_keys(self, tmp_path):
+        argv = ["--mode", "ensemble", "--theta-target", "0.3pi", "--dt", "0.01",
+                "--total-time", "1", "--record-stride", "10", "--n-traj", "3"]
+        outputs = []
+        for sampling in ([], ["--sample-every", "0.0001", "--burn-in", "nan"]):
+            out = tmp_path / f"s{len(outputs)}"
+            assert main(argv + sampling + ["--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+
+    def test_an_out_path_through_a_file_is_refused_by_key(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("keep\n")
+        for out in (blocker, blocker / "sub"):
+            rc = main(["--mode", "design-table", "--theta-list", "0.3pi", "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("error: out: ") and err.count("\n") == 1, err
+        assert blocker.read_text() == "keep\n"
+        assert list(tmp_path.iterdir()) == [blocker]
 
     @pytest.mark.filterwarnings("always")
     def test_each_warning_prints_once_without_its_source(self, tmp_path, capsys):
@@ -578,6 +599,12 @@ BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
                           "--total-time", "3", "--n-traj", "5", "--sweep-values=-0.1"]),
         ("sweep_values", ["--mode", "sweep-delay", "--theta-target", "0.3pi", "--dt", "0.01",
                           "--total-time", "3", "--n-traj", "5", "--sweep-values=-0.1"]),
+        # finite extremes whose step counts or design overflow
+        ("total_time", BASE + ["--total-time", "1e308"]),
+        ("burn_in", ["--mode", "histogram", "--theta-target", "0.3pi", "--burn-in", "1e308"]),
+        ("sample_every", ["--mode", "histogram", "--theta-target", "0.3pi",
+                          "--sample-every", "1e308"]),
+        ("theta_target", BASE + ["--t1", "1e-300"]),
     ],
 )
 def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):

@@ -15,7 +15,6 @@ from qfb import (
     max_radius,
 )
 from qfb.design import POLE_MARGIN
-from qfb.engine import TrajectoryConfig
 from oracle import (
     TargetSpec,
     disturbance,
@@ -281,14 +280,14 @@ class TestSmeModel:
     def test_markovian_only(self):
         law = FeedbackLaw(-1.0, 4.0, Ts=0.1)
         with pytest.raises(ValueError):
-            integrate_sme_trajectory(BlochState(0, 0, 1), law, IDEAL, 1.0, seed=1)
+            integrate_sme_trajectory(law, BlochState(0, 0, 1), IDEAL, total_time=1.0, seed=1)
 
     def test_frozen_noise_reproduces_mean_ode(self):
         p = ModelParams(tau_m=0.2, dt=0.0002, T1=60.0, T2=40.0, eta=0.41)
         law, _ = design_nonideal(0.3 * math.pi, p)
         init = BlochState.from_polar(0.1 * math.pi)
         em = integrate_sme_trajectory(
-            init, law, p, 2.0, seed=4, record_stride=100, noise_scale=0.0
+            law, init, p, total_time=2.0, seed=4, record_stride=100, noise_scale=0.0
         )
         ode = integrate_mean_ode(init, law, p, 2.0, p.dt / 10.0, record_stride=1000)
         assert np.allclose(em.times, ode.times)
@@ -299,8 +298,8 @@ class TestSmeModel:
         p = ModelParams(tau_m=0.2, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
         law, r_s = design_nonideal(0.3 * math.pi, p)
         init = BlochState.from_polar(0.1 * math.pi)
-        cfg = TrajectoryConfig(initial=(init,), total_time=2.0, record_stride=100, seed=17)
-        res = run_sme_ensemble(4000, cfg, p, law)
+        res = run_sme_ensemble(law, init, p, n_traj=4000, total_time=2.0, record_stride=100,
+                               seed=17)
         ode = integrate_mean_ode(init, law, p, 2.0, p.dt / 10.0, record_stride=1000)
         assert np.abs(res.mean_xyz - ode.xyz).max() < 0.03
 
@@ -311,7 +310,7 @@ class TestSmeModel:
             p = ModelParams(tau_m=0.2, dt=0.01)
         law = design_ideal(0.45 * math.pi, 0.2)
         init = BlochState.from_polar(0.1 * math.pi)
-        rec = integrate_sme_trajectory(init, law, p, 20.0, seed=12)
+        rec = integrate_sme_trajectory(law, init, p, total_time=20.0, seed=12)
         radii = np.linalg.norm(rec.xyz, axis=1)
         assert radii.max() > 1.0  # not renormalized
         assert rec.excursion_count >= 1  # beyond 1.05 is flagged

@@ -11,7 +11,6 @@ from qfb import (
     FeedbackLaw,
     ModelParams,
     SteadySampling,
-    TrajectoryConfig,
     design_ideal,
     design_nonideal,
     run_ensemble,
@@ -23,41 +22,39 @@ IDEAL = ModelParams(tau_m=0.2, dt=0.0005)
 
 
 def ideal_setup(seed=7, total_time=2.0, stride=40):
+    """A designed ideal law, its start state and the run's keywords."""
     law = design_ideal(0.3 * math.pi, 0.2)
-    cfg = TrajectoryConfig(
-        initial=(BlochState.from_polar(0.1 * math.pi),),
-        total_time=total_time,
-        record_stride=stride,
-        seed=seed,
-    )
-    return cfg, law
+    start = BlochState.from_polar(0.1 * math.pi)
+    return law, start, dict(total_time=total_time, record_stride=stride, seed=seed)
 
 
-def final_states(n_traj, cfg, params, law):
+def final_states(n_traj, law, start, params, run):
     """(y, z) of every trajectory at the end of the run, in index order."""
-    at_end = SteadySampling(burn_in=cfg.total_time, stride=cfg.total_time)
-    (res,) = run_ensemble(n_traj, cfg, params, [law], steady=at_end)
+    at_end = SteadySampling(burn_in=run["total_time"], stride=run["total_time"])
+    (res,) = run_ensemble([law], [start], params, n_traj=n_traj, steady=at_end, **run)
     return res.steady_yz
+
+
+POLE = BlochState(0, 0, 1)
+FREE = FeedbackLaw(0.0, 0.0)
 
 
 class TestConfigValidation:
     def test_non_integer_steps_rejected(self):
-        cfg = TrajectoryConfig((BlochState(0, 0, 1),), total_time=1.00037)
         with pytest.raises(ValueError):
-            cfg.n_steps(IDEAL)
+            run_ensemble([FREE], [POLE], IDEAL, n_traj=1, total_time=1.00037)
 
     def test_stride_must_divide(self):
-        cfg = TrajectoryConfig((BlochState(0, 0, 1),), total_time=1.0, record_stride=3)
         with pytest.raises(ValueError):
-            cfg.n_steps(IDEAL)
+            run_ensemble([FREE], [POLE], IDEAL, n_traj=1, total_time=1.0, record_stride=3)
 
     def test_bad_seed(self):
         with pytest.raises(ValueError):
-            TrajectoryConfig((BlochState(0, 0, 1),), total_time=1.0, seed=-1)
+            run_ensemble([FREE], [POLE], IDEAL, n_traj=1, total_time=1.0, seed=-1)
 
     def test_unphysical_initial(self):
         with pytest.raises(ValueError):
-            TrajectoryConfig((BlochState(1.0, 1.0, 1.0),), total_time=1.0)
+            run_ensemble([FREE], [BlochState(1.0, 1.0, 1.0)], IDEAL, n_traj=1, total_time=1.0)
 
 
 class TestStreams:
@@ -97,24 +94,24 @@ class TestRunTrajectory:
     """One trajectory is an ensemble of one: its mean curve is the trajectory."""
 
     def test_pole_without_feedback_is_constant(self):
-        law = FeedbackLaw(0.0, 0.0)
-        cfg = TrajectoryConfig((BlochState(0, 0, 1),), total_time=0.5, record_stride=10, seed=3)
-        (res,) = run_ensemble(1, cfg, IDEAL, [law])
+        (res,) = run_ensemble(
+            [FREE], [POLE], IDEAL, n_traj=1, total_time=0.5, record_stride=10, seed=3
+        )
         xyz = res.mean_xyz
         assert np.all(xyz[:, 2] == 1.0)
         assert np.all(xyz[:, :2] == 0.0)
 
     def test_same_seed_bit_identical(self):
-        cfg, law = ideal_setup(seed=11)
-        (a,) = run_ensemble(1, cfg, IDEAL, [law])
-        (b,) = run_ensemble(1, cfg, IDEAL, [law])
+        law, start, run = ideal_setup(seed=11)
+        (a,) = run_ensemble([law], [start], IDEAL, n_traj=1, **run)
+        (b,) = run_ensemble([law], [start], IDEAL, n_traj=1, **run)
         assert np.array_equal(a.mean_xyz, b.mean_xyz)
         assert np.array_equal(a.times, b.times)
         assert a.renorm_count == b.renorm_count
 
     def test_record_grid_includes_endpoints(self):
-        cfg, law = ideal_setup(seed=2, total_time=1.0, stride=100)
-        (res,) = run_ensemble(1, cfg, IDEAL, [law])
+        law, start, run = ideal_setup(seed=2, total_time=1.0, stride=100)
+        (res,) = run_ensemble([law], [start], IDEAL, n_traj=1, **run)
         assert res.times[0] == 0.0
         assert res.times[-1] == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(np.diff(res.times), 100 * IDEAL.dt)
@@ -124,14 +121,11 @@ class TestRunTrajectory:
         # readouts rebuilt from the trajectory's own stream drive the scalar
         # reference step to the same states as the engine
         law = design_ideal(0.3 * math.pi, 0.2)  # Markovian: r_fed = r
-        cfg = TrajectoryConfig(
-            (BlochState(0.3, 0.5, 0.4),), total_time=0.05, record_stride=1, seed=5
-        )
-        (res,) = run_ensemble(1, cfg, IDEAL, [law])
+        s = BlochState(0.3, 0.5, 0.4)
+        (res,) = run_ensemble([law], [s], IDEAL, n_traj=1, total_time=0.05, seed=5)
         xyz = res.mean_xyz
         n_steps = round(0.05 / IDEAL.dt)
-        noise = trajectory_rng(cfg.seed, 0).standard_normal(n_steps)
-        s = cfg.initial[0]
+        noise = trajectory_rng(5, 0).standard_normal(n_steps)
         for k in range(n_steps):
             r = s.z + IDEAL.readout_sigma * noise[k]
             s = composite_step(s, ReadoutSample(r), r, law, IDEAL)
@@ -141,8 +135,8 @@ class TestRunTrajectory:
     def test_ideal_stabilization_fraction_over_seeds(self):
         # >= 80% of single trajectories end within 0.15 of the target state
         # (x starts at 0 and stays exactly 0 in the ideal model)
-        cfg, law = ideal_setup(seed=1000, total_time=2.0, stride=4000)
-        finals = final_states(1000, cfg, IDEAL, law)
+        law, start, run = ideal_setup(seed=1000, total_time=2.0, stride=4000)
+        finals = final_states(1000, law, start, IDEAL, run)
         target = np.array([math.sin(0.3 * math.pi), math.cos(0.3 * math.pi)])
         dist = np.linalg.norm(finals - target, axis=1)
         assert (dist < 0.15).mean() >= 0.80
@@ -151,10 +145,10 @@ class TestRunTrajectory:
 class TestRunEnsemble:
     def test_single_trajectory_matches_trajectory_zero(self):
         # trajectory 0 follows the same path alone and inside a larger ensemble
-        cfg, law = ideal_setup(seed=21)
-        (alone,) = run_ensemble(1, cfg, IDEAL, [law])
-        every_record = SteadySampling(burn_in=0.0, stride=cfg.record_stride * IDEAL.dt)
-        (many,) = run_ensemble(5, cfg, IDEAL, [law], steady=every_record)
+        law, start, run = ideal_setup(seed=21)
+        (alone,) = run_ensemble([law], [start], IDEAL, n_traj=1, **run)
+        every_record = SteadySampling(burn_in=0.0, stride=run["record_stride"] * IDEAL.dt)
+        (many,) = run_ensemble([law], [start], IDEAL, n_traj=5, steady=every_record, **run)
         n_rec = len(alone.times)
         assert many.steady_yz.shape == (5 * n_rec, 2)
         assert np.array_equal(alone.mean_xyz[:, 1:], many.steady_yz[:n_rec])
@@ -171,11 +165,10 @@ class TestRunEnsemble:
             law, _ = design_nonideal(0.3 * math.pi, p)
         monkeypatch.setattr(eng, "CHUNK_SIZE", chunk_size)
         monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
-        cfg = TrajectoryConfig(
-            (BlochState.from_polar(0.1 * math.pi),), 0.2, record_stride=10, seed=9
+        (res,) = run_ensemble(
+            [law], [BlochState.from_polar(0.1 * math.pi)], p, n_traj=300, total_time=0.2,
+            record_stride=10, seed=9, steady=SteadySampling(burn_in=0.1, stride=0.02),
         )
-        sampling = SteadySampling(burn_in=0.1, stride=0.02)
-        (res,) = run_ensemble(300, cfg, p, [law], steady=sampling)
         return res
 
     def test_chunk_schedule_does_not_change_bits(self, monkeypatch):
@@ -214,12 +207,12 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(np.random, "Philox", counting_philox)
         monkeypatch.setattr(eng, "CHUNK_SIZE", 16)
-        cfg, law = ideal_setup(seed=3, total_time=0.1, stride=20)  # 200 steps
-        run_ensemble(50, cfg, IDEAL, [law])
+        law, start, run = ideal_setup(seed=3, total_time=0.1, stride=20)  # 200 steps
+        run_ensemble([law], [start], IDEAL, n_traj=50, **run)
         assert len(built) == 4  # chunks of 16, 16, 16 and 2 trajectories
         monkeypatch.setattr(eng, "BLOCK_STEPS", 16)  # several blocks: one per trajectory
         built.clear()
-        run_ensemble(50, cfg, IDEAL, [law])
+        run_ensemble([law], [start], IDEAL, n_traj=50, **run)
         assert len(built) == 50
 
     @pytest.mark.parametrize("n_steps", [200, 800])  # one noise block; several
@@ -231,22 +224,22 @@ class TestRunEnsemble:
         import qfb.engine as eng
 
         monkeypatch.setattr(eng, "CHUNK_SIZE", 512)
-        cfg, law = ideal_setup(total_time=n_steps * IDEAL.dt, stride=n_steps)
+        law, start, run = ideal_setup(total_time=n_steps * IDEAL.dt, stride=n_steps)
         peaks = []
         for n_traj in (512, 1536):
             tracemalloc.start()
             try:
-                run_ensemble(n_traj, cfg, IDEAL, [law])
+                run_ensemble([law], [start], IDEAL, n_traj=n_traj, **run)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
 
     def test_ensemble_mean_tracks_ode(self):
-        cfg, law = ideal_setup(seed=7)
-        (res,) = run_ensemble(2000, cfg, IDEAL, [law])
+        law, start, run = ideal_setup(seed=7)
+        (res,) = run_ensemble([law], [start], IDEAL, n_traj=2000, **run)
         ode = integrate_mean_ode(
-            cfg.initial[0], law, IDEAL, cfg.total_time, IDEAL.dt / 10.0, record_stride=400
+            start, law, IDEAL, run["total_time"], IDEAL.dt / 10.0, record_stride=400
         )
         assert np.allclose(res.times, ode.times)
         assert np.abs(res.mean_xyz - ode.xyz).max() <= 0.02
@@ -256,15 +249,15 @@ class TestRunEnsemble:
         p = ModelParams(tau_m=0.2, dt=0.002)
         z0 = 0.3
         y0 = math.sqrt(1 - z0 * z0)
-        cfg = TrajectoryConfig((BlochState(0.0, y0, z0),), 2.0, record_stride=100, seed=33)
+        run = dict(total_time=2.0, record_stride=100, seed=33)
         n = 3000
-        finals_z = final_states(n, cfg, p, FeedbackLaw(0.0, 0.0))[:, 1]
+        finals_z = final_states(n, FREE, BlochState(0.0, y0, z0), p, run)[:, 1]
         se = finals_z.std(ddof=1) / math.sqrt(n)
         assert abs(finals_z.mean() - z0) < 5 * se
 
     def test_standard_error_scales_inverse_sqrt_n(self):
-        cfg, law = ideal_setup(seed=15, total_time=1.0, stride=2000)
-        finals_y = final_states(4096, cfg, IDEAL, law)[:, 0]
+        law, start, run = ideal_setup(seed=15, total_time=1.0, stride=2000)
+        finals_y = final_states(4096, law, start, IDEAL, run)[:, 0]
         small = finals_y.reshape(64, 64).mean(axis=1)  # batches of 64
         big = finals_y.reshape(4, 1024).mean(axis=1)  # batches of 1024
         ratio = small.std(ddof=1) / big.std(ddof=1)
@@ -280,9 +273,11 @@ class TestRunEnsemble:
 
     def test_steady_samples_pooled_per_trajectory(self):
         p = ModelParams(tau_m=0.2, dt=0.002)
-        cfg = TrajectoryConfig((BlochState(0, 0, 1),), 4.0, record_stride=200, seed=2)
         sampling = SteadySampling(burn_in=2.0, stride=0.2)
-        (res,) = run_ensemble(7, cfg, p, [FeedbackLaw(0.0, 0.0)], steady=sampling)
+        (res,) = run_ensemble(
+            [FREE], [POLE], p, n_traj=7, total_time=4.0, record_stride=200, seed=2,
+            steady=sampling,
+        )
         per = len(sampling.step_indices(2000, p.dt))
         assert res.steady_yz.shape == (7 * per, 2)
         # pole start + no feedback: all steady samples are exactly (0, 1)
@@ -295,11 +290,11 @@ class TestRunEnsemble:
             warnings.simplefilter("ignore")
             law, r_s = design_nonideal(0.3 * math.pi, p)
         init = BlochState(0.0, r_s * math.sin(0.3 * math.pi), r_s * math.cos(0.3 * math.pi))
-        cfg = TrajectoryConfig((init,), 26.0, record_stride=100, seed=6)
         means = []
         for burn in (2.0, 4.0):
             (res,) = run_ensemble(
-                800, cfg, p, [law], steady=SteadySampling(burn_in=burn, stride=0.2)
+                [law], [init], p, n_traj=800, total_time=26.0, record_stride=100, seed=6,
+                steady=SteadySampling(burn_in=burn, stride=0.2),
             )
             my, mz = res.steady_yz.mean(axis=0)
             means.append((my, mz, math.hypot(my, mz)))
@@ -308,40 +303,35 @@ class TestRunEnsemble:
         assert means[0][1] == pytest.approx(means[1][1], abs=0.01)
 
     def test_renorms_counted_for_pure_states(self):
-        cfg, law = ideal_setup(seed=4, total_time=0.2, stride=400)
-        (res,) = run_ensemble(50, cfg, IDEAL, [law])
+        law, start, run = ideal_setup(seed=4, total_time=0.2, stride=400)
+        (res,) = run_ensemble([law], [start], IDEAL, n_traj=50, **run)
         assert res.renorm_count > 0  # float drift off the sphere is corrected
 
     def test_several_laws_give_each_law_its_own_run(self, monkeypatch):
         import qfb.engine as eng
 
         monkeypatch.setattr(eng, "CHUNK_SIZE", 16)
-        cfg, base = ideal_setup(seed=4, total_time=0.2, stride=40)
+        base, _, run = ideal_setup(seed=4, total_time=0.2, stride=40)
         laws = [base, FeedbackLaw(base.delta0, base.delta1, Ts=0.002, Td=0.003),
                 FeedbackLaw(0.0, 0.0, Td=0.001)]
         starts = [BlochState.from_polar(t * math.pi) for t in (0.1, 0.3, 0.5)]
-        sampling = SteadySampling(burn_in=0.1, stride=0.02)
-        batched = run_ensemble(
-            40, TrajectoryConfig(starts, 0.2, 40, seed=4), IDEAL, laws, steady=sampling
-        )
+        run.update(n_traj=40, steady=SteadySampling(burn_in=0.1, stride=0.02))
+        batched = run_ensemble(laws, starts, IDEAL, **run)
         assert len(batched) == len(laws)
         for res, law, start in zip(batched, laws, starts):
-            (alone,) = run_ensemble(
-                40, TrajectoryConfig((start,), 0.2, 40, seed=4), IDEAL, [law], steady=sampling
-            )
+            (alone,) = run_ensemble([law], [start], IDEAL, **run)
             assert np.array_equal(res.mean_xyz, alone.mean_xyz)
             assert np.array_equal(res.steady_yz, alone.steady_yz)
             assert res.renorm_count == alone.renorm_count > 0
 
     def test_one_initial_state_per_law(self):
-        cfg, law = ideal_setup()
-        starts = TrajectoryConfig([cfg.initial[0]] * 2, cfg.total_time, cfg.record_stride)
+        law, start, run = ideal_setup()
         with pytest.raises(ValueError, match="2 initial states for 3 laws"):
-            run_ensemble(1, starts, IDEAL, [law] * 3)
+            run_ensemble([law] * 3, [start] * 2, IDEAL, n_traj=1, **run)
 
     def test_a_single_initial_state_is_refused_by_key(self):
-        with pytest.raises(ValueError, match=r"^initial: .*one per law"):
-            TrajectoryConfig(BlochState(0.0, 0.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match=r"^initials: .*one per law"):
+            run_ensemble([FREE], POLE, IDEAL, n_traj=1, total_time=1.0)
 
     def test_no_laws_are_refused_before_any_worker_starts(self, monkeypatch):
         import concurrent.futures
@@ -352,25 +342,25 @@ class TestRunEnsemble:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         for workers in (1, 2):
             with pytest.raises(ValueError, match="0 initial states for 0 laws"):
-                run_ensemble(5, TrajectoryConfig((), 3.0, 300), IDEAL, [], workers=workers)
+                run_ensemble([], [], IDEAL, n_traj=5, total_time=3.0, record_stride=300,
+                             workers=workers)
 
     def test_a_law_that_drives_the_state_non_finite_is_refused(self):
-        cfg, law = ideal_setup(total_time=0.1, stride=20)
-        starts = TrajectoryConfig(cfg.initial * 2, cfg.total_time, cfg.record_stride)
+        law, start, run = ideal_setup(total_time=0.1, stride=20)
         # the rotation angle dt * (delta0 + delta1 * r) overflows to inf
         huge = FeedbackLaw(0.0, 1e307)
         with pytest.raises(ValueError, match=r"delta0/delta1: .*delta1=1e\+307"):
-            run_ensemble(5, starts, IDEAL, [law, huge])
+            run_ensemble([law, huge], [start] * 2, IDEAL, n_traj=5, **run)
 
     def test_invalid_n_traj(self):
-        cfg, law = ideal_setup()
+        law, start, run = ideal_setup()
         with pytest.raises(ValueError):
-            run_ensemble(0, cfg, IDEAL, [law])
+            run_ensemble([law], [start], IDEAL, n_traj=0, **run)
 
     def test_invalid_workers(self):
-        cfg, law = ideal_setup()
+        law, start, run = ideal_setup()
         with pytest.raises(ValueError, match="workers"):
-            run_ensemble(1, cfg, IDEAL, [law], workers=0)
+            run_ensemble([law], [start], IDEAL, n_traj=1, workers=0, **run)
 
 
 LOSSY = ModelParams(tau_m=0.2, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
@@ -395,10 +385,10 @@ class TestWorkers:
 
         monkeypatch.setattr(eng, "CHUNK_SIZE", 16)
         monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
-        cfg = TrajectoryConfig(initials, 0.2, record_stride=10, seed=9)
         sampling = SteadySampling(burn_in=0.1, stride=0.02)
         runs = [
-            run_ensemble(n_traj, cfg, params, laws, steady=sampling, workers=workers)
+            run_ensemble(laws, initials, params, n_traj=n_traj, total_time=0.2,
+                         record_stride=10, seed=9, steady=sampling, workers=workers)
             for workers in (1, 3)
         ]
         assert multiprocessing.active_children() == []

@@ -2,8 +2,9 @@
 
 Each example draws a mode and up to four overrides on top of a tiny run.
 Every override value comes from a per-key menu of small valid values
-plus the invalid spellings ``nan``, ``inf``, ``-1``, ``0``, ``""`` and
-``abc`` (some of which are valid for some keys).  No menu entry makes an
+plus the invalid spellings ``nan``, ``inf``, ``-1``, ``0``, ``""``,
+``abc`` and the finite extremes ``1e308``, ``-1e308`` and ``1e-308``
+(some of which are valid for some keys).  No menu entry makes an
 accepted run large: ``dt = 0.01``, at most 5 trajectories, at most 3 us.
 
 The property: ``main`` either exits 0 and every number in every written
@@ -26,7 +27,7 @@ from qfb.cli import MODES, RunConfig, main
 
 KEYS = {f.name for f in fields(RunConfig)}
 
-INVALID = ("nan", "inf", "-1", "0", "", "abc")
+INVALID = ("nan", "inf", "-1", "0", "", "abc", "1e308", "-1e308", "1e-308")
 
 #: Small valid values of every drawn key.
 VALID = {

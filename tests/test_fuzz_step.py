@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfb import BlochState, FeedbackLaw, ModelParams
-from qfb.engine import BayesStepper, SteadySampling, TrajectoryConfig, run_ensemble
+from qfb.engine import BayesStepper, SteadySampling, run_ensemble
 from qfb.model import SPHERE_TOL
 
 TAU_M = 0.2
@@ -108,24 +108,22 @@ def huge_runs(draw):
         params = ModelParams(tau_m=TAU_M, dt=dt)
     n_laws = draw(st.integers(1, 3))
     n_steps = draw(st.integers(1, 60))
-    cfg = TrajectoryConfig(
-        initial=draw(st.lists(states(), min_size=n_laws, max_size=n_laws)),
-        total_time=n_steps * dt,
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
-    steady = SteadySampling(
+    initials = draw(st.lists(states(), min_size=n_laws, max_size=n_laws))
+    run = dict(total_time=n_steps * dt, seed=draw(st.integers(0, 2**32 - 1)))
+    run["steady"] = SteadySampling(
         burn_in=draw(st.integers(0, n_steps)) * dt, stride=draw(st.integers(1, 5)) * dt
     )
     drawn_laws = draw(st.lists(huge_laws(dt), min_size=n_laws, max_size=n_laws))
-    return params, drawn_laws, cfg, steady, draw(st.integers(1, 8))
+    run["n_traj"] = draw(st.integers(1, 8))
+    return params, drawn_laws, initials, run
 
 
 @settings(database=None, derandomize=True, deadline=None)
 @given(run=huge_runs())
 def test_a_non_finite_state_is_refused_never_returned(run):
-    params, drawn_laws, cfg, steady, n_traj = run
+    params, drawn_laws, initials, ensemble = run
     try:
-        results = run_ensemble(n_traj, cfg, params, drawn_laws, steady=steady)
+        results = run_ensemble(drawn_laws, initials, params, **ensemble)
     except ValueError as exc:
         message = str(exc)
         assert message.startswith("delta0/delta1:"), message

@@ -11,6 +11,12 @@ ensemble configs run with ``n_traj = 1``: trajectory 0 of the seed's
 streams.  The digests were recorded while a separate trajectory mode
 still kept a per-trajectory record, and are not re-recorded.
 
+``TWO_CHUNK_GOLDEN`` runs 4100 trajectories, two chunks of the engine's
+4096, so that the chunk-order sum of the mean curve and the pooling of
+the steady samples across chunks are pinned too: fig4 shortened to
+0.4 us (800 steps, two noise blocks) and fig6_top at full length (200
+steps, one noise block).
+
 The digests pin refactors to byte-identical output.  A deliberate change
 of output (new physics, a different float format) or a numpy upgrade that
 moves the random streams or the last ulp re-records them; CHANGES.md then
@@ -66,21 +72,44 @@ GOLDEN = {
     },
 }
 
+TWO_CHUNK_GOLDEN = {
+    "fig4": (
+        {"n_traj": 4100, "total_time": 0.4},
+        {"mean.csv": "f2915d41f20b4ae5b1afd86306314249b951e0d04709165f560a2e94657671cc"},
+    ),
+    "fig6_top": (
+        {"n_traj": 4100},
+        {
+            "hist.csv": "9e654e2c979d5245de6b683d9d64b2559d261fb7b97d34c4a1e02343d203d269",
+            "peaks.json": "20a3056431853348f9fce3569126f6797b5d0228f41f680e6731b24b3e1b8b01",
+        },
+    ),
+}
+
 TRAJECTORY_GOLDEN = {
     "fig3": "6c54f7aae743ddd51898a55e32f221600a26674089a3254821e13e7237de6b91",
     "fig4": "95fb090a1e4772a37ae2800ec3782da2f2306c261dc12ddf53359fe26b024966",
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_shipped_config_digests(name, tmp_path):
-    execute(parse_config(CONFIGS / f"{name}.cfg", {"n_traj": 32, "out": str(tmp_path)}))
-    digests = {
+def _result_digests(name, overrides, out):
+    execute(parse_config(CONFIGS / f"{name}.cfg", {**overrides, "out": str(out)}))
+    return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in tmp_path.iterdir()
+        for p in out.iterdir()
         if p.name in RESULT_FILES
     }
-    assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_config_digests(name, tmp_path):
+    assert _result_digests(name, {"n_traj": 32}, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(TWO_CHUNK_GOLDEN))
+def test_two_chunk_digests(name, tmp_path):
+    overrides, golden = TWO_CHUNK_GOLDEN[name]
+    assert _result_digests(name, overrides, tmp_path) == golden
 
 
 def test_every_shipped_config_has_digests():

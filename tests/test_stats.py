@@ -10,7 +10,6 @@ from qfb import (
     BlochState,
     ModelParams,
     SteadySampling,
-    TrajectoryConfig,
     build_histogram,
     design_ideal,
     design_nonideal,
@@ -156,9 +155,9 @@ class TestSummaryAndSweeps:
     def test_summarize_includes_peak_and_radius(self):
         law, r_s = design_nonideal(0.3 * math.pi, NONIDEAL_COARSE)
         init = BlochState.from_polar(0.3 * math.pi, r_s)
-        cfg = TrajectoryConfig((init,), 9.8, record_stride=20, seed=14)
         (res,) = run_ensemble(
-            400, cfg, NONIDEAL_COARSE, [law], steady=SteadySampling(2.0, 0.2)
+            [law], [init], NONIDEAL_COARSE, n_traj=400, total_time=9.8, record_stride=20,
+            seed=14, steady=SteadySampling(2.0, 0.2),
         )
         summary = summarize(res)
         assert summary.histogram.n_samples == res.steady_yz.shape[0]
@@ -168,8 +167,10 @@ class TestSummaryAndSweeps:
 
     def test_summarize_rejects_a_run_without_samples(self):
         law, r_s = design_nonideal(0.3 * math.pi, NONIDEAL_COARSE)
-        cfg = TrajectoryConfig((BlochState.from_polar(0.3 * math.pi, r_s),), 0.2, seed=1)
-        (res,) = run_ensemble(5, cfg, NONIDEAL_COARSE, [law])
+        (res,) = run_ensemble(
+            [law], [BlochState.from_polar(0.3 * math.pi, r_s)], NONIDEAL_COARSE,
+            n_traj=5, total_time=0.2, seed=1,
+        )
         with pytest.raises(ValueError, match="no steady-state samples"):
             summarize(res)
 
@@ -183,7 +184,7 @@ class TestSummaryAndSweeps:
             NONIDEAL_COARSE,
             n_traj=300,
             total_time=9.8,
-            sampling=SteadySampling(2.0, 0.2),
+            steady=SteadySampling(2.0, 0.2),
             seed=3,
         )
         # every law draws the same noise: equal laws give equal summaries
@@ -197,7 +198,7 @@ class TestSummaryAndSweeps:
         theta = 0.3 * math.pi
         law = design_ideal(theta, ideal.tau_m)
         start = BlochState.from_polar(theta, 1.0)
-        run = dict(n_traj=50, total_time=3.0, sampling=SteadySampling(2.0, 0.2), seed=3)
+        run = dict(n_traj=50, total_time=3.0, steady=SteadySampling(2.0, 0.2), seed=3)
         (alone,) = steady_state([law], [start], ideal, **run)
         first, second = steady_state([law] * 2, [start] * 2, ideal, **run)
         assert alone.renorm_count > 0
@@ -210,7 +211,7 @@ class TestSummaryAndSweeps:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        run = dict(n_traj=5, total_time=3.0, sampling=SteadySampling(2.0, 0.2), workers=2)
+        run = dict(n_traj=5, total_time=3.0, steady=SteadySampling(2.0, 0.2), workers=2)
         with pytest.raises(ValueError, match="0 initial states for 0 laws"):
             list(steady_state([], [], NONIDEAL_COARSE, **run))
 
@@ -225,7 +226,7 @@ class TestSummaryAndSweeps:
         monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
         # pure states sit on the sphere, where the step renormalizes often
         ideal = ModelParams(tau_m=0.2, dt=0.01, T1=math.inf, T2=math.inf, eta=1.0)
-        run = dict(n_traj=40, total_time=3.0, sampling=SteadySampling(1.0, 0.2), seed=5)
+        run = dict(n_traj=40, total_time=3.0, steady=SteadySampling(1.0, 0.2), seed=5)
         laws, starts = [], []
         for theta, ts, td in [
             (0.3, 0.0, 0.0),
@@ -252,11 +253,11 @@ class TestSummaryAndSweeps:
         theta = 0.3 * math.pi
         base, r_s = design_nonideal(theta, p)
         init = BlochState.from_polar(theta, r_s)
-        cfg = TrajectoryConfig((init,), 17.8, record_stride=20, seed=44)
         for which in ("Ts", "Td"):
             law = replace(base, **{which: p.tau_m})
             (res,) = run_ensemble(
-                1250, cfg, p, [law], steady=SteadySampling(2.0, 0.2)
+                [law], [init], p, n_traj=1250, total_time=17.8, record_stride=20, seed=44,
+                steady=SteadySampling(2.0, 0.2),
             )
             my, mz = res.steady_yz.mean(axis=0)
             drift = math.atan2(my, mz) - theta
@@ -273,8 +274,10 @@ class TestSummaryAndSweeps:
             law, r_s = design_nonideal(theta, p)
             law = type(law)(law.delta0, law.delta1, Ts=0.0, Td=td)
             init = BlochState.from_polar(theta, r_s)
-            cfg = TrajectoryConfig((init,), 9.8, record_stride=20, seed=13)
-            (res,) = run_ensemble(500, cfg, p, [law], steady=SteadySampling(2.0, 0.2))
+            (res,) = run_ensemble(
+                [law], [init], p, n_traj=500, total_time=9.8, record_stride=20, seed=13,
+                steady=SteadySampling(2.0, 0.2),
+            )
             yz = res.steady_yz
             return float(np.std(np.arctan2(yz[:, 0], yz[:, 1]) - theta))
 
