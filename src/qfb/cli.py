@@ -54,7 +54,7 @@ import numpy as np
 from . import __version__
 from .chain import FeedbackLaw
 from .design import design_ideal, design_nonideal
-from .engine import SteadySampling, WorkerError, _steps_for, _whole_steps, run_ensemble
+from .engine import SteadySampling, WorkerError, run_ensemble
 from .model import BlochState, ModelParams
 from .stats import DEFAULT_BINS, steady_state
 
@@ -135,18 +135,26 @@ class RunConfig:
     out: str = _key(".", "output directory")
 
     def validate(self) -> "RunConfig":
+        """Check the keys the mode reads; a key it does not read is not checked.
+
+        The run grid (``n_traj``, ``seed``, a ``total_time`` on the ``dt``
+        grid, ``record_stride``, the sampling stride and burn-in, and a delay
+        within ``total_time``) is checked by :func:`qfb.engine.run_ensemble`
+        when :func:`execute` runs, before any trajectory.
+        """
         if self.mode not in MODES:
             raise ConfigError(f"mode: unknown mode {self.mode!r}; choose from {MODES}")
+        reads = _READS[self.mode]
         for key, kind in _TYPES.items():
             value = getattr(self, key)
             inf_ok = key in ("t1", "t2")
-            if kind is float and key in _READS[self.mode] and value is not None and not (
+            if kind is float and key in reads and value is not None and not (
                 math.isfinite(value) or (inf_ok and value == math.inf)
             ):
                 allowed = "finite or inf" if inf_ok else "finite"
                 raise ConfigError(f"{key}: must be {allowed}, got {value}")
         explicit = self.delta0 is not None or self.delta1 is not None
-        if explicit and "delta0" not in _READS[self.mode]:
+        if explicit and "delta0" not in reads:
             raise ConfigError(
                 f"delta0/delta1: mode {self.mode} designs its own constants; "
                 "explicit values would be ignored"
@@ -164,68 +172,31 @@ class RunConfig:
             self.model_params()
         except ValueError as exc:
             raise ConfigError(f"tau_m/dt/t1/t2/eta: {exc}") from exc
-        if self.n_traj < 1:
-            raise ConfigError(f"n_traj: must be >= 1, got {self.n_traj}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError("seed: must fit in an unsigned 64-bit integer")
-        if not 2 <= self.n_bins <= MAX_BINS:
+        if "n_bins" in reads and not 2 <= self.n_bins <= MAX_BINS:
             raise ConfigError(f"n_bins: must lie in [2, {MAX_BINS}], got {self.n_bins}")
-        if self.ts < 0 or self.td < 0:
+        if any(k in reads and getattr(self, k) < 0 for k in ("ts", "td")):
             raise ConfigError("ts/td: must be non-negative")
-        if self.r_init <= 0 or self.r_init > 1:
+        if "r_init" in reads and not 0 < self.r_init <= 1:
             raise ConfigError(f"r_init: must lie in (0, 1], got {self.r_init}")
-        if not 1 <= self.threads <= MAX_THREADS:
-            raise ConfigError(f"threads: must lie in [1, {MAX_THREADS}], got {self.threads}")
-        if self.threads > 1 and not _can_fork():
-            raise ConfigError("threads: more than 1 needs the fork start method")
-        _sweep_values_us(self)
-        _theta_list(self)
-        if self.mode != "design-table":
-            self._check_time_grid()
-        # a delay longer than the run never feeds anything back
-        if "td" in _READS[self.mode] and self.td > self.total_time:
-            raise ConfigError(f"td: must be within total_time = {self.total_time}, got {self.td}")
-        if self.mode == "sweep-delay" and max(_sweep_values_us(self)) > self.total_time:
-            raise ConfigError(
-                f"sweep_values: every delay must be within total_time = {self.total_time}"
-            )
+        if self.mode != "design-table":  # the one mode that runs no trajectory
+            if not 1 <= self.threads <= MAX_THREADS:
+                raise ConfigError(f"threads: must lie in [1, {MAX_THREADS}], got {self.threads}")
+            if self.threads > 1 and not _can_fork():
+                raise ConfigError("threads: more than 1 needs the fork start method")
         self._check_designs()
         return self
 
-    def _check_time_grid(self) -> None:
-        """The step, record and sampling grids the engine would reject at run time."""
-        try:
-            n_steps = _steps_for(self.total_time, self.dt)
-        except ValueError as exc:
-            raise ConfigError(f"total_time: {exc}") from exc
-        if self.mode == "ensemble" and (self.record_stride < 1 or n_steps % self.record_stride):
-            raise ConfigError(
-                f"record_stride: must be >= 1 and divide the {n_steps} steps, "
-                f"got {self.record_stride}"
-            )
-        if "sample_every" not in _READS[self.mode]:
-            return
-        sampling = self.sampling()
-        if not 1 <= _whole_steps(sampling.stride, self.dt) < math.inf:
-            key = "tau_m" if self.sample_every is None else "sample_every"
-            raise ConfigError(
-                f"{key}: the sampling stride {sampling.stride} must round to at least one, "
-                f"and finitely many, steps of dt = {self.dt}"
-            )
-        try:
-            sampling.step_indices(n_steps, self.dt)
-        except ValueError as exc:
-            key = "total_time" if self.burn_in is None else "burn_in"
-            raise ConfigError(f"{key}: {exc}") from exc
-
     def _check_designs(self) -> None:
-        """Build the mode's laws, so that a target the design rejects (such as
-        one at a measurement pole) is named by key before anything runs."""
+        """Build the mode's laws, parsing the lists it reads, so that a target
+        the design rejects (such as one at a measurement pole) is named by
+        key before anything runs."""
         key = "theta_list" if self.mode in _ANGLE_MODES else "theta_target"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
                 self.points()
+            except ConfigError:
+                raise  # a list names itself
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
 
@@ -237,10 +208,12 @@ class RunConfig:
     def design(self, theta: float) -> tuple[FeedbackLaw, float]:
         """Designed law at ``theta`` plus its target radius (ideal qubit: 1); its
         chain takes ``ts``/``td`` only where the mode reads them."""
-        ts, td = (getattr(self, k) if k in _READS[self.mode] else 0.0 for k in ("ts", "td"))
         if math.isinf(self.t1) and math.isinf(self.t2) and self.eta == 1.0:
-            return design_ideal(theta, self.tau_m, Ts=ts, Td=td), 1.0
-        return design_nonideal(theta, self.model_params(), Ts=ts, Td=td)
+            law, r_target = design_ideal(theta, self.tau_m), 1.0
+        else:
+            law, r_target = design_nonideal(theta, self.model_params())
+        chain = {k.capitalize(): getattr(self, k) for k in ("ts", "td") if k in _READS[self.mode]}
+        return replace(law, **chain), r_target
 
     def points(self) -> list[tuple[float | None, float | None, FeedbackLaw, float | None]]:
         """The mode's ``(value, theta_s, law, r_target)`` operating points: one
@@ -329,7 +302,8 @@ def parse_config(
     """Build a validated RunConfig from a key=value file plus overrides.
 
     Unknown keys, malformed values, and range violations raise
-    ConfigError naming the offending key.
+    ConfigError naming the offending key.  The run-grid checks listed in
+    :meth:`RunConfig.validate` are left to :func:`execute`.
     """
     cfg = RunConfig()
     merged: dict = {}
@@ -430,7 +404,9 @@ def _theta_list(cfg: RunConfig) -> list[float]:
 def execute(cfg: RunConfig) -> list[Path]:
     """Run one mode and write its outputs; returns the written paths.
 
-    Raises on any failure after removing partially written files.
+    Raises on any failure after removing partially written files.  A
+    refusal of :func:`qfb.engine.run_ensemble` names its argument, which
+    is the config key except for the three mapped by :func:`_engine_key`.
     """
     cfg.validate()
     out_dir = Path(cfg.out)
@@ -442,15 +418,28 @@ def execute(cfg: RunConfig) -> list[Path]:
         except OSError as exc:  # such as a file in the way
             raise ConfigError(f"out: {exc}") from exc
         _execute_inner(cfg, out_dir, written)
-    except Exception:
+    except Exception as exc:
         for p in written:
             p.unlink(missing_ok=True)
         for d in filter(Path.exists, created):  # deepest first; only directories left empty
             if any(d.iterdir()):
                 break
             d.rmdir()
+        arg, _, reason = str(exc).partition(": ")
+        key = _engine_key(cfg, arg)
+        if isinstance(exc, ValueError) and key != arg:
+            raise ConfigError(f"{key}: {reason}") from exc
         raise
     return written
+
+
+def _engine_key(cfg: RunConfig, arg: str) -> str:
+    """The config key behind an argument of :func:`qfb.engine.run_ensemble`."""
+    return {
+        "stride": "tau_m" if cfg.sample_every is None else "sample_every",
+        "burn_in": "total_time" if cfg.burn_in is None else "burn_in",
+        "Td": "sweep_values" if cfg.mode == "sweep-delay" else "td",
+    }.get(arg, arg)
 
 
 def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
@@ -470,14 +459,6 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
     }
     run = dict(n_traj=cfg.n_traj, total_time=cfg.total_time, seed=cfg.seed, workers=cfg.threads)
     sampled = dict(run, steady=cfg.sampling(), n_bins=cfg.n_bins)
-
-    if cfg.mode in _ANGLE_MODES:
-        path = out_dir / "design.csv"
-        _write_csv(
-            path, ["theta", "delta0", "delta1", "r_max"],
-            ((theta, law.delta0, law.delta1, r_target) for _, theta, law, r_target in points),
-        )
-        written.append(path)
 
     if cfg.mode == "ensemble":
         [(_, _, law, r_target)] = points
@@ -532,6 +513,16 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
             meta["renorm_count"] += s.renorm_count
             # a summary still bound while the next one is built raises peak RSS
             del s
+
+    # after the sweep: a run refused at run time leaves an existing design.csv alone
+    if cfg.mode in _ANGLE_MODES:
+        path = out_dir / "design.csv"
+        _write_csv(
+            path, ["theta", "delta0", "delta1", "r_max"],
+            ((theta, law.delta0, law.delta1, r_target) for _, theta, law, r_target in points),
+        )
+        written.append(path)
+    if cfg.mode in _SWEEP_AXIS:
         path = out_dir / "peaks.json"
         _write_json(path, {"sweep": _SWEEP_AXIS[cfg.mode], "rows": rows})
         written.append(path)

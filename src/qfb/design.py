@@ -27,7 +27,7 @@ __all__ = ["POLE_MARGIN", "design_ideal", "design_nonideal", "max_radius"]
 POLE_MARGIN = 0.02 * math.pi
 
 
-def design_ideal(theta_s: float, tau_m: float, Ts: float = 0.0, Td: float = 0.0) -> FeedbackLaw:
+def design_ideal(theta_s: float, tau_m: float) -> FeedbackLaw:
     """Controller constants stabilizing the pure state at ``theta_s``, ideal qubit.
 
     delta0 = -sin(2 theta_s)/(4 tau_m) and delta1 = sin(theta_s)/tau_m.
@@ -47,7 +47,7 @@ def design_ideal(theta_s: float, tau_m: float, Ts: float = 0.0, Td: float = 0.0)
         )
     delta0 = -math.sin(2.0 * theta_s) / (4.0 * tau_m)
     delta1 = math.sin(theta_s) / tau_m
-    return FeedbackLaw(delta0=delta0, delta1=delta1, Ts=Ts, Td=Td)
+    return FeedbackLaw(delta0=delta0, delta1=delta1)
 
 
 def max_radius(theta: float, params: ModelParams) -> float:
@@ -71,12 +71,7 @@ def max_radius(theta: float, params: ModelParams) -> float:
     return 1.0 / (c + math.sqrt(b + c * c))
 
 
-def design_nonideal(
-    theta_s: float,
-    params: ModelParams,
-    Ts: float = 0.0,
-    Td: float = 0.0,
-) -> tuple[FeedbackLaw, float]:
+def design_nonideal(theta_s: float, params: ModelParams) -> tuple[FeedbackLaw, float]:
     """Controller constants for a lossy qubit, targeting ``theta_s`` at maximum radius.
 
     Returns ``(law, R_s)`` with R_s = max_radius(theta_s).  The gain
@@ -108,4 +103,4 @@ def design_nonideal(
         -0.5 * params.tau_m * delta1 * delta1 * (z_s / y_s)
         - (1.0 + z_s) / (params.T1 * y_s)
     )
-    return FeedbackLaw(delta0=delta0, delta1=delta1, Ts=Ts, Td=Td), r_s
+    return FeedbackLaw(delta0=delta0, delta1=delta1), r_s

@@ -103,7 +103,7 @@ def _steps_for(total_time: float, dt: float) -> int:
     n = _whole_steps(total_time, dt)
     if not 1 <= n < math.inf or abs(n * dt - total_time) > 1e-9 * max(total_time, dt):
         raise ValueError(
-            f"total_time = {total_time} is not a whole, finite number of steps of dt = {dt}"
+            f"total_time: {total_time} is not a whole, finite number of steps of dt = {dt}"
         )
     return int(n)
 
@@ -124,12 +124,12 @@ class SteadySampling:
         burn, stride = _whole_steps(self.burn_in, dt), _whole_steps(self.stride, dt)
         if not 1 <= stride < math.inf:
             raise ValueError(
-                f"sampling stride = {self.stride} rounds to no whole, finite number "
-                f"of steps of dt = {dt}"
+                f"stride: the sampling stride {self.stride} must round to at least one, "
+                f"and finitely many, steps of dt = {dt}"
             )
         if not 0 <= burn <= n_steps:
             raise ValueError(
-                f"burn_in = {self.burn_in} lies outside the simulated time "
+                f"burn_in: the burn-in {self.burn_in} lies outside the simulated time "
                 f"span [0, {n_steps * dt:.9g}]"
             )
         return np.arange(int(burn), n_steps + 1, int(stride))
@@ -339,8 +339,11 @@ def run_ensemble(
     The laws run as that many points in one batch, and each result is
     bit-identical to running that law alone.  A law whose state goes
     non-finite raises ValueError; a non-finite state never recovers, so
-    only the last record is checked.  Every other argument is checked
-    before any buffer or worker exists.
+    only the last record is checked.  Every other argument, including
+    each law's delay ``Td`` (at most ``total_time``), is checked before
+    any buffer, worker or ``delta1`` warning exists.  A refusal is a
+    ValueError reading ``<argument>: <reason>``, with ``stride`` and
+    ``burn_in`` for the fields of ``steady`` and ``Td`` for a delay.
 
     ``workers`` is the number of processes that run the tasks.  With C
     chunks, P points and N workers, each chunk's points split into
@@ -352,25 +355,31 @@ def run_ensemble(
     if isinstance(initials, BlochState):
         raise ValueError(f"initials: expected a sequence of states, one per law, got {initials!r}")
     if not len(initials) == len(laws) >= 1:
-        raise ValueError(f"{len(initials)} initial states for {len(laws)} laws")
-    for state in initials:
-        state.require_physical()
+        raise ValueError(f"initials: {len(initials)} initial states for {len(laws)} laws")
+    try:
+        for state in initials:
+            state.require_physical()
+    except ValueError as exc:
+        raise ValueError(f"initials: {exc}") from exc
     if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
+        raise ValueError(f"n_traj: must be >= 1, got {n_traj}")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise ValueError(f"workers: must be >= 1, got {workers}")
     if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    for law in laws:
-        validate_law(law, params)
+        raise ValueError(f"seed: must fit in an unsigned 64-bit integer, got {seed}")
     n_steps = _steps_for(total_time, params.dt)
     if record_stride < 1 or n_steps % record_stride:
         raise ValueError(
-            f"record_stride = {record_stride} must be >= 1 and divide the {n_steps} "
+            f"record_stride: {record_stride} must be >= 1 and divide the {n_steps} "
             "total steps; recorded times would be non-uniform"
         )
     rec_steps = np.arange(0, n_steps + 1, record_stride)
     steady_steps = None if steady is None else steady.step_indices(n_steps, params.dt)
+    delay = max(law.Td for law in laws)
+    if delay > total_time:  # it would never feed back, yet it sizes the delay ring
+        raise ValueError(f"Td: the delay {delay} exceeds total_time = {total_time}")
+    for law in laws:  # warnings only once every argument has passed
+        validate_law(law, params)
     if stepper_factory is None:
         stepper_factory = partial(BayesStepper, params)
 

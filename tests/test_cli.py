@@ -482,6 +482,27 @@ class TestMain:
         assert main(argv + ["--out", str(tmp_path / "b")]) == 0
         assert capsys.readouterr().err == err
 
+    @pytest.mark.filterwarnings("always")
+    def test_a_run_time_refusal_prints_no_warning_first(self, tmp_path, capsys):
+        # the law's delta1 at this dt draws a warning once the run is accepted
+        argv = ["--mode", "histogram", "--theta-target", "0.3pi", "--dt", "0.01",
+                "--total-time", "3", "--burn-in", "5", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: burn_in: ") and err.count("\n") == 1, err
+
+    def test_a_refused_sweep_leaves_an_existing_design_table_alone(self, tmp_path, capsys):
+        sentinel = tmp_path / "design.csv"
+        sentinel.write_text("keep\n")
+        argv = ["--mode", "sweep-angle", "--theta-list", "0.3pi", "--out", str(tmp_path)]
+        assert main(argv + ["--burn-in", "5"]) == 1
+        assert capsys.readouterr().err.startswith("error: burn_in: ")
+        assert sentinel.read_text() == "keep\n"
+        # an accepted sweep still lists design.csv first
+        assert main(argv + ["--dt", "0.01", "--total-time", "3", "--n-traj", "5"]) == 0
+        names = ["design.csv", "peaks.json", "run_meta.json"]
+        assert capsys.readouterr().out == "".join(f"{tmp_path / n}\n" for n in names)
+
     def test_cli_error_exit(self, tmp_path, capsys):
         rc = main(["--mode", "ensemble", "--out", str(tmp_path)])
         assert rc == 1
@@ -797,6 +818,25 @@ def test_a_key_the_mode_leaves_out_changes_no_byte(run, key, tmp_path):
         out = tmp_path / value
         overrides = {**small_overrides(out, **TINY[run]), key: value, "out": str(out)}
         outputs.append({p.name: p.read_bytes() for p in execute(parse_config(None, overrides))})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("run, key, value", [
+    ("design-table", "n_traj", "0"), ("design-table", "seed", "-1"),
+    ("design-table", "n_bins", "1"), ("design-table", "r_init", "2"),
+    ("design-table", "ts", "-1"), ("design-table", "td", "-1"),
+    ("design-table", "sweep_values", "nan"), ("design-table", "threads", "0"),
+    ("ensemble", "theta_list", "nan"), ("ensemble", "n_bins", "1"),
+    ("ensemble", "sweep_values", "nan"), ("sweep-filter", "ts", "-1"),
+    ("sweep-delay", "td", "-1"), ("sweep-angle", "r_init", "2"),
+])
+def test_an_invalid_key_the_mode_leaves_out_is_not_checked(run, key, value, tmp_path):
+    outputs = []
+    for extra in ({}, {key: value}):
+        out = tmp_path / f"run{len(outputs)}"
+        overrides = {**small_overrides(out, **TINY[run]), **extra}
+        assert main([f"--{k.replace('_', '-')}={v}" for k, v in overrides.items()]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert outputs[0] == outputs[1]
 
 

@@ -363,6 +363,29 @@ class TestRunEnsemble:
             run_ensemble([law], [start], IDEAL, n_traj=1, workers=0, **run)
 
 
+@pytest.mark.parametrize("argument, call", [
+    ("n_traj", dict(n_traj=0)),
+    ("workers", dict(workers=0)),
+    ("seed", dict(seed=-1)),
+    ("initials", dict(initials=[BlochState(1.0, 1.0, 1.0)])),
+    ("total_time", dict(total_time=1.00037)),
+    ("record_stride", dict(record_stride=3)),
+    ("stride", dict(steady=SteadySampling(burn_in=0.0, stride=1e-5))),
+    ("burn_in", dict(steady=SteadySampling(burn_in=2.0, stride=0.1))),
+    # a delay whose step count overflows an int, far beyond the run
+    ("Td", dict(laws=[FeedbackLaw(0, 0, Td=1e308)], params=ModelParams(dt=0.0005),
+                total_time=0.01)),
+])
+def test_each_refusal_names_its_argument_before_any_task(argument, call, monkeypatch):
+    def no_task(*task):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr("qfb.engine._run_chunk", no_task)
+    run = dict(laws=[FREE], initials=[POLE], params=IDEAL, n_traj=1, total_time=1.0)
+    with pytest.raises(ValueError, match=f"^{argument}: "):
+        run_ensemble(**{**run, **call})
+
+
 LOSSY = ModelParams(tau_m=0.2, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
 
 

@@ -3,7 +3,8 @@
 Every name the package exports must be used somewhere in the package
 itself: a name that only the tests call belongs in ``tests/oracle.py``.
 ``run_ensemble`` and ``steady_state`` take the same leading arguments
-and name their common keywords alike.
+and name their common keywords alike.  The CLI uses no private name of
+another module: the engine's own checks are the only copy of its rules.
 """
 
 import ast
@@ -43,3 +44,15 @@ def test_runners_share_one_shape(runner):
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:3])
     assert all(p.kind is p.KEYWORD_ONLY for p in params[3:])
     assert {"n_traj", "total_time", "seed", "steady", "workers"} <= {p.name for p in params[3:]}
+
+
+def test_the_cli_imports_no_private_name():
+    path = Path(qfb.__file__).parent / "cli.py"
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qfb"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private, f"qfb/cli.py imports private names: {private}"
