@@ -21,9 +21,10 @@ Every mode designs through :meth:`RunConfig.design`: ideal parameters use
 the ideal design, anything else the lossy design at maximum radius.
 :meth:`RunConfig.points` builds every mode's laws as one list of operating
 points (ensemble and histogram mode have one); a chain sweep keeps the
-configured ``ts``/``td`` it does not sweep.  Histogram mode and the sweeps
-run :func:`qfb.stats.steady_state` on those laws; the design table runs
-nothing and reads no ``dt``.
+configured ``ts``/``td`` it does not sweep.  :func:`execute` calls it once:
+each law is designed and checked once, before any trajectory runs.  Histogram
+mode and the sweeps run :func:`qfb.stats.steady_state` on those laws; the
+design table runs nothing and reads no ``dt``.
 
 Every mode also writes run_meta.json: the package version, the summed
 renormalization count and the config keys the mode reads (``_READS``).
@@ -137,10 +138,11 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Check the keys the mode reads; a key it does not read is not checked.
 
-        The run grid (``n_traj``, ``seed``, a ``total_time`` on the ``dt``
-        grid, ``record_stride``, the sampling stride and burn-in, and a delay
-        within ``total_time``) is checked by :func:`qfb.engine.run_ensemble`
-        when :func:`execute` runs, before any trajectory.
+        The laws (the lists they parse, a target at a measurement pole) and
+        the run grid (``n_traj``, ``seed``, ``total_time`` on the ``dt`` grid,
+        ``record_stride``, the sampling stride and burn-in, a delay within
+        ``total_time``) are checked once, by :func:`execute` designing them
+        and by :func:`qfb.engine.run_ensemble`, before any trajectory runs.
         """
         if self.mode not in MODES:
             raise ConfigError(f"mode: unknown mode {self.mode!r}; choose from {MODES}")
@@ -174,8 +176,9 @@ class RunConfig:
             raise ConfigError(f"tau_m/dt/t1/t2/eta: {exc}") from exc
         if "n_bins" in reads and not 2 <= self.n_bins <= MAX_BINS:
             raise ConfigError(f"n_bins: must lie in [2, {MAX_BINS}], got {self.n_bins}")
-        if any(k in reads and getattr(self, k) < 0 for k in ("ts", "td")):
-            raise ConfigError("ts/td: must be non-negative")
+        for key in ("ts", "td"):
+            if key in reads and getattr(self, key) < 0:
+                raise ConfigError(f"{key}: must be non-negative, got {getattr(self, key)}")
         if "r_init" in reads and not 0 < self.r_init <= 1:
             raise ConfigError(f"r_init: must lie in (0, 1], got {self.r_init}")
         if self.mode != "design-table":  # the one mode that runs no trajectory
@@ -183,22 +186,7 @@ class RunConfig:
                 raise ConfigError(f"threads: must lie in [1, {MAX_THREADS}], got {self.threads}")
             if self.threads > 1 and not _can_fork():
                 raise ConfigError("threads: more than 1 needs the fork start method")
-        self._check_designs()
         return self
-
-    def _check_designs(self) -> None:
-        """Build the mode's laws, parsing the lists it reads, so that a target
-        the design rejects (such as one at a measurement pole) is named by
-        key before anything runs."""
-        key = "theta_list" if self.mode in _ANGLE_MODES else "theta_target"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                self.points()
-            except ConfigError:
-                raise  # a list names itself
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
 
     def model_params(self) -> ModelParams:
         # the design table reads no dt: it takes the largest step that draws no warning
@@ -302,8 +290,8 @@ def parse_config(
     """Build a validated RunConfig from a key=value file plus overrides.
 
     Unknown keys, malformed values, and range violations raise
-    ConfigError naming the offending key.  The run-grid checks listed in
-    :meth:`RunConfig.validate` are left to :func:`execute`.
+    ConfigError naming the offending key.  The design and run-grid checks
+    listed in :meth:`RunConfig.validate` are left to :func:`execute`.
     """
     cfg = RunConfig()
     merged: dict = {}
@@ -404,9 +392,11 @@ def _theta_list(cfg: RunConfig) -> list[float]:
 def execute(cfg: RunConfig) -> list[Path]:
     """Run one mode and write its outputs; returns the written paths.
 
-    Raises on any failure after removing partially written files.  A
-    refusal of :func:`qfb.engine.run_ensemble` names its argument, which
-    is the config key except for the three mapped by :func:`_engine_key`.
+    Designs each law once (:meth:`RunConfig.points`) before any trajectory
+    runs.  Raises on any failure after removing partially written files.  A
+    refusal of the design or of :func:`qfb.engine.run_ensemble` names its
+    argument, which is the config key except for the four mapped by
+    :func:`_config_key`.
     """
     cfg.validate()
     out_dir = Path(cfg.out)
@@ -426,19 +416,20 @@ def execute(cfg: RunConfig) -> list[Path]:
                 break
             d.rmdir()
         arg, _, reason = str(exc).partition(": ")
-        key = _engine_key(cfg, arg)
+        key = _config_key(cfg, arg)
         if isinstance(exc, ValueError) and key != arg:
             raise ConfigError(f"{key}: {reason}") from exc
         raise
     return written
 
 
-def _engine_key(cfg: RunConfig, arg: str) -> str:
-    """The config key behind an argument of :func:`qfb.engine.run_ensemble`."""
+def _config_key(cfg: RunConfig, arg: str) -> str:
+    """The config key behind the argument a design or engine refusal names."""
     return {
         "stride": "tau_m" if cfg.sample_every is None else "sample_every",
         "burn_in": "total_time" if cfg.burn_in is None else "burn_in",
         "Td": "sweep_values" if cfg.mode == "sweep-delay" else "td",
+        "theta_s": "theta_list" if cfg.mode in _ANGLE_MODES else "theta_target",
     }.get(arg, arg)
 
 

@@ -38,7 +38,7 @@ def design_ideal(theta_s: float, tau_m: float) -> FeedbackLaw:
     if tau_m <= 0.0:
         raise ValueError("tau_m must be positive")
     if not (0.0 <= theta_s <= math.pi):
-        raise ValueError(f"theta_s must lie in [0, pi], got {theta_s}")
+        raise ValueError(f"theta_s: must lie in [0, pi], got {theta_s}")
     if theta_s < 1e-9 or theta_s > math.pi - 1e-9:
         warnings.warn(
             "target at a measurement pole: both feedback constants vanish and "
@@ -87,14 +87,15 @@ def design_nonideal(theta_s: float, params: ModelParams) -> tuple[FeedbackLaw, f
     """
     if not (POLE_MARGIN <= theta_s <= math.pi - POLE_MARGIN):
         raise ValueError(
-            f"theta_s = {theta_s} is within {POLE_MARGIN:.4f} rad of a "
+            f"theta_s: {theta_s} is within {POLE_MARGIN:.4f} rad of a "
             "measurement pole; target a nearby angle and herald the pole by "
             "letting the measurement finish the collapse"
         )
     r_s = max_radius(theta_s, params)
     if not r_s * params.tau_m > 0.0:
         raise ValueError(
-            f"R_s tau_m underflows to 0 (R_s = {r_s}, tau_m = {params.tau_m}): no gain exists"
+            f"theta_s: R_s tau_m underflows to 0 (R_s = {r_s}, tau_m = {params.tau_m}): "
+            "no gain exists"
         )
     delta1 = math.sin(theta_s) / (r_s * params.tau_m)
     y_s = r_s * math.sin(theta_s)

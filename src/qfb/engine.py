@@ -55,6 +55,7 @@ __all__ = [
     "EnsembleResult",
     "BayesStepper",
     "run_ensemble",
+    "steps_for",
     "trajectory_rng",
     "WorkerError",
 ]
@@ -99,7 +100,8 @@ def _whole_steps(time: float, dt: float) -> float:
     return float(np.rint(time / dt))
 
 
-def _steps_for(total_time: float, dt: float) -> int:
+def steps_for(total_time: float, dt: float) -> int:
+    """The number of ``dt`` steps in ``total_time``; refuses a time off the grid."""
     n = _whole_steps(total_time, dt)
     if not 1 <= n < math.inf or abs(n * dt - total_time) > 1e-9 * max(total_time, dt):
         raise ValueError(
@@ -113,8 +115,9 @@ class SteadySampling:
     """Steady-state sampling protocol: burn-in, then sparse periodic samples.
 
     States before ``burn_in`` are discarded; afterwards (y, z) is
-    collected every ``stride`` of time, which for stride ~ tau_m gives
-    weakly correlated samples.
+    collected every ``stride`` of time.  At stride tau_m a trajectory's
+    successive polar angles correlate by about 0.25 at a 0.3 pi target but
+    0.56 at 0.1 pi, where they count as far fewer independent draws.
     """
 
     burn_in: float
@@ -367,7 +370,7 @@ def run_ensemble(
         raise ValueError(f"workers: must be >= 1, got {workers}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed: must fit in an unsigned 64-bit integer, got {seed}")
-    n_steps = _steps_for(total_time, params.dt)
+    n_steps = steps_for(total_time, params.dt)
     if record_stride < 1 or n_steps % record_stride:
         raise ValueError(
             f"record_stride: {record_stride} must be >= 1 and divide the {n_steps} "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import FeedbackLaw
-from .engine import EnsembleResult, SteadySampling, _steps_for, run_ensemble
+from .engine import EnsembleResult, SteadySampling, run_ensemble, steps_for
 from .model import BlochState, ModelParams
 
 __all__ = [
@@ -265,7 +265,7 @@ def steady_state(
     no mean curve, so it records only the two endpoints.  Each law's
     samples are freed once summarized.
     """
-    stride = _steps_for(total_time, params.dt)
+    stride = steps_for(total_time, params.dt)
     results = run_ensemble(laws, initials, params, n_traj=n_traj, total_time=total_time,
                            record_stride=stride, seed=seed, steady=steady, workers=workers)
     while results:

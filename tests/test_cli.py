@@ -419,6 +419,18 @@ class TestExecute:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
         assert [p.name for p in (tmp_path / "kept").iterdir()] == ["note.txt"]
 
+    def test_a_target_the_design_rejects_is_refused_by_execute(self, tmp_path):
+        # parse_config designs nothing; execute names the key before any trajectory runs
+        out = tmp_path / "out"
+        cfg = parse_config(
+            None, small_overrides(out, mode="histogram", theta_target="0.01pi", total_time=3.0)
+        )
+        with pytest.raises(ConfigError) as refused:
+            execute(cfg)
+        assert str(refused.value).startswith("theta_target: ")
+        assert "theta_s" not in str(refused.value)
+        assert not out.exists()
+
 
 class TestMain:
     def test_cli_happy_path(self, tmp_path, capsys):
@@ -626,6 +638,8 @@ BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
         ("sample_every", ["--mode", "histogram", "--theta-target", "0.3pi",
                           "--sample-every", "1e308"]),
         ("theta_target", BASE + ["--t1", "1e-300"]),
+        # each of ts and td is named on its own
+        ("ts", BASE + ["--ts", "-1"]),
     ],
 )
 def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
@@ -636,6 +650,29 @@ def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
     assert f"{key}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("designs, argv", [
+    (1, ["--mode", "histogram", "--theta-target", "0.3pi"]),
+    (1, ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--sweep-values", "0,0.5"]),
+    (3, ["--mode", "design-table", "--theta-list", "0.2pi,0.3pi,0.4pi"]),
+])
+def test_a_run_designs_each_law_once(designs, argv, tmp_path, monkeypatch):
+    import qfb.cli
+
+    calls = []
+
+    def counted(design):
+        def wrapper(*args):
+            calls.append(args)
+            return design(*args)
+        return wrapper
+
+    for name in ("design_ideal", "design_nonideal"):
+        monkeypatch.setattr(qfb.cli, name, counted(getattr(qfb.cli, name)))
+    small = ["--dt", "0.01", "--total-time", "3", "--n-traj", "5", "--out", str(tmp_path)]
+    assert main(argv + small) == 0
+    assert len(calls) == designs
 
 
 def test_out_of_memory_is_reported_without_a_traceback(tmp_path, capsys, monkeypatch):

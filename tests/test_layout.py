@@ -3,8 +3,9 @@
 Every name the package exports must be used somewhere in the package
 itself: a name that only the tests call belongs in ``tests/oracle.py``.
 ``run_ensemble`` and ``steady_state`` take the same leading arguments
-and name their common keywords alike.  The CLI uses no private name of
-another module: the engine's own checks are the only copy of its rules.
+and name their common keywords alike.  No module uses a private name of
+another: the CLI's lack of one keeps the engine's own checks the only copy
+of its rules.
 """
 
 import ast
@@ -47,12 +48,13 @@ def test_runners_share_one_shape(runner):
 
 
 def test_the_cli_imports_no_private_name():
-    path = Path(qfb.__file__).parent / "cli.py"
+    """Nor does any other module of the package."""
     private = [
-        alias.name
+        f"{path.name}: {alias.name}"
+        for path in sorted(Path(qfb.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qfb"))
         for alias in node.names
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
-    assert not private, f"qfb/cli.py imports private names: {private}"
+    assert not private, f"src/qfb imports private names across modules: {private}"
