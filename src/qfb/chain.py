@@ -98,21 +98,25 @@ class FeedbackChain:
         self._read = (np.arange(depth)[:, None] - self.n_delay) % depth
         self._points = np.arange(len(laws))
         self.filter_acc = np.zeros((len(laws), batch))
+        self._diff = np.empty_like(self.filter_acc)  # r - acc, for every push
         self.delay_ring = np.zeros((depth,) + self.filter_acc.shape)
         self._cursor = 0
 
     def filter_push(self, r):
         """Advance the low-pass filters with raw readouts ``r``; returns the filtered rows.
 
-        Recursion: acc += alpha * (r - acc).  Rows with alpha = 1 (Ts = 0)
-        output their input exactly.
+        Recursion: acc += alpha * (r - acc), in place, so the returned
+        accumulator is overwritten by the next push.  Rows with alpha = 1
+        (Ts = 0) output their input exactly.
         """
         r = np.reshape(r, self.filter_acc.shape)
         # passthrough rows copy r: acc + (r - acc) would round
         if len(self._passthrough) == len(r):
             self.filter_acc = r
             return r
-        self.filter_acc = self.filter_acc + self.alpha * (r - self.filter_acc)
+        diff = np.subtract(r, self.filter_acc, out=self._diff)
+        diff *= self.alpha
+        self.filter_acc += diff
         if len(self._passthrough):
             self.filter_acc[self._passthrough] = r[self._passthrough]
         return self.filter_acc

@@ -20,7 +20,11 @@ run fits in one noise block (at most ``BLOCK_STEPS`` steps) each chunk
 re-keys a single Generator before each trajectory's one draw instead of
 constructing one per trajectory.  Longer runs keep one Generator per
 trajectory, because each stream carries its position from block to
-block.  Both paths draw the same numbers.
+block.  Both paths draw the same numbers, and since each stream is read
+strictly in order, the block length sets only the noise buffer's size
+and the number of draw calls, never which numbers are drawn: 256 steps
+is the shortest power-of-two block on which the shipped 200-step
+histogram runs still draw once per trajectory.
 
 A run, ``run_ensemble(laws, initials, params, **run)`` like
 :func:`qfb.stats.steady_state`, takes P >= 1 feedback laws (operating
@@ -66,9 +70,12 @@ __all__ = [
 CHUNK_SIZE = 4096
 
 #: Steps of noise generated per inner block; bounds the noise buffer to
-#: CHUNK_SIZE * BLOCK_STEPS doubles.  Runs of at most this many steps draw
-#: all their noise in one block and share one re-keyed Generator per chunk.
-BLOCK_STEPS = 512
+#: CHUNK_SIZE * BLOCK_STEPS doubles (8.4 MB).  Runs of at most this many steps
+#: draw all their noise in one block and share one re-keyed Generator per
+#: chunk.  256 is the smallest power of two that keeps the 200-step histogram
+#: runs on that path; a smaller block would also add a draw call per stream
+#: for every block of a longer run.
+BLOCK_STEPS = 256
 
 
 def trajectory_rng(
@@ -161,7 +168,9 @@ class BayesStepper:
     Owns its batch: the coordinates ``x``, ``y``, ``z`` as (P, batch) arrays,
     row p following ``laws[p]`` from ``initials[p]``, the feedback chain and
     the per-point renormalization counts.  ``step`` takes one noise value
-    per trajectory, shared by its P rows.
+    per trajectory, shared by its P rows, and updates the coordinates in
+    place through work arrays of the same shape, so it allocates no array
+    of the batch's size.
     """
 
     def __init__(
@@ -169,8 +178,11 @@ class BayesStepper:
         initials: Sequence[BlochState], batch: int,
     ) -> None:
         self.chain = FeedbackChain(laws, params, batch)
-        xyz = np.transpose([[s.x, s.y, s.z] for s in initials])  # (3, P)
+        xyz = np.array([[s.x, s.y, s.z] for s in initials], dtype=np.float64).T  # (3, P)
         self.x, self.y, self.z = np.repeat(xyz[:, :, None], batch, axis=2)
+        # the readout, the rotation angle and four kernel work arrays
+        self._work = np.empty((6,) + self.x.shape)
+        self._outside = np.empty(self.x.shape, dtype=bool)
         self._sigma = params.readout_sigma
         self._s_scale = params.dt / params.tau_m
         self._dt = params.dt
@@ -186,20 +198,29 @@ class BayesStepper:
         return int(self.point_renorms.sum())
 
     def step(self, n01) -> None:
-        rbar = self.z + self._sigma * n01
-        fed = self.chain.push(rbar)
-        x, y, z = backaction_update(self.x, self.y, self.z, rbar * self._s_scale)
-        y, z = rotation_update(y, z, self._dt * (self._delta0 + self._delta1 * fed))
-        x, y, z = dissipation_update(x, y, z, self._ft, self._e1)
-        r2 = x * x + y * y + z * z
-        outside = r2 > 1.0
+        x, y, z = self.x, self.y, self.z
+        rbar, angle, *work = self._work
+        np.add(z, np.multiply(n01, self._sigma, out=rbar), out=rbar)
+        fed = self.chain.push(rbar)  # rbar itself for a Markovian chain
+        np.add(self._delta0, np.multiply(self._delta1, fed, out=angle), out=angle)
+        angle *= self._dt
+        s = np.multiply(rbar, self._s_scale, out=rbar)  # rbar is spent once the angle is formed
+        backaction_update(x, y, z, s, out=(x, y, z, *work[:3]))
+        rotation_update(y, z, angle, out=(y, z, *work))
+        dissipation_update(x, y, z, self._ft, self._e1, out=(x, y, z))
+        r2, sq = work[:2]
+        np.multiply(x, x, out=r2)
+        r2 += np.multiply(y, y, out=sq)
+        r2 += np.multiply(z, z, out=sq)
+        outside = np.greater(r2, 1.0, out=self._outside)
         if np.count_nonzero(outside):
             self.point_renorms += np.count_nonzero(outside, axis=1)
-            scale = np.where(outside, 1.0 / np.sqrt(np.where(outside, r2, 1.0)), 1.0)
-            x = x * scale
-            y = y * scale
-            z = z * scale
-        self.x, self.y, self.z = x, y, z
+            # 1/sqrt(1) = 1 exactly, so the rows inside (and NaN, which fmax
+            # drops) are multiplied by exactly 1
+            scale = np.divide(1.0, np.sqrt(np.fmax(r2, 1.0, out=r2), out=r2), out=r2)
+            x *= scale
+            y *= scale
+            z *= scale
 
 
 class WorkerError(RuntimeError):

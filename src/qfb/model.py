@@ -17,9 +17,10 @@ throughout: times in microseconds, rates and angular frequencies in
 rad/us; the readout is dimensionless (eigenvalue units of the measured
 observable).
 
-The ``*_update`` kernels are pure functions of their inputs, accept
-scalars or numpy arrays, and are the only copy of the update formulas:
-the vectorized trajectory engine draws the readouts and calls them.
+The ``*_update`` kernels accept scalars or numpy arrays and are the only
+copy of the update formulas: the vectorized trajectory engine draws the
+readouts and calls them, updating its state arrays in place through
+``out``; without ``out`` they are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -156,30 +157,53 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # Array kernels.  These encode the actual update formulas once; the trajectory
 # engine calls them, and so does the scalar reference in the test suite.
+# Given ``out``, a kernel writes its results into the leading arrays of that
+# tuple, which may be its own inputs, and its intermediates into the rest,
+# allocating nothing; every element sees the same operations in the same
+# order either way, so the bits do not depend on ``out``.
 
-def backaction_update(x, y, z, s):
+def backaction_update(x, y, z, s, out=None):
     """Measurement backaction for log-strength s = r_bar*dt/tau_m.
 
     Returns the updated (x, y, z).  The normalization
     p = cosh(s) + z sinh(s) is strictly positive whenever |z| <= 1.
+    ``out`` is (x', y', z', cosh, sinh, p).
     """
-    ch = np.cosh(s)
-    sh = np.sinh(s)
-    p = ch + z * sh
-    return x / p, y / p, (z * ch + sh) / p
-
-
-def rotation_update(y, z, angle):
-    """Rotate (y, z) by ``angle`` (rad); +z turns toward +y. Norm-preserving."""
-    c = np.cos(angle)
-    s = np.sin(angle)
-    return y * c + z * s, z * c - y * s
-
-
-def dissipation_update(x, y, z, transverse_decay, t1_decay):
-    """Relaxation/dephasing step with precomputed per-step factors."""
+    xo, yo, zo, ch, sh, p = out or (None,) * 6
+    ch = np.cosh(s, out=ch)
+    sh = np.sinh(s, out=sh)
+    p = np.add(ch, np.multiply(z, sh, out=p), out=p)
     return (
-        x * transverse_decay,
-        y * transverse_decay,
-        z * t1_decay - (1.0 - t1_decay),
+        np.divide(x, p, out=xo),
+        np.divide(y, p, out=yo),
+        np.divide(np.add(np.multiply(z, ch, out=zo), sh, out=zo), p, out=zo),
+    )
+
+
+def rotation_update(y, z, angle, out=None):
+    """Rotate (y, z) by ``angle`` (rad); +z turns toward +y. Norm-preserving.
+
+    ``out`` is (y', z', cos, sin, y sin, z sin).
+    """
+    yo, zo, c, s, ys, zs = out or (None,) * 6
+    c = np.cos(angle, out=c)
+    s = np.sin(angle, out=s)
+    ys = np.multiply(y, s, out=ys)  # before y' overwrites y
+    zs = np.multiply(z, s, out=zs)
+    return (
+        np.add(np.multiply(y, c, out=yo), zs, out=yo),
+        np.subtract(np.multiply(z, c, out=zo), ys, out=zo),
+    )
+
+
+def dissipation_update(x, y, z, transverse_decay, t1_decay, out=None):
+    """Relaxation/dephasing step with precomputed per-step factors.
+
+    ``out`` is (x', y', z').
+    """
+    xo, yo, zo = out or (None,) * 3
+    return (
+        np.multiply(x, transverse_decay, out=xo),
+        np.multiply(y, transverse_decay, out=yo),
+        np.subtract(np.multiply(z, t1_decay, out=zo), 1.0 - t1_decay, out=zo),
     )

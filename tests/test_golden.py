@@ -17,6 +17,12 @@ the steady samples across chunks are pinned too: fig4 shortened to
 0.4 us (800 steps, two noise blocks) and fig6_top at full length (200
 steps, one noise block).
 
+``test_shipped_runs_keep_their_stream_path`` counts the Philox streams
+the same 32-trajectory runs build: a 200-step histogram run draws its
+noise in one block and re-keys one stream per chunk, and every longer run
+keeps one stream per trajectory, so a noise block shorter than 200 steps
+(or one as long as a whole ensemble run) fails it.
+
 The digests pin refactors to byte-identical output.  A deliberate change
 of output (new physics, a different float format) or a numpy upgrade that
 moves the random streams or the last ulp re-records them; CHANGES.md then
@@ -26,6 +32,7 @@ says which change did so and why.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qfb.cli import execute, parse_config
@@ -110,6 +117,22 @@ def test_shipped_config_digests(name, tmp_path):
 def test_two_chunk_digests(name, tmp_path):
     overrides, golden = TWO_CHUNK_GOLDEN[name]
     assert _result_digests(name, overrides, tmp_path) == golden
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_runs_keep_their_stream_path(name, tmp_path, monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    cfg = parse_config(CONFIGS / f"{name}.cfg", {"n_traj": 32, "out": str(tmp_path)})
+    execute(cfg)
+    streams = {"design-table": 0, "histogram": 1}.get(cfg.mode, cfg.n_traj)
+    assert len(built) == streams
 
 
 def test_every_shipped_config_has_digests():
