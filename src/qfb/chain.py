@@ -43,8 +43,8 @@ class FeedbackLaw:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.Ts < 0.0 or self.Td < 0.0:
-            raise ValueError("Ts and Td must be non-negative")
+            if name in ("Ts", "Td") and value < 0.0:
+                raise ValueError(f"{name}: must be non-negative, got {value}")
 
     def n_delay(self, dt: float) -> int:
         """Delay length in whole steps, round(Td/dt); |n*dt - Td| <= dt/2."""
@@ -74,70 +74,51 @@ def validate_law(law: FeedbackLaw, params: ModelParams) -> None:
 
 
 class FeedbackChain:
-    """Filter accumulators plus one delay ring for a batch of trajectories.
+    """One ring of (P, batch) slots for a batch of trajectories.
 
-    ``laws`` holds P >= 1 laws (operating points).  The chain carries
-    (P, batch) arrays: row ``p`` follows law ``p``.  The rows advance in
-    lockstep and must be pushed sequentially.
+    ``laws`` holds P >= 1 laws (operating points): row ``p`` of every slot
+    follows law ``p``.  The rows advance in lockstep and must be pushed
+    sequentially.
 
-    The filter accumulator starts at 0 (the unconditioned mean readout
-    for an unbiased initial state).  The delay is one ring as deep as the
-    longest ``n_delay``, read at a per-point offset before each write, so
-    a row with delay d outputs 0 until d values have been pushed.
+    The ring is one slot deeper than the longest ``n_delay``.  Its newest
+    slot is the filter accumulator, which starts at 0 (the unconditioned
+    mean readout for an unbiased initial state); the slots behind it hold
+    the filtered values of the pushes before, so a row with delay d
+    outputs 0 until d values have been pushed.
     """
 
     def __init__(self, laws: Sequence[FeedbackLaw], params: ModelParams, batch: int) -> None:
-        alpha = np.array([l.filter_alpha(params.dt) for l in laws])
-        self.alpha = alpha[:, None]
-        # points whose rows pass through the filter / the delay unchanged
-        self._passthrough = np.flatnonzero(alpha == 1.0)
-        self.n_delay = np.array([l.n_delay(params.dt) for l in laws])
-        self._no_delay = np.flatnonzero(self.n_delay == 0)
-        depth = int(self.n_delay.max())
-        # ring slot each point reads at each cursor position
-        self._read = (np.arange(depth)[:, None] - self.n_delay) % depth
-        self._points = np.arange(len(laws))
-        self.filter_acc = np.zeros((len(laws), batch))
-        self._diff = np.empty_like(self.filter_acc)  # r - acc, for every push
-        self.delay_ring = np.zeros((depth,) + self.filter_acc.shape)
-        self._cursor = 0
-
-    def filter_push(self, r):
-        """Advance the low-pass filters with raw readouts ``r``; returns the filtered rows.
-
-        Recursion: acc += alpha * (r - acc), in place, so the returned
-        accumulator is overwritten by the next push.  Rows with alpha = 1
-        (Ts = 0) output their input exactly.
-        """
-        r = np.reshape(r, self.filter_acc.shape)
-        # passthrough rows copy r: acc + (r - acc) would round
-        if len(self._passthrough) == len(r):
-            self.filter_acc = r
-            return r
-        diff = np.subtract(r, self.filter_acc, out=self._diff)
-        diff *= self.alpha
-        self.filter_acc += diff
-        if len(self._passthrough):
-            self.filter_acc[self._passthrough] = r[self._passthrough]
-        return self.filter_acc
-
-    def delay_pop_push(self, filtered):
-        """Push ``filtered`` into the delay ring; returns each row's value from
-        its point's ``n_delay`` pushes ago (0 before that many pushes).
-
-        Rows with n_delay = 0 pass straight through.
-        """
-        if not len(self.delay_ring):
-            return filtered
-        # read before write: the slot n_delay back holds the oldest value a
-        # row needs, and slot _cursor (n_delay = depth) is overwritten next
-        out = self.delay_ring[self._read[self._cursor], self._points]
-        if len(self._no_delay):
-            out[self._no_delay] = filtered[self._no_delay]
-        self.delay_ring[self._cursor] = filtered
-        self._cursor = (self._cursor + 1) % len(self.delay_ring)
-        return out
+        self._alpha = np.array([l.filter_alpha(params.dt) for l in laws])[:, None]
+        self._passthrough = self._alpha == 1.0  # rows whose filter outputs its input
+        n_delay = np.array([l.n_delay(params.dt) for l in laws])
+        self.ring = np.zeros((n_delay.max() + 1, len(laws), batch))
+        depth, n_points = self.ring.shape[:2]
+        self._markovian = depth == 1 and self._passthrough.all()
+        # row of the flattened ring each point reads while slot k is the newest
+        self._read = (np.arange(depth)[:, None] - n_delay) % depth * n_points + np.arange(n_points)
+        self._flat = self.ring.reshape(-1, batch)
+        self._diff = np.empty(self.ring.shape[1:])  # r - acc, for every push
+        self._out = np.empty_like(self._diff)
+        self._newest = 0
 
     def push(self, r):
-        """Filter then delay: the (P, batch) values the controller sees this step."""
-        return self.delay_pop_push(self.filter_push(r))
+        """Filter readouts ``r`` into the next slot, which becomes the newest;
+        returns the (P, batch) values the controller sees this step: each
+        row's filtered value from its point's ``n_delay`` pushes ago.
+
+        Recursion: new = acc + alpha * (r - acc); rows with alpha = 1
+        (Ts = 0) copy their input exactly.  The result is a buffer the next
+        push overwrites, or ``r`` itself for a chain with no filter and no
+        delay.
+        """
+        if self._markovian:
+            return r
+        acc = self.ring[self._newest]
+        self._newest = (self._newest + 1) % len(self.ring)
+        new = self.ring[self._newest]  # acc itself in a ring of one slot
+        diff = np.subtract(r, acc, out=self._diff)
+        diff *= self._alpha
+        np.add(acc, diff, out=new)
+        np.copyto(new, r, where=self._passthrough)  # acc + (r - acc) would round
+        # mode="raise" would buffer out, allocating once per push
+        return np.take(self._flat, self._read[self._newest], axis=0, out=self._out, mode="clip")

@@ -138,11 +138,12 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Check the keys the mode reads; a key it does not read is not checked.
 
-        The laws (the lists they parse, a target at a measurement pole) and
-        the run grid (``n_traj``, ``seed``, ``total_time`` on the ``dt`` grid,
-        ``record_stride``, the sampling stride and burn-in, a delay within
-        ``total_time``) are checked once, by :func:`execute` designing them
-        and by :func:`qfb.engine.run_ensemble`, before any trajectory runs.
+        The laws (the lists they parse, a negative ``ts`` or ``td``, a
+        target at a measurement pole) and the run grid (``n_traj``,
+        ``seed``, ``total_time`` on the ``dt`` grid, ``record_stride``, the
+        sampling stride and burn-in, a delay within ``total_time``) are
+        checked once, by :func:`execute` designing them and by
+        :func:`qfb.engine.run_ensemble`, before any trajectory runs.
         """
         if self.mode not in MODES:
             raise ConfigError(f"mode: unknown mode {self.mode!r}; choose from {MODES}")
@@ -173,12 +174,10 @@ class RunConfig:
         try:
             self.model_params()
         except ValueError as exc:
-            raise ConfigError(f"tau_m/dt/t1/t2/eta: {exc}") from exc
+            arg, _, reason = str(exc).partition(": ")
+            raise ConfigError(f"{_config_key(self, arg)}: {reason}") from exc
         if "n_bins" in reads and not 2 <= self.n_bins <= MAX_BINS:
             raise ConfigError(f"n_bins: must lie in [2, {MAX_BINS}], got {self.n_bins}")
-        for key in ("ts", "td"):
-            if key in reads and getattr(self, key) < 0:
-                raise ConfigError(f"{key}: must be non-negative, got {getattr(self, key)}")
         if "r_init" in reads and not 0 < self.r_init <= 1:
             raise ConfigError(f"r_init: must lie in (0, 1], got {self.r_init}")
         if self.mode != "design-table":  # the one mode that runs no trajectory
@@ -395,7 +394,7 @@ def execute(cfg: RunConfig) -> list[Path]:
     Designs each law once (:meth:`RunConfig.points`) before any trajectory
     runs.  Raises on any failure after removing partially written files.  A
     refusal of the design or of :func:`qfb.engine.run_ensemble` names its
-    argument, which is the config key except for the four mapped by
+    argument, which is the config key except for those mapped by
     :func:`_config_key`.
     """
     cfg.validate()
@@ -424,12 +423,15 @@ def execute(cfg: RunConfig) -> list[Path]:
 
 
 def _config_key(cfg: RunConfig, arg: str) -> str:
-    """The config key behind the argument a design or engine refusal names."""
+    """The config key behind the argument a model, design or engine refusal names."""
     return {
         "stride": "tau_m" if cfg.sample_every is None else "sample_every",
         "burn_in": "total_time" if cfg.burn_in is None else "burn_in",
         "Td": "sweep_values" if cfg.mode == "sweep-delay" else "td",
         "theta_s": "theta_list" if cfg.mode in _ANGLE_MODES else "theta_target",
+        "Ts": "ts",
+        "T1": "t1",
+        "T2": "t2",
     }.get(arg, arg)
 
 

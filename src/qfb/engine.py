@@ -108,11 +108,13 @@ def _whole_steps(time: float, dt: float) -> float:
 
 
 def steps_for(total_time: float, dt: float) -> int:
-    """The number of ``dt`` steps in ``total_time``; refuses a time off the grid."""
+    """The number of ``dt`` steps in ``total_time``; refuses a time off the grid
+    and a count of 2**53 or more, beyond which a float skips whole numbers."""
     n = _whole_steps(total_time, dt)
-    if not 1 <= n < math.inf or abs(n * dt - total_time) > 1e-9 * max(total_time, dt):
+    if not 1 <= n < 2**53 or abs(n * dt - total_time) > 1e-9 * max(total_time, dt):
         raise ValueError(
-            f"total_time: {total_time} is not a whole, finite number of steps of dt = {dt}"
+            f"total_time: {total_time} is not a whole number of steps of dt = {dt} "
+            "below 2**53"
         )
     return int(n)
 
@@ -201,7 +203,7 @@ class BayesStepper:
         x, y, z = self.x, self.y, self.z
         rbar, angle, *work = self._work
         np.add(z, np.multiply(n01, self._sigma, out=rbar), out=rbar)
-        fed = self.chain.push(rbar)  # rbar itself for a Markovian chain
+        fed = self.chain.push(rbar)  # rbar itself for a Markovian chain, else the chain's buffer
         np.add(self._delta0, np.multiply(self._delta1, fed, out=angle), out=angle)
         angle *= self._dt
         s = np.multiply(rbar, self._s_scale, out=rbar)  # rbar is spent once the angle is formed
@@ -400,7 +402,7 @@ def run_ensemble(
     rec_steps = np.arange(0, n_steps + 1, record_stride)
     steady_steps = None if steady is None else steady.step_indices(n_steps, params.dt)
     delay = max(law.Td for law in laws)
-    if delay > total_time:  # it would never feed back, yet it sizes the delay ring
+    if delay > total_time:  # it would never feed back, yet it sizes the chain's ring
         raise ValueError(f"Td: the delay {delay} exceeds total_time = {total_time}")
     for law in laws:  # warnings only once every argument has passed
         validate_law(law, params)

@@ -106,17 +106,16 @@ class ModelParams:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.tau_m > 0.0:
-            raise ValueError(f"tau_m must be positive, got {self.tau_m}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("tau_m", "dt", "T1", "T2"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                ideal = " (use math.inf for ideal)" if name in ("T1", "T2") else ""
+                raise ValueError(f"{name}: must be positive{ideal}, got {value}")
         if not (0.0 < self.eta <= 1.0):
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if not self.T1 > 0.0 or not self.T2 > 0.0:
-            raise ValueError("T1 and T2 must be positive (use math.inf for ideal)")
+            raise ValueError(f"eta: must lie in (0, 1], got {self.eta}")
         if self.dt > self.tau_m / 2.0:
             raise ValueError(
-                f"dt = {self.dt} exceeds tau_m/2 = {self.tau_m / 2.0}; "
+                f"dt: dt = {self.dt} exceeds tau_m/2 = {self.tau_m / 2.0}; "
                 "the split-step update is invalid at this resolution"
             )
         if self.dt > self.tau_m / 10.0:

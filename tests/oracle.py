@@ -18,8 +18,9 @@
   and so shares the engine's streams and reduction.  ``run_sme_ensemble``
   and ``integrate_sme_trajectory`` take ``(law, initial, params)`` and
   the engine's keywords.
-* Plain numerical references: a golden-section minimizer and a flood-fill
-  connected-component labeller.
+* Plain numerical references: a per-row feedback chain (a filter
+  accumulator and a ``deque`` delay line for each law), a golden-section
+  minimizer and a flood-fill connected-component labeller.
 
 The package itself never calls them.
 """
@@ -27,6 +28,7 @@ The package itself never calls them.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -396,6 +398,28 @@ def integrate_sme_trajectory(
         record_stride=record_stride, seed=seed,
     )
     return Curve(result.times, result.mean_xyz, result.excursion_count)
+
+
+class ReferenceChain:
+    """Feedback chain one row at a time: per law, ``acc += alpha * (r - acc)``
+    (a copy of ``r`` where alpha = 1), then a ``deque`` delay line of
+    ``n_delay`` values that starts filled with zeros."""
+
+    def __init__(self, laws, params: ModelParams, batch: int) -> None:
+        self.alpha = [law.filter_alpha(params.dt) for law in laws]
+        self.acc = np.zeros((len(laws), batch))
+        self.lines = [deque([np.zeros(batch)] * law.n_delay(params.dt)) for law in laws]
+
+    def push(self, r: np.ndarray) -> np.ndarray:
+        out = np.empty_like(self.acc)
+        for p, (alpha, line) in enumerate(zip(self.alpha, self.lines)):
+            if alpha == 1.0:
+                self.acc[p] = r[p]
+            else:
+                self.acc[p] += alpha * (r[p] - self.acc[p])
+            line.append(self.acc[p].copy())
+            out[p] = line.popleft()
+        return out
 
 
 def minimize_golden(f, lo: float, hi: float, tol: float = 1e-12) -> float:

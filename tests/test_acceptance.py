@@ -339,14 +339,14 @@ def test_criterion_6_property_suites():
     chain = FeedbackChain([law_f], p, batch=1)
     out = 0.0
     for _ in range(4000):
-        out = chain.filter_push(0.77)
+        out = chain.push(0.77)
     assert abs(out - 0.77) < 1e-9
     u = rng.normal(size=200)
     v = rng.normal(size=200)
 
     def run_filter(seq):
         c = FeedbackChain([law_f], p, batch=1)
-        return np.array([c.filter_push(r).item() for r in seq])
+        return np.array([c.push(r).item() for r in seq])
 
     assert np.max(
         np.abs(run_filter(2.0 * u - 3.0 * v) - (2.0 * run_filter(u) - 3.0 * run_filter(v)))
@@ -355,7 +355,7 @@ def test_criterion_6_property_suites():
     # (f) delay shift-equality
     chain_d = FeedbackChain([FeedbackLaw(0.0, 0.0, Td=40 * p.dt)], p, batch=1)
     seq = rng.normal(size=300)
-    outs = np.array([chain_d.delay_pop_push(r).item() for r in seq])
+    outs = np.array([chain_d.push(r).item() for r in seq])
     assert np.array_equal(outs[40:], seq[:-40]) and np.all(outs[:40] == 0.0)
 
     # (g) deterministic integrator is order 4 (halving changes < 1e-9)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import ReferenceChain
 
 from qfb import FeedbackChain, FeedbackLaw, ModelParams, validate_law
 
@@ -46,13 +49,13 @@ class TestFilter:
     def test_passthrough_when_ts_zero(self):
         chain = FeedbackChain([law(Ts=0.0)], P, batch=1)
         for r in (0.3, -2.0, 11.0):
-            assert chain.filter_push(r) == r
+            assert chain.push(r) == r
 
     def test_half_step_convergence(self):
         # dt = Ts ln2 -> one push from 0 toward 1 lands exactly at 0.5
         ts = P.dt / math.log(2.0)
         chain = FeedbackChain([law(Ts=ts)], P, batch=1)
-        assert chain.filter_push(1.0) == pytest.approx(0.5, rel=1e-12)
+        assert chain.push(1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_geometric_convergence_and_sum_oracle(self):
         ts = 0.05
@@ -60,7 +63,7 @@ class TestFilter:
         c = 0.8
         alpha = 1.0 - math.exp(-P.dt / ts)
         decay = math.exp(-P.dt / ts)
-        outs = [chain.filter_push(c).item() for _ in range(400)]
+        outs = [chain.push(c).item() for _ in range(400)]
         # geometric approach with ratio exp(-dt/Ts)
         for k in (10, 50, 100):
             assert outs[k] - c == pytest.approx((outs[0] - c) * decay**k, rel=1e-9)
@@ -77,7 +80,7 @@ class TestFilter:
             chain = FeedbackChain([law(Ts=ts)], P, batch=1)
             out = 0.0
             for _ in range(5000):
-                out = chain.filter_push(1.7)
+                out = chain.push(1.7)
             assert out == pytest.approx(1.7, rel=1e-9)
 
     def test_linearity(self):
@@ -88,7 +91,7 @@ class TestFilter:
 
         def run(seq):
             chain = FeedbackChain([law(Ts=0.04)], P, batch=1)
-            return np.array([chain.filter_push(r).item() for r in seq])
+            return np.array([chain.push(r).item() for r in seq])
 
         lhs = run(a * u + b * v)
         rhs = a * run(u) + b * run(v)
@@ -98,11 +101,11 @@ class TestFilter:
 class TestDelay:
     def test_zero_delay_passthrough(self):
         chain = FeedbackChain([law(Td=0.0)], P, batch=1)
-        assert chain.delay_pop_push(0.42) == 0.42
+        assert chain.push(0.42) == 0.42
 
     def test_buffer_fill_semantics(self):
         chain = FeedbackChain([law(Td=3 * P.dt)], P, batch=1)
-        outs = [chain.delay_pop_push(v).item() for v in (1.0, 2.0, 3.0, 4.0)]
+        outs = [chain.push(v).item() for v in (1.0, 2.0, 3.0, 4.0)]
         assert outs == [0.0, 0.0, 0.0, 1.0]
 
     def test_shift_equality_over_random_sequence(self):
@@ -110,7 +113,7 @@ class TestDelay:
         rng = np.random.default_rng(11)
         seq = rng.normal(size=500)
         chain = FeedbackChain([law(Td=0.2)], P, batch=1)
-        outs = np.array([chain.delay_pop_push(v).item() for v in seq])
+        outs = np.array([chain.push(v).item() for v in seq])
         assert np.array_equal(outs[40:], seq[:-40])
         assert np.all(outs[:40] == 0.0)
 
@@ -176,20 +179,43 @@ class TestPerPointLaws:
         for rows in rng.normal(size=(60, len(self.LAWS), batch)):
             got = chain.push(rows)
             for p, c in enumerate(alone):
-                assert np.array_equal(got[p], c.push(rows[p])[0])
+                assert np.array_equal(got[p], c.push(rows[p:p + 1])[0])
 
     def test_passthrough_rows_are_exact(self):
         rng = np.random.default_rng(6)
         chain = FeedbackChain((law(Ts=0.0), law(Ts=0.04)), P, batch=2)
         for rows in rng.normal(size=(20, 2, 2)):
-            assert np.array_equal(chain.filter_push(rows)[0], rows[0])
+            assert np.array_equal(chain.push(rows)[0], rows[0])
 
     def test_ring_reads_each_delay_before_writing(self):
         delays = (0, 1, 3, 5)
         chain = FeedbackChain([law(Td=d * P.dt) for d in delays], P, batch=1)
-        assert chain.delay_ring.shape == (5, 4, 1)
+        assert chain.ring.shape == (6, 4, 1)
         pushed = np.arange(1.0, 13.0)
-        outs = np.array([chain.delay_pop_push(np.full((4, 1), v))[:, 0] for v in pushed])
+        outs = np.array([chain.push(np.full((4, 1), v))[:, 0].copy() for v in pushed])
         for p, d in enumerate(delays):
             assert np.all(outs[:d, p] == 0.0)
             assert np.array_equal(outs[d:, p], pushed[:len(pushed) - d])
+
+
+@st.composite
+def chains(draw):
+    """1-5 laws mixing filter constants and delays of 0-5 steps, a batch of 1-4
+    and a noise seed."""
+    n_laws = draw(st.integers(1, 5))
+    laws = [
+        law(Ts=draw(st.sampled_from((0.0, P.dt, 5 * P.dt, 0.1))),
+            Td=draw(st.integers(0, 5)) * P.dt)
+        for _ in range(n_laws)
+    ]
+    return laws, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(drawn=chains())
+def test_push_matches_the_reference_chain_bit_for_bit(drawn):
+    laws, batch, seed = drawn
+    chain = FeedbackChain(laws, P, batch)
+    reference = ReferenceChain(laws, P, batch)
+    for k, r in enumerate(np.random.default_rng(seed).normal(size=(40, len(laws), batch))):
+        assert chain.push(r).tobytes() == reference.push(r).tobytes(), k

@@ -640,6 +640,9 @@ BASE = ["--mode", "ensemble", "--theta-target", "0.3pi"]
         ("theta_target", BASE + ["--t1", "1e-300"]),
         # each of ts and td is named on its own
         ("ts", BASE + ["--ts", "-1"]),
+        # more steps than a float counts
+        ("total_time", ["--mode", "histogram", "--theta-target", "0.3pi", "--tau-m", "1e-290",
+                        "--dt", "1e-300", "--total-time", "0.2"]),
     ],
 )
 def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
@@ -650,6 +653,24 @@ def test_bad_value_rejected_naming_its_key(key, argv, tmp_path, capsys):
     assert f"{key}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("tau_m", BASE + ["--tau-m", "-1"]),
+    ("dt", BASE + ["--dt", "0.2"]),
+    ("t1", BASE + ["--t1", "-3"]),
+    ("t2", BASE + ["--t2", "-3"]),
+    ("eta", BASE + ["--eta", "1.5"]),
+    ("ts", BASE + ["--ts", "-1"]),
+    ("td", BASE + ["--td", "-1"]),
+    ("total_time", BASE + ["--tau-m", "1e-290", "--dt", "1e-300", "--total-time", "0.2"]),
+])
+def test_a_refusal_names_one_key(key, argv, tmp_path, capsys):
+    """The error line names the one key at fault, not a group of keys."""
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert rc == 1
+    assert len(errors) == 1 and errors[0].startswith(f"error: {key}: "), errors
 
 
 @pytest.mark.parametrize("designs, argv", [

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,6 +377,8 @@ class TestRunEnsemble:
     # a delay whose step count overflows an int, far beyond the run
     ("Td", dict(laws=[FeedbackLaw(0, 0, Td=1e308)], params=ModelParams(dt=0.0005),
                 total_time=0.01)),
+    # more steps than a float counts
+    ("total_time", dict(params=ModelParams(tau_m=1e-290, dt=1e-300), total_time=0.2)),
 ])
 def test_each_refusal_names_its_argument_before_any_task(argument, call, monkeypatch):
     def no_task(*task):
@@ -398,15 +401,24 @@ def _lossy_laws():
             FeedbackLaw(law.delta0, law.delta1, Td=0.006)], r_s
 
 
-def test_step_allocates_no_array_per_step():
+@pytest.mark.parametrize("chain", ["markovian", "filter", "delay", "mixed"])
+def test_step_allocates_no_array_per_step(chain):
     """The step updates its batch in place: after a warm-up step, 20 steps of
-    three lossy Markovian laws at batch 4096 allocate less, at their peak,
-    than one (3, 4096) array."""
+    three lossy laws at batch 4096, with no filter or delay, a filter, a
+    delay, or one law of each kind, allocate less, at their peak, than one
+    (3, 4096) array."""
     import tracemalloc
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         laws = [design_nonideal(a * math.pi, LOSSY)[0] for a in (0.2, 0.3, 0.5)]
+    kinds = {
+        "markovian": [{}] * 3,
+        "filter": [dict(Ts=0.004)] * 3,
+        "delay": [dict(Td=0.006)] * 3,
+        "mixed": [{}, dict(Ts=0.004), dict(Ts=0.004, Td=0.006)],
+    }[chain]
+    laws = [replace(law, **kind) for law, kind in zip(laws, kinds)]
     stepper = BayesStepper(LOSSY, laws, [BlochState.from_polar(0.1 * math.pi)] * 3, 4096)
     noise = trajectory_rng(1, 0).standard_normal((21, 4096))
     stepper.step(noise[0])
