@@ -42,7 +42,7 @@ class FeedbackLaw:
         for name in ("delta0", "delta1", "Ts", "Td"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"{name}: must be finite, got {value}")
             if name in ("Ts", "Td") and value < 0.0:
                 raise ValueError(f"{name}: must be non-negative, got {value}")
 

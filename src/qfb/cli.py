@@ -1,11 +1,13 @@
 """Command-line front end: flat-file configs, simulation modes, CSV/JSON outputs.
 
 Configs are flat ``key=value`` text files (``#`` starts a comment);
-command-line flags override file keys.  Angles accept plain radians or a
-``0.3pi`` suffix; times are in us, rates in rad/us; ``inf`` is a valid
-T1/T2.  Outputs are deterministic byte-for-byte for a fixed config and
-seed: floats are printed with 9 significant digits and JSON keys are
-sorted.
+command-line flags override file keys.  :func:`parse_config` only parses
+them: each value is checked by the code that reads it once :func:`execute`
+starts, so a key the mode does not read is never checked.  Angles accept
+plain radians or a ``0.3pi`` suffix; times are in us, rates in rad/us;
+``inf`` is a valid T1/T2.  Outputs are deterministic byte-for-byte for a
+fixed config and seed: floats are printed with 9 significant digits and
+JSON keys are sorted.
 
 Modes
 -----
@@ -31,12 +33,10 @@ renormalization count and the config keys the mode reads (``_READS``).
 JSON files write an infinite value (``t1 = inf``) as the string ``"inf"``
 and refuse to write a NaN.
 
-``threads`` (1 to ``MAX_THREADS``) is the number of worker processes an
-ensemble, histogram or sweep run uses (see :func:`qfb.engine.run_ensemble`);
-no output byte depends on it, and the default 1 starts no process.  More
-than one needs the ``fork`` start method.  A worker that dies fails the
-run with an ``error: threads: ...`` message.  :func:`main` prints each
-distinct warning once, as ``warning: ...`` on stderr.
+``threads`` is the ``workers`` of :func:`qfb.engine.run_ensemble`: no
+output byte depends on it, and the default 1 starts no process.  A worker
+that dies fails the run with an ``error: threads: ...`` message.
+:func:`main` prints each distinct warning once, as ``warning: ...``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 from . import __version__
 from .chain import FeedbackLaw
 from .design import design_ideal, design_nonideal
-from .engine import SteadySampling, WorkerError, run_ensemble
+from .engine import MAX_WORKERS, SteadySampling, WorkerError, run_ensemble
 from .model import BlochState, ModelParams
 from .stats import DEFAULT_BINS, steady_state
 
@@ -76,12 +76,6 @@ _ANGLE_MODES = ("design-table", "sweep-angle")
 
 #: The sweep modes and the row value each one sweeps.
 _SWEEP_AXIS = {"sweep-angle": "theta_s", "sweep-filter": "Ts", "sweep-delay": "Td"}
-
-#: Largest histogram resolution: n_bins^2 int64 counters, 8 MB.
-MAX_BINS = 1000
-
-#: Most worker processes a run may start.
-MAX_THREADS = 64
 
 
 class ConfigError(ValueError):
@@ -131,61 +125,9 @@ class RunConfig:
         "comma list of angles (design table / angle sweep)",
     )
     threads: int = _key(
-        1, f"worker processes (1 to {MAX_THREADS}; 1 starts none); outputs do not depend on it"
+        1, f"worker processes (1 to {MAX_WORKERS}; 1 starts none); outputs do not depend on it"
     )
     out: str = _key(".", "output directory")
-
-    def validate(self) -> "RunConfig":
-        """Check the keys the mode reads; a key it does not read is not checked.
-
-        The laws (the lists they parse, a negative ``ts`` or ``td``, a
-        target at a measurement pole) and the run grid (``n_traj``,
-        ``seed``, ``total_time`` on the ``dt`` grid, ``record_stride``, the
-        sampling stride and burn-in, a delay within ``total_time``) are
-        checked once, by :func:`execute` designing them and by
-        :func:`qfb.engine.run_ensemble`, before any trajectory runs.
-        """
-        if self.mode not in MODES:
-            raise ConfigError(f"mode: unknown mode {self.mode!r}; choose from {MODES}")
-        reads = _READS[self.mode]
-        for key, kind in _TYPES.items():
-            value = getattr(self, key)
-            inf_ok = key in ("t1", "t2")
-            if kind is float and key in reads and value is not None and not (
-                math.isfinite(value) or (inf_ok and value == math.inf)
-            ):
-                allowed = "finite or inf" if inf_ok else "finite"
-                raise ConfigError(f"{key}: must be {allowed}, got {value}")
-        explicit = self.delta0 is not None or self.delta1 is not None
-        if explicit and "delta0" not in reads:
-            raise ConfigError(
-                f"delta0/delta1: mode {self.mode} designs its own constants; "
-                "explicit values would be ignored"
-            )
-        if explicit and (self.delta0 is None or self.delta1 is None):
-            raise ConfigError("delta0/delta1: both must be given when either is")
-        if explicit and self.theta_target is not None:
-            raise ConfigError(
-                "theta_target: give either explicit delta0/delta1 or a target "
-                "angle with auto-design, not both"
-            )
-        if not explicit and self.theta_target is None and self.mode not in _ANGLE_MODES:
-            raise ConfigError(f"theta_target: required for mode {self.mode}")
-        try:
-            self.model_params()
-        except ValueError as exc:
-            arg, _, reason = str(exc).partition(": ")
-            raise ConfigError(f"{_config_key(self, arg)}: {reason}") from exc
-        if "n_bins" in reads and not 2 <= self.n_bins <= MAX_BINS:
-            raise ConfigError(f"n_bins: must lie in [2, {MAX_BINS}], got {self.n_bins}")
-        if "r_init" in reads and not 0 < self.r_init <= 1:
-            raise ConfigError(f"r_init: must lie in (0, 1], got {self.r_init}")
-        if self.mode != "design-table":  # the one mode that runs no trajectory
-            if not 1 <= self.threads <= MAX_THREADS:
-                raise ConfigError(f"threads: must lie in [1, {MAX_THREADS}], got {self.threads}")
-            if self.threads > 1 and not _can_fork():
-                raise ConfigError("threads: more than 1 needs the fork start method")
-        return self
 
     def model_params(self) -> ModelParams:
         # the design table reads no dt: it takes the largest step that draws no warning
@@ -210,10 +152,24 @@ class RunConfig:
         ``sweep_values`` entry (value, in us).  Ensemble and histogram mode
         have the one point ``(None, theta_target, law, r_target)``, or
         ``(None, None, law, None)`` for explicit ``delta0``/``delta1``."""
+        if self.delta0 is not None or self.delta1 is not None:
+            if "delta0" not in _READS[self.mode]:
+                raise ConfigError(
+                    f"delta0/delta1: mode {self.mode} designs its own constants; "
+                    "explicit values would be ignored"
+                )
+            if self.delta0 is None or self.delta1 is None:
+                raise ConfigError("delta0/delta1: both must be given when either is")
+            if self.theta_target is not None:
+                raise ConfigError(
+                    "theta_target: give either explicit delta0/delta1 or a target "
+                    "angle with auto-design, not both"
+                )
+            return [(None, None, FeedbackLaw(self.delta0, self.delta1, self.ts, self.td), None)]
         if self.mode in _ANGLE_MODES:
             return [(theta, theta, *self.design(theta)) for theta in _theta_list(self)]
-        if self.delta0 is not None:
-            return [(None, None, FeedbackLaw(self.delta0, self.delta1, self.ts, self.td), None)]
+        if self.theta_target is None:
+            raise ConfigError(f"theta_target: required for mode {self.mode}")
         if self.mode not in _SWEEP_AXIS:
             return [(None, self.theta_target, *self.design(self.theta_target))]
         axis = _SWEEP_AXIS[self.mode]
@@ -229,13 +185,11 @@ class RunConfig:
         return SteadySampling(burn_in=burn, stride=stride)
 
     def initial_state(self) -> BlochState:
+        if not math.isfinite(self.theta_init):
+            raise ConfigError(f"theta_init: must be finite, got {self.theta_init}")
+        if not 0 < self.r_init <= 1:
+            raise ConfigError(f"r_init: must lie in (0, 1], got {self.r_init}")
         return BlochState.from_polar(self.theta_init, self.r_init)
-
-
-def _can_fork() -> bool:
-    import multiprocessing  # only runs with several workers pay for the import
-
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _base_type(hint) -> type:
@@ -286,11 +240,11 @@ def _parse_value(key: str, raw: str):
 def parse_config(
     path: str | Path | None = None, overrides: dict | None = None
 ) -> RunConfig:
-    """Build a validated RunConfig from a key=value file plus overrides.
+    """Build a RunConfig from a key=value file plus overrides.
 
-    Unknown keys, malformed values, and range violations raise
-    ConfigError naming the offending key.  The design and run-grid checks
-    listed in :meth:`RunConfig.validate` are left to :func:`execute`.
+    Only unknown keys and values that do not parse as the key's type raise
+    ConfigError here, naming the key; a value out of range is refused by
+    :func:`execute`.
     """
     cfg = RunConfig()
     merged: dict = {}
@@ -316,7 +270,7 @@ def parse_config(
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse value {raw!r}: {exc}") from exc
         setattr(cfg, key, value)
-    return cfg.validate()
+    return cfg
 
 
 def _fmt(value) -> str:
@@ -391,13 +345,13 @@ def _theta_list(cfg: RunConfig) -> list[float]:
 def execute(cfg: RunConfig) -> list[Path]:
     """Run one mode and write its outputs; returns the written paths.
 
-    Designs each law once (:meth:`RunConfig.points`) before any trajectory
-    runs.  Raises on any failure after removing partially written files.  A
-    refusal of the design or of :func:`qfb.engine.run_ensemble` names its
-    argument, which is the config key except for those mapped by
-    :func:`_config_key`.
+    Checks ``mode``; the code that reads each other value checks it, before
+    any trajectory runs.  Raises on any failure after removing partially
+    written files; a refusal is a ConfigError naming the config key
+    (:func:`_config_key` renames the arguments the library names).
     """
-    cfg.validate()
+    if cfg.mode not in MODES:
+        raise ConfigError(f"mode: unknown mode {cfg.mode!r}; choose from {MODES}")
     out_dir = Path(cfg.out)
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     written: list[Path] = []
@@ -414,25 +368,23 @@ def execute(cfg: RunConfig) -> list[Path]:
             if any(d.iterdir()):
                 break
             d.rmdir()
-        arg, _, reason = str(exc).partition(": ")
-        key = _config_key(cfg, arg)
-        if isinstance(exc, ValueError) and key != arg:
-            raise ConfigError(f"{key}: {reason}") from exc
+        arg, sep, reason = str(exc).partition(": ")
+        if isinstance(exc, ValueError) and sep:
+            raise ConfigError(f"{_config_key(cfg, arg)}: {reason}") from exc
         raise
     return written
 
 
 def _config_key(cfg: RunConfig, arg: str) -> str:
-    """The config key behind the argument a model, design or engine refusal names."""
+    """The config key behind the argument a model, design or engine refusal
+    names; ``T1``, ``T2`` and ``Ts`` are the keys ``t1``, ``t2`` and ``ts``."""
     return {
         "stride": "tau_m" if cfg.sample_every is None else "sample_every",
         "burn_in": "total_time" if cfg.burn_in is None else "burn_in",
         "Td": "sweep_values" if cfg.mode == "sweep-delay" else "td",
         "theta_s": "theta_list" if cfg.mode in _ANGLE_MODES else "theta_target",
-        "Ts": "ts",
-        "T1": "t1",
-        "T2": "t2",
-    }.get(arg, arg)
+        "workers": "threads",
+    }.get(arg, arg.lower())
 
 
 def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:

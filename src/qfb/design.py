@@ -35,8 +35,8 @@ def design_ideal(theta_s: float, tau_m: float) -> FeedbackLaw:
     provides the fixed points (a warning is emitted: there is no active
     feedback to select the pole).
     """
-    if tau_m <= 0.0:
-        raise ValueError("tau_m must be positive")
+    if not tau_m > 0.0:
+        raise ValueError(f"tau_m: must be positive, got {tau_m}")
     if not (0.0 <= theta_s <= math.pi):
         raise ValueError(f"theta_s: must lie in [0, pi], got {theta_s}")
     if theta_s < 1e-9 or theta_s > math.pi - 1e-9:
@@ -60,7 +60,7 @@ def max_radius(theta: float, params: ModelParams) -> float:
     """
     if not (0.0 < theta < math.pi):
         raise ValueError(
-            f"theta = {theta} is at or beyond a measurement pole; the radius "
+            f"theta: {theta} is at or beyond a measurement pole; the radius "
             "bound is singular there"
         )
     inv_t1 = 1.0 / params.T1
@@ -85,6 +85,8 @@ def design_nonideal(theta_s: float, params: ModelParams) -> tuple[FeedbackLaw, f
     final unassisted collapse herald the pole.  Rates so extreme that
     R_s tau_m underflows to 0 leave no gain and are rejected too.
     """
+    if not math.isfinite(theta_s):
+        raise ValueError(f"theta_s: must be finite, got {theta_s}")
     if not (POLE_MARGIN <= theta_s <= math.pi - POLE_MARGIN):
         raise ValueError(
             f"theta_s: {theta_s} is within {POLE_MARGIN:.4f} rad of a "

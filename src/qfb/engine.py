@@ -77,6 +77,9 @@ CHUNK_SIZE = 4096
 #: for every block of a longer run.
 BLOCK_STEPS = 256
 
+#: Most worker processes a run may start.
+MAX_WORKERS = 64
+
 
 def trajectory_rng(
     seed: int, index: int, reuse: np.random.Generator | None = None
@@ -371,7 +374,8 @@ def run_ensemble(
     ValueError reading ``<argument>: <reason>``, with ``stride`` and
     ``burn_in`` for the fields of ``steady`` and ``Td`` for a delay.
 
-    ``workers`` is the number of processes that run the tasks.  With C
+    ``workers`` is the number of processes that run the tasks, 1 to
+    ``MAX_WORKERS``; more than 1 needs the ``fork`` start method.  With C
     chunks, P points and N workers, each chunk's points split into
     ``min(P, ceil(N / C))`` contiguous groups, one task per chunk and
     group, so a sweep that fits in one chunk still keeps N workers busy.
@@ -389,8 +393,13 @@ def run_ensemble(
         raise ValueError(f"initials: {exc}") from exc
     if n_traj < 1:
         raise ValueError(f"n_traj: must be >= 1, got {n_traj}")
-    if workers < 1:
-        raise ValueError(f"workers: must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers: must lie in [1, {MAX_WORKERS}], got {workers}")
+    if workers > 1:
+        import multiprocessing  # only runs with several workers pay for the import
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError("workers: more than 1 needs the fork start method")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed: must fit in an unsigned 64-bit integer, got {seed}")
     n_steps = steps_for(total_time, params.dt)

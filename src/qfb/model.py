@@ -73,10 +73,10 @@ class BlochState:
         return math.atan2(self.y, self.z)
 
     def require_physical(self) -> "BlochState":
-        """Raise ValueError if the vector lies outside the Bloch sphere."""
+        """Raise ValueError unless the vector lies within the Bloch sphere (a NaN does not)."""
         r2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if r2 > 1.0 + SPHERE_TOL:
-            raise ValueError(f"Bloch vector outside the unit sphere: |r|^2 = {r2!r}")
+        if not r2 <= 1.0 + SPHERE_TOL:
+            raise ValueError(f"radius: |r|^2 = {r2!r} is not within the unit sphere")
         return self
 
 
@@ -87,9 +87,9 @@ class ModelParams:
     Parameters
     ----------
     tau_m : float
-        Measurement collapse time (us).
+        Measurement collapse time (us), finite.
     dt : float
-        Simulation time step (us).  Must resolve the collapse time:
+        Simulation time step (us), finite.  Must resolve the collapse time:
         steps above ``tau_m/10`` trigger a warning, above ``tau_m/2``
         are rejected (the split-step composition error grows as dt^2).
     T1, T2 : float
@@ -108,9 +108,10 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("tau_m", "dt", "T1", "T2"):
             value = getattr(self, name)
-            if not value > 0.0:
-                ideal = " (use math.inf for ideal)" if name in ("T1", "T2") else ""
-                raise ValueError(f"{name}: must be positive{ideal}, got {value}")
+            ideal = name in ("T1", "T2")
+            if not (value > 0.0 if ideal else 0.0 < value < math.inf):
+                allowed = "positive (use math.inf for ideal)" if ideal else "positive and finite"
+                raise ValueError(f"{name}: must be {allowed}, got {value}")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta: must lie in (0, 1], got {self.eta}")
         if self.dt > self.tau_m / 2.0:

@@ -41,6 +41,9 @@ __all__ = [
 #: matching the two-decimal precision of reported peak positions.
 DEFAULT_BINS = 100
 
+#: Largest histogram resolution: n_bins^2 int64 counters, 8 MB.
+MAX_BINS = 1000
+
 #: Bins holding at least this fraction of the peak count are lobe candidates.
 #: The secondary lobe of a near-pole bifurcation peaks at only ~10% of the
 #: dominant bin, so the cut must sit well below that.
@@ -82,7 +85,7 @@ def build_histogram(samples: np.ndarray, n_bins: int = DEFAULT_BINS) -> Histogra
     edges = np.linspace(-1.0, 1.0, n_bins + 1)
     yz = np.clip(np.asarray(samples, dtype=float), edges[0], edges[-1])
     if np.isnan(yz).any():
-        raise ValueError("a steady-state sample is NaN")
+        raise ValueError("samples: a steady-state sample is NaN")
     i = np.minimum(((yz + 1.0) * (0.5 * n_bins)).astype(np.intp), n_bins - 1)
     i -= yz < edges[i]
     i += (yz >= edges[i + 1]) & (i < n_bins - 1)
@@ -178,7 +181,7 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
 def find_peak(grid: HistogramGrid) -> PeakReport:
     """Locate the dominant histogram peak and the high-density lobes."""
     if grid.n_samples == 0:
-        raise ValueError("empty histogram")
+        raise ValueError("grid: empty histogram")
     iys, izs = np.nonzero(grid.counts == grid.counts.max())
     maxima = list(zip(iys.tolist(), izs.tolist()))
     iy, iz = maxima[0]
@@ -236,7 +239,7 @@ def summarize(result: EnsembleResult, n_bins: int = DEFAULT_BINS) -> EnsembleSum
     """Histogram + peak + mean-radius summary of an ensemble's steady samples."""
     yz = result.steady_yz
     if yz is None or len(yz) == 0:
-        raise ValueError("no steady-state samples were collected")
+        raise ValueError("result: no steady-state samples were collected")
     grid = build_histogram(yz, n_bins=n_bins)
     my, mz = yz.mean(axis=0)
     return EnsembleSummary(grid, find_peak(grid), math.hypot(my, mz), result.renorm_count)
@@ -263,8 +266,11 @@ def steady_state(
     numbers), so each summary equals that law's run alone and summaries
     differ by physics rather than by noise realization.  The run writes
     no mean curve, so it records only the two endpoints.  Each law's
-    samples are freed once summarized.
+    samples are freed once summarized.  ``n_bins`` must lie in [2,
+    ``MAX_BINS``]; every argument is checked at the first ``next``.
     """
+    if not 2 <= n_bins <= MAX_BINS:
+        raise ValueError(f"n_bins: must lie in [2, {MAX_BINS}], got {n_bins}")
     stride = steps_for(total_time, params.dt)
     results = run_ensemble(laws, initials, params, n_traj=n_traj, total_time=total_time,
                            record_stride=stride, seed=seed, steady=steady, workers=workers)

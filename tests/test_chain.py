@@ -41,7 +41,7 @@ class TestFeedbackLaw:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_settings_rejected(self, name, value):
         settings = {"delta0": 0.0, "delta1": 1.0, "Ts": 0.0, "Td": 0.0, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name}: must be finite"):
             FeedbackLaw(**settings)
 
 

@@ -69,7 +69,7 @@ class TestParseConfig:
         # the design table reads no dt, so a mode that runs trajectories
         f.write_text("mode=histogram\ntheta_target=0.3pi\ndt=0.5\ntau_m=0.2\n")
         with pytest.raises(ConfigError, match="dt = 0.5 exceeds tau_m/2"):
-            parse_config(f)
+            execute(parse_config(f, {"out": str(tmp_path / "out")}))
 
     def test_unknown_key_named(self, tmp_path):
         f = tmp_path / "bad.cfg"
@@ -77,20 +77,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="bogus_key"):
             parse_config(f)
 
-    def test_missing_target_named(self):
+    def test_missing_target_named(self, tmp_path):
         with pytest.raises(ConfigError, match="theta_target"):
-            parse_config(None, {"mode": "ensemble"})
+            execute(parse_config(None, {"mode": "ensemble", "out": str(tmp_path / "out")}))
 
-    def test_explicit_law_and_target_conflict(self):
+    def test_explicit_law_and_target_conflict(self, tmp_path):
         with pytest.raises(ConfigError, match="theta_target"):
-            parse_config(
+            execute(parse_config(
                 None,
-                {"mode": "ensemble", "theta_target": "0.3pi", "delta0": -1.0, "delta1": 4.0},
-            )
+                {"mode": "ensemble", "theta_target": "0.3pi", "delta0": -1.0, "delta1": 4.0,
+                 "out": str(tmp_path / "out")},
+            ))
 
-    def test_partial_explicit_law_rejected(self):
+    def test_partial_explicit_law_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="delta0/delta1"):
-            parse_config(None, {"mode": "ensemble", "delta0": -1.0})
+            execute(parse_config(None, {"mode": "ensemble", "delta0": -1.0,
+                                        "out": str(tmp_path / "out")}))
 
     def test_explicit_law_accepted(self):
         cfg = parse_config(None, {"mode": "ensemble", "delta0": -1.0, "delta1": 4.0})
@@ -750,7 +752,35 @@ TWO_WORKERS = ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--dt", "0.0
 
 
 def test_most_threads_are_accepted(tmp_path):
-    assert parse_config(None, small_overrides(tmp_path, threads=64)).threads == 64
+    import multiprocessing
+
+    # one law in one chunk is one task, so no process starts
+    overrides = small_overrides(tmp_path, mode="histogram", total_time=3.0, n_traj=5, threads=64)
+    written = execute(parse_config(None, overrides))
+    assert [p.name for p in written] == ["hist.csv", "peaks.json", "run_meta.json"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("tau_m", dict(tau_m="inf")),
+    ("r_init", dict(r_init="2")),
+    ("theta_init", dict(theta_init="nan")),
+    ("n_bins", dict(mode="histogram", total_time=3.0, n_bins="1")),
+    ("threads", dict(threads="65")),
+    ("theta_target", dict(theta_target="none")),
+])
+def test_parse_config_leaves_range_checks_to_execute(key, overrides, tmp_path, monkeypatch):
+    """parse_config only parses; execute refuses the value by key before
+    any task runs and leaves no directory behind."""
+    def no_task(*task):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr("qfb.engine._run_chunk", no_task)
+    out = tmp_path / "a" / "out"
+    cfg = parse_config(None, small_overrides(out, **overrides))
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        execute(cfg)
+    assert not (tmp_path / "a").exists()
 
 
 def test_threads_need_fork(tmp_path, capsys, monkeypatch):

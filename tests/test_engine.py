@@ -14,7 +14,9 @@ from qfb import (
     SteadySampling,
     design_ideal,
     design_nonideal,
+    max_radius,
     run_ensemble,
+    steady_state,
     trajectory_rng,
 )
 from qfb.engine import BayesStepper
@@ -379,6 +381,8 @@ class TestRunEnsemble:
                 total_time=0.01)),
     # more steps than a float counts
     ("total_time", dict(params=ModelParams(tau_m=1e-290, dt=1e-300), total_time=0.2)),
+    # a NaN fails every comparison, so the sphere test must not ask "> 1"
+    ("initials", dict(initials=[BlochState(0.0, math.nan, 0.0)])),
 ])
 def test_each_refusal_names_its_argument_before_any_task(argument, call, monkeypatch):
     def no_task(*task):
@@ -388,6 +392,42 @@ def test_each_refusal_names_its_argument_before_any_task(argument, call, monkeyp
     run = dict(laws=[FREE], initials=[POLE], params=IDEAL, n_traj=1, total_time=1.0)
     with pytest.raises(ValueError, match=f"^{argument}: "):
         run_ensemble(**{**run, **call})
+
+
+_RUN = dict(n_traj=1, total_time=1.0)
+_STEADY = dict(_RUN, steady=SteadySampling(burn_in=0.0, stride=0.1))
+
+
+@pytest.mark.parametrize("prefix, call, start_methods", [
+    ("tau_m: must be positive and finite", lambda: ModelParams(tau_m=math.inf), None),
+    ("dt: must be positive and finite", lambda: ModelParams(dt=math.inf), None),
+    ("dt: ", lambda: ModelParams(dt=math.nan), None),
+    ("delta0: must be finite", lambda: FeedbackLaw(math.nan, 0.0), None),
+    ("Ts: must be finite", lambda: FeedbackLaw(0.0, 0.0, Ts=math.inf), None),
+    ("tau_m: ", lambda: design_ideal(0.3, 0.0), None),
+    ("tau_m: ", lambda: design_ideal(0.3, math.nan), None),
+    ("theta: ", lambda: max_radius(0.0, IDEAL), None),
+    ("theta_s: must be finite", lambda: design_nonideal(math.nan, IDEAL), None),
+    ("workers: ", lambda: run_ensemble([FREE], [POLE], IDEAL, workers=65, **_RUN), None),
+    ("workers: ", lambda: run_ensemble([FREE], [POLE], IDEAL, workers=2, **_RUN), ["spawn"]),
+    ("n_bins: ", lambda: next(steady_state([FREE], [POLE], IDEAL, n_bins=1, **_STEADY)), None),
+    ("n_bins: ", lambda: next(steady_state([FREE], [POLE], IDEAL, n_bins=1001, **_STEADY)), None),
+], ids=["tau_m=inf", "dt=inf", "dt=nan", "delta0=nan", "Ts=inf",
+        "ideal tau_m=0", "ideal tau_m=nan", "radius at a pole", "nan target", "workers=65", "workers without fork",
+        "n_bins=1", "n_bins=1001"])
+def test_each_owner_refusal_names_its_argument(prefix, call, start_methods, monkeypatch):
+    """The model, the law, the design and both runners open each refusal
+    with the argument at fault; the runners refuse before any task runs."""
+    import multiprocessing
+
+    def no_task(*task):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr("qfb.engine._run_chunk", no_task)
+    if start_methods is not None:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: start_methods)
+    with pytest.raises(ValueError, match=f"^{prefix}"):
+        call()
 
 
 LOSSY = ModelParams(tau_m=0.2, dt=0.002, T1=60.0, T2=40.0, eta=0.41)

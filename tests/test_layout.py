@@ -5,11 +5,13 @@ itself: a name that only the tests call belongs in ``tests/oracle.py``.
 ``run_ensemble`` and ``steady_state`` take the same leading arguments
 and name their common keywords alike.  No module uses a private name of
 another: the CLI's lack of one keeps the engine's own checks the only copy
-of its rules.
+of its rules.  Every ValueError the library raises opens with the
+argument at fault, which is how the CLI names the config key behind it.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,36 @@ def test_the_cli_imports_no_private_name():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert not private, f"src/qfb imports private names across modules: {private}"
+
+
+#: ``name: `` or ``name/name: `` at the start of a message.
+_PREFIX = re.compile(r"[A-Za-z_]\w*(/[A-Za-z_]\w*)*: ")
+
+
+def _opens_with_a_name(message: ast.expr) -> bool:
+    """A string literal opening with ``name: ``, or an f-string opening
+    with that text or with ``{name}: ``."""
+    if isinstance(message, ast.Constant):
+        return isinstance(message.value, str) and bool(_PREFIX.match(message.value))
+    if not isinstance(message, ast.JoinedStr) or not message.values:
+        return False
+    first, *rest = message.values
+    if isinstance(first, ast.Constant):
+        return bool(_PREFIX.match(first.value))
+    return (
+        isinstance(first, ast.FormattedValue) and isinstance(first.value, ast.Name)
+        and bool(rest) and isinstance(rest[0], ast.Constant) and rest[0].value.startswith(": ")
+    )
+
+
+@pytest.mark.parametrize("module", ["model", "chain", "design", "engine", "stats"])
+def test_every_value_error_opens_with_its_argument(module):
+    path = Path(qfb.__file__).parent / f"{module}.py"
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"
+        and not (node.exc.args and _opens_with_a_name(node.exc.args[0]))
+    ]
+    assert not offenders, f"ValueError messages not opening with 'name: ': {offenders}"
