@@ -34,7 +34,6 @@ from .stats import (
     HistogramGrid,
     Lobe,
     PeakReport,
-    build_histogram,
     find_peak,
     steady_state,
     summarize,
@@ -58,7 +57,6 @@ __all__ = [
     "design_ideal",
     "design_nonideal",
     "max_radius",
-    "build_histogram",
     "find_peak",
     "summarize",
     "steady_state",

@@ -182,7 +182,7 @@ class RunConfig:
     def sampling(self) -> SteadySampling:
         burn = 10.0 * self.tau_m if self.burn_in is None else self.burn_in
         stride = self.tau_m if self.sample_every is None else self.sample_every
-        return SteadySampling(burn_in=burn, stride=stride)
+        return SteadySampling(burn_in=burn, stride=stride, n_bins=self.n_bins)
 
     def initial_state(self) -> BlochState:
         if not math.isfinite(self.theta_init):
@@ -403,7 +403,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         "renorm_count": 0,
     }
     run = dict(n_traj=cfg.n_traj, total_time=cfg.total_time, seed=cfg.seed, workers=cfg.threads)
-    sampled = dict(run, steady=cfg.sampling(), n_bins=cfg.n_bins)
+    sampled = dict(run, steady=cfg.sampling())
 
     if cfg.mode == "ensemble":
         [(_, _, law, r_target)] = points

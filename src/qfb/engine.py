@@ -5,11 +5,14 @@ Each trajectory owns a counter-based random stream keyed by
 for any chunk schedule.  Trajectories advance in fixed-size chunks as
 vectorized numpy operations.  The work is a list of tasks, one call of
 ``_run_chunk`` per (chunk, group of points): each task writes its chunk's
-mean sums, its renormalization counts and its steady-state samples into
-its own slots of buffers allocated before any task runs, and the run
-then adds the per-chunk sums in chunk order, so the floating-point sums
-have one fixed order and every output bit is independent of how tasks
-are scheduled.
+mean sums, its renormalization counts and its steady-state statistics
+into its own slots of buffers allocated before any task runs, and the
+run then adds the per-chunk sums in chunk order, so the floating-point
+sums have one fixed order and every output bit is independent of how
+tasks are scheduled.  A steady-state sample is binned where it is taken:
+the task writes its int32 histogram bin (:func:`bin_index`) and adds
+(y, z) to its trajectory's running sum, 4 bytes per sample and 16 per
+trajectory, and no sample itself is kept.
 With ``workers = 1`` (the default) the tasks run one after another in
 the calling process and no process is started; with more, they run in
 that many forked worker processes that write into anonymous shared
@@ -59,6 +62,7 @@ __all__ = [
     "EnsembleResult",
     "BayesStepper",
     "run_ensemble",
+    "bin_index",
     "steps_for",
     "trajectory_rng",
     "WorkerError",
@@ -70,7 +74,7 @@ __all__ = [
 CHUNK_SIZE = 4096
 
 #: Steps of noise generated per inner block; bounds the noise buffer to
-#: CHUNK_SIZE * BLOCK_STEPS doubles (8.4 MB).  Runs of at most this many steps
+#: CHUNK_SIZE * BLOCK_STEPS doubles (8.7 MB with each row's padding).  Runs of at most this many steps
 #: draw all their noise in one block and share one re-keyed Generator per
 #: chunk.  256 is the smallest power of two that keeps the 200-step histogram
 #: runs on that path; a smaller block would also add a draw call per stream
@@ -79,6 +83,14 @@ BLOCK_STEPS = 256
 
 #: Most worker processes a run may start.
 MAX_WORKERS = 64
+
+#: Default histogram resolution: 100 x 100 bins over [-1, 1]^2 (width 0.02),
+#: matching the two-decimal precision of reported peak positions.
+DEFAULT_BINS = 100
+
+#: Largest histogram resolution: n_bins^2 int64 counters, 8 MB; every flat
+#: bin index below n_bins^2 fits the int32 the tasks write.
+MAX_BINS = 1000
 
 
 def trajectory_rng(
@@ -122,20 +134,50 @@ def steps_for(total_time: float, dt: float) -> int:
     return int(n)
 
 
+def bin_index(y: np.ndarray, z: np.ndarray, n_bins: int) -> np.ndarray:
+    """Flat bin ``iy * n_bins + iz`` of each (y, z) on the uniform
+    ``n_bins`` x ``n_bins`` grid over [-1, 1]^2, as an intp array of y's shape.
+
+    Values are clipped onto the square before binning (only relevant for
+    integrators that can leak slightly outside the sphere), so every
+    sample lands in a bin; NaN goes to the last bin, and a run whose state
+    went non-finite is refused by its last record.  Bins are half-open,
+    ``edges[i] <= v < edges[i+1]``, except that the last one also holds
+    ``v = 1``: the binning of ``np.histogram2d``.  Each coordinate's bin is
+    estimated arithmetically and then corrected against the edges, which
+    moves it by at most one.
+    """
+    edges = np.linspace(-1.0, 1.0, n_bins + 1)
+    flat = 0
+    for v in (y, z):
+        v = np.fmax(np.fmin(v, 1.0), -1.0)  # fmin and fmax drop a NaN for the bound
+        i = np.minimum(((v + 1.0) * (0.5 * n_bins)).astype(np.intp), n_bins - 1)
+        i -= v < edges[i]
+        i += (v >= edges[i + 1]) & (i < n_bins - 1)
+        flat = flat * n_bins + i
+    return flat
+
+
 @dataclass(frozen=True)
 class SteadySampling:
     """Steady-state sampling protocol: burn-in, then sparse periodic samples.
 
     States before ``burn_in`` are discarded; afterwards (y, z) is
-    collected every ``stride`` of time.  At stride tau_m a trajectory's
+    sampled every ``stride`` of time and binned on the ``n_bins`` x
+    ``n_bins`` grid of :func:`bin_index`.  At stride tau_m a trajectory's
     successive polar angles correlate by about 0.25 at a 0.3 pi target but
     0.56 at 0.1 pi, where they count as far fewer independent draws.
     """
 
     burn_in: float
     stride: float
+    n_bins: int = DEFAULT_BINS
 
     def step_indices(self, n_steps: int, dt: float) -> np.ndarray:
+        """The sampled state indices of an ``n_steps`` run; refuses a stride,
+        burn-in or bin count that the run cannot take."""
+        if not 2 <= self.n_bins <= MAX_BINS:
+            raise ValueError(f"n_bins: must lie in [2, {MAX_BINS}], got {self.n_bins}")
         burn, stride = _whole_steps(self.burn_in, dt), _whole_steps(self.stride, dt)
         if not 1 <= stride < math.inf:
             raise ValueError(
@@ -154,17 +196,20 @@ class SteadySampling:
 class EnsembleResult:
     """Streamed reduction of an ensemble run.
 
-    ``mean_xyz`` is the per-time arithmetic mean over trajectories.
-    ``steady_yz`` pools the steady-state (y, z) samples of every
-    trajectory (trajectory-major order) when a sampling protocol was
-    requested.  A one-trajectory ensemble's ``mean_xyz`` is that
-    trajectory itself.
+    ``mean_xyz`` is the per-time arithmetic mean over trajectories.  A
+    one-trajectory ensemble's ``mean_xyz`` is that trajectory itself.
+    When a sampling protocol was requested, ``steady_bins[i, k]`` is the
+    int32 flat bin (:func:`bin_index` on the ``n_bins`` grid) of
+    trajectory i's k-th steady-state sample, and ``steady_sums[i]`` is
+    the sum of its (y, z) samples, added in time order.
     """
 
     times: np.ndarray
     mean_xyz: np.ndarray
     renorm_count: int = 0
-    steady_yz: np.ndarray | None = None
+    steady_bins: np.ndarray | None = None
+    steady_sums: np.ndarray | None = None
+    n_bins: int | None = None
 
 
 class BayesStepper:
@@ -252,14 +297,16 @@ def _run_chunk(
     initials: Sequence[BlochState],
     rec_steps: np.ndarray,
     steady_steps: np.ndarray | None,
+    n_bins: int | None,
     rec_sums: np.ndarray,
     renorms: np.ndarray,
-    steady_out: list[np.ndarray] | None,
+    steady_out: list[tuple[np.ndarray, np.ndarray]] | None,
 ) -> None:
     """Advance trajectories ``lo:hi`` at every point of ``laws``, adding point
     p's sums into ``rec_sums[p]``, writing its renormalizations into
-    ``renorms[p]`` and its samples into ``steady_out[p][lo:hi]``.  The run
-    lasts until its last record, ``rec_steps[-1]``."""
+    ``renorms[p]``, and, with ``steady_out[p] = (bins, sums)``, each
+    sample's bin into ``bins[lo:hi]`` and its (y, z) into ``sums[lo:hi]``.
+    The run lasts until its last record, ``rec_steps[-1]``."""
     n = hi - lo
     n_steps = int(rec_steps[-1])
     batch = stepper_factory(laws, initials, n)
@@ -272,12 +319,16 @@ def _run_chunk(
         gens = [trajectory_rng(seed, i) for i in range(lo, hi)]
         streams = lambda: gens
 
-    # state index -> slot in the mean-sum / steady-sample buffers
+    # state index -> slot in the mean-sum / steady-bin buffers
     rec_slot = {int(step): k for k, step in enumerate(rec_steps)}
     steady_slot = {} if steady_out is None else {int(s): k for k, s in enumerate(steady_steps)}
-    steady = [] if steady_out is None else [out[lo:hi] for out in steady_out]
+    steady = [] if steady_out is None else [(b[lo:hi], s[lo:hi]) for b, s in steady_out]
 
-    noise = np.empty((n, min(BLOCK_STEPS, n_steps)))
+    # rows of an odd number of 64-byte lines, so that the column noise[:, k]
+    # a step reads spreads over every cache set: with 256-double rows (32
+    # lines) it falls on a few sets and is evicted before the next steps
+    width = min(BLOCK_STEPS, n_steps)
+    noise = np.empty((n, 8 * (-(-width // 8) | 1)))[:, :width]
     for i in range(n_steps + 1):
         slot = rec_slot.get(i)
         if slot is not None:
@@ -285,8 +336,11 @@ def _run_chunk(
                 rec_sums[:, slot, c] += coord.sum(axis=1)
         slot = steady_slot.get(i)
         if slot is not None:
-            for out, y, z in zip(steady, batch.y, batch.z):
-                out[:, slot, 0], out[:, slot, 1] = y, z
+            flat = bin_index(batch.y, batch.z, n_bins)
+            for (bins, sums), f, y, z in zip(steady, flat, batch.y, batch.z):
+                bins[:, slot] = f
+                sums[:, 0] += y
+                sums[:, 1] += z
         if i == n_steps:
             break
         k = i % BLOCK_STEPS
@@ -357,8 +411,9 @@ def run_ensemble(
     ``total_time`` must be a whole number of steps of ``params.dt``, and
     the mean curve is recorded every ``record_stride`` of them.
     Trajectory i draws from the stream keyed (seed, i), ``seed`` an
-    unsigned 64-bit integer.  ``steady`` enables pooled steady-state
-    (y, z) sampling for histograms.  ``stepper_factory`` (laws, initial
+    unsigned 64-bit integer.  ``steady`` enables steady-state sampling
+    for histograms: each result then carries every sample's bin and each
+    trajectory's (y, z) sum.  ``stepper_factory`` (laws, initial
     states, batch size -> stepper) swaps the physics kernel; the default
     is :class:`BayesStepper`.  A stepper owns (len(laws), batch) arrays
     ``x``, ``y``, ``z`` started from the initial states, advances them by
@@ -410,6 +465,7 @@ def run_ensemble(
         )
     rec_steps = np.arange(0, n_steps + 1, record_stride)
     steady_steps = None if steady is None else steady.step_indices(n_steps, params.dt)
+    n_bins = None if steady is None else steady.n_bins
     delay = max(law.Td for law in laws)
     if delay > total_time:  # it would never feed back, yet it sizes the chain's ring
         raise ValueError(f"Td: the delay {delay} exceeds total_time = {total_time}")
@@ -424,18 +480,18 @@ def run_ensemble(
     groups = [slice(g * n_points // n_groups, (g + 1) * n_points // n_groups)
               for g in range(n_groups)]
     # (chunk, point, record, xyz) mean sums; (chunk, point) renormalizations;
-    # per point, (trajectory, sample, yz) steady-state samples
+    # per point, (trajectory, sample) bins and (trajectory, yz) sample sums
     chunk_sums = _shared((len(chunks), n_points, len(rec_steps), 3))
     chunk_renorms = _shared((len(chunks), n_points), np.int64)
     steady_out = None if steady_steps is None else [
-        _shared((n_traj, len(steady_steps), 2)) for _ in laws
+        (_shared((n_traj, len(steady_steps)), np.int32), _shared((n_traj, 2))) for _ in laws
     ]
     # task (c, g) runs chunk c at the points of group g and writes only its
     # own slots of the buffers
     tasks = [
         partial(
             _run_chunk, lo, hi, seed, stepper_factory, laws[g], initials[g],
-            rec_steps, steady_steps, chunk_sums[c, g], chunk_renorms[c, g],
+            rec_steps, steady_steps, n_bins, chunk_sums[c, g], chunk_renorms[c, g],
             None if steady_out is None else steady_out[g],
         )
         for c, (lo, hi) in enumerate(chunks)
@@ -456,7 +512,9 @@ def run_ensemble(
             times=rec_steps * params.dt,
             mean_xyz=rec_sums[p] / n_traj,
             renorm_count=int(renorms[p]),
-            steady_yz=None if steady_out is None else steady_out[p].reshape(-1, 2),
+            steady_bins=bins,
+            steady_sums=sums,
+            n_bins=n_bins,
         )
-        for p in range(n_points)
+        for p, (bins, sums) in enumerate(steady_out or [(None, None)] * n_points)
     ]

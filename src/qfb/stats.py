@@ -3,11 +3,13 @@
 Steady-state trajectory distributions are summarized by a uniform 2D
 histogram over the yz unit square, its dominant peak (converted to polar
 form), the spread of the samples around that peak, the connected
-high-density lobes and the mean radius.  :func:`steady_state` is the one
-steady-state path: it runs one or more laws as one batched ensemble,
-discards the burn-in, pools each law's (y, z) samples and summarizes
-them.  Histogram mode runs it with one law, the sweeps with one law per
-operating point.
+high-density lobes and the mean radius.  The engine's tasks bin each
+sample where it is taken, so a summary counts the bins with
+``np.bincount`` and reads the mean radius from each trajectory's (y, z)
+sums.  :func:`steady_state` is the one steady-state path: it runs one or
+more laws as one batched ensemble, discards the burn-in and summarizes
+each law's samples.  Histogram mode runs it with one law, the sweeps
+with one law per operating point.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import FeedbackLaw
-from .engine import EnsembleResult, SteadySampling, run_ensemble, steps_for
+from .engine import (
+    DEFAULT_BINS,
+    MAX_BINS,
+    EnsembleResult,
+    SteadySampling,
+    run_ensemble,
+    steps_for,
+)
 from .model import BlochState, ModelParams
 
 __all__ = [
@@ -27,22 +36,15 @@ __all__ = [
     "PeakReport",
     "Lobe",
     "EnsembleSummary",
-    "build_histogram",
     "find_peak",
     "label_components",
     "summarize",
     "steady_state",
     "DEFAULT_BINS",
+    "MAX_BINS",
     "LOBE_THRESHOLD",
     "MIN_LOBE_MASS",
 ]
-
-#: Default histogram resolution: 100 x 100 bins over [-1, 1]^2 (width 0.02),
-#: matching the two-decimal precision of reported peak positions.
-DEFAULT_BINS = 100
-
-#: Largest histogram resolution: n_bins^2 int64 counters, 8 MB.
-MAX_BINS = 1000
 
 #: Bins holding at least this fraction of the peak count are lobe candidates.
 #: The secondary lobe of a near-pole bifurcation peaks at only ~10% of the
@@ -69,28 +71,6 @@ class HistogramGrid:
     @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-
-def build_histogram(samples: np.ndarray, n_bins: int = DEFAULT_BINS) -> HistogramGrid:
-    """Histogram an (n, 2) array of steady-state (y, z) samples.
-
-    Samples are clipped onto the square before binning (only relevant
-    for integrators that can leak slightly outside the sphere), so every
-    sample is counted; a NaN sample raises ValueError.  Bins are
-    half-open, ``edges[i] <= v < edges[i+1]``, except that the last one
-    also holds ``v = 1``: the binning of ``np.histogram2d``.  Each
-    coordinate's bin is estimated arithmetically and then corrected
-    against the edges, which moves it by at most one.
-    """
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
-    yz = np.clip(np.asarray(samples, dtype=float), edges[0], edges[-1])
-    if np.isnan(yz).any():
-        raise ValueError("samples: a steady-state sample is NaN")
-    i = np.minimum(((yz + 1.0) * (0.5 * n_bins)).astype(np.intp), n_bins - 1)
-    i -= yz < edges[i]
-    i += (yz >= edges[i + 1]) & (i < n_bins - 1)
-    counts = np.bincount(i[:, 0] * n_bins + i[:, 1], minlength=n_bins * n_bins)
-    return HistogramGrid(edges, counts.reshape(n_bins, n_bins), len(yz))
 
 
 @dataclass(frozen=True)
@@ -235,13 +215,15 @@ class EnsembleSummary:
     renorm_count: int
 
 
-def summarize(result: EnsembleResult, n_bins: int = DEFAULT_BINS) -> EnsembleSummary:
+def summarize(result: EnsembleResult) -> EnsembleSummary:
     """Histogram + peak + mean-radius summary of an ensemble's steady samples."""
-    yz = result.steady_yz
-    if yz is None or len(yz) == 0:
+    bins, n_bins = result.steady_bins, result.n_bins
+    if bins is None or bins.size == 0:
         raise ValueError("result: no steady-state samples were collected")
-    grid = build_histogram(yz, n_bins=n_bins)
-    my, mz = yz.mean(axis=0)
+    counts = np.bincount(bins.ravel(), minlength=n_bins * n_bins)
+    grid = HistogramGrid(np.linspace(-1.0, 1.0, n_bins + 1), counts.reshape(n_bins, n_bins),
+                         bins.size)
+    my, mz = result.steady_sums.sum(axis=0) / bins.size
     return EnsembleSummary(grid, find_peak(grid), math.hypot(my, mz), result.renorm_count)
 
 
@@ -254,7 +236,6 @@ def steady_state(
     total_time: float,
     steady: SteadySampling,
     seed: int = 0,
-    n_bins: int = DEFAULT_BINS,
     workers: int = 1,
 ) -> Iterator[EnsembleSummary]:
     """Summaries of the steady-state samples ``steady`` selects from
@@ -265,14 +246,12 @@ def steady_state(
     takes the same arguments, with the same master seed (common random
     numbers), so each summary equals that law's run alone and summaries
     differ by physics rather than by noise realization.  The run writes
-    no mean curve, so it records only the two endpoints.  Each law's
-    samples are freed once summarized.  ``n_bins`` must lie in [2,
-    ``MAX_BINS``]; every argument is checked at the first ``next``.
+    no mean curve, so it records only the two endpoints.  It runs, and
+    checks every argument, at the call; the iterator then summarizes one
+    law per ``next`` and frees its bins, so no two summaries need be held
+    at once.
     """
-    if not 2 <= n_bins <= MAX_BINS:
-        raise ValueError(f"n_bins: must lie in [2, {MAX_BINS}], got {n_bins}")
     stride = steps_for(total_time, params.dt)
     results = run_ensemble(laws, initials, params, n_traj=n_traj, total_time=total_time,
                            record_stride=stride, seed=seed, steady=steady, workers=workers)
-    while results:
-        yield summarize(results.pop(0), n_bins=n_bins)
+    return (summarize(results.pop(0)) for _ in range(len(results)))

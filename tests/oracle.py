@@ -19,8 +19,9 @@
   and ``integrate_sme_trajectory`` take ``(law, initial, params)`` and
   the engine's keywords.
 * Plain numerical references: a per-row feedback chain (a filter
-  accumulator and a ``deque`` delay line for each law), a golden-section
-  minimizer and a flood-fill connected-component labeller.
+  accumulator and a ``deque`` delay line for each law), a histogram of
+  given (y, z) samples on the engine's bins, a golden-section minimizer
+  and a flood-fill connected-component labeller.
 
 The package itself never calls them.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from qfb.chain import FeedbackLaw
 from qfb.design import max_radius
-from qfb.engine import EnsembleResult, run_ensemble
+from qfb.engine import DEFAULT_BINS, EnsembleResult, bin_index, run_ensemble
 from qfb.model import (
     BlochState,
     ModelParams,
@@ -43,6 +44,7 @@ from qfb.model import (
     dissipation_update,
     rotation_update,
 )
+from qfb.stats import HistogramGrid
 
 
 @dataclass
@@ -420,6 +422,17 @@ class ReferenceChain:
             line.append(self.acc[p].copy())
             out[p] = line.popleft()
         return out
+
+
+def build_histogram(samples: np.ndarray, n_bins: int = DEFAULT_BINS) -> HistogramGrid:
+    """Histogram an (n, 2) array of (y, z) samples on the bins the engine's
+    tasks use (:func:`qfb.engine.bin_index`); a NaN sample raises ValueError."""
+    yz = np.asarray(samples, dtype=float)
+    if np.isnan(yz).any():
+        raise ValueError("samples: a steady-state sample is NaN")
+    counts = np.bincount(bin_index(yz[:, 0], yz[:, 1], n_bins), minlength=n_bins * n_bins)
+    return HistogramGrid(np.linspace(-1.0, 1.0, n_bins + 1), counts.reshape(n_bins, n_bins),
+                         len(yz))
 
 
 def minimize_golden(f, lo: float, hi: float, tol: float = 1e-12) -> float:

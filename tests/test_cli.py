@@ -297,7 +297,7 @@ class TestExecute:
             (s,) = steady_state(
                 [law], [BlochState.from_polar(theta_s, r_target)], cfg.model_params(),
                 n_traj=cfg.n_traj, total_time=cfg.total_time, steady=cfg.sampling(),
-                seed=cfg.seed, n_bins=cfg.n_bins,
+                seed=cfg.seed,
             )
             assert row == _json_ready({
                 "value": value, "theta_s": theta_s, "r_target": r_target,

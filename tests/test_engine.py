@@ -19,7 +19,7 @@ from qfb import (
     steady_state,
     trajectory_rng,
 )
-from qfb.engine import BayesStepper
+from qfb.engine import BayesStepper, bin_index
 from oracle import ReadoutSample, composite_step, integrate_mean_ode
 
 IDEAL = ModelParams(tau_m=0.2, dt=0.0005)
@@ -33,10 +33,11 @@ def ideal_setup(seed=7, total_time=2.0, stride=40):
 
 
 def final_states(n_traj, law, start, params, run):
-    """(y, z) of every trajectory at the end of the run, in index order."""
+    """(y, z) of every trajectory at the end of the run, in index order: its
+    one steady sample, so its sample sum."""
     at_end = SteadySampling(burn_in=run["total_time"], stride=run["total_time"])
     (res,) = run_ensemble([law], [start], params, n_traj=n_traj, steady=at_end, **run)
-    return res.steady_yz
+    return res.steady_sums
 
 
 POLE = BlochState(0, 0, 1)
@@ -154,8 +155,11 @@ class TestRunEnsemble:
         every_record = SteadySampling(burn_in=0.0, stride=run["record_stride"] * IDEAL.dt)
         (many,) = run_ensemble([law], [start], IDEAL, n_traj=5, steady=every_record, **run)
         n_rec = len(alone.times)
-        assert many.steady_yz.shape == (5 * n_rec, 2)
-        assert np.array_equal(alone.mean_xyz[:, 1:], many.steady_yz[:n_rec])
+        assert many.steady_bins.shape == (5, n_rec)
+        yz = alone.mean_xyz[:, 1:]
+        assert np.array_equal(many.steady_bins[0], bin_index(yz[:, 0], yz[:, 1], many.n_bins))
+        # the sum of its samples, added in time order
+        assert np.array_equal(many.steady_sums[0], np.cumsum(yz, axis=0)[-1])
 
     @staticmethod
     def _lossy_run(monkeypatch, block_steps, chunk_size=64):
@@ -184,7 +188,8 @@ class TestRunEnsemble:
             again = self._lossy_run(monkeypatch, block_steps, chunk_size=64)
             one = self._lossy_run(monkeypatch, block_steps, chunk_size=4096)
             for a, b in ((five, again), (five, one)):
-                assert np.array_equal(a.steady_yz, b.steady_yz)
+                assert np.array_equal(a.steady_bins, b.steady_bins)
+                assert np.array_equal(a.steady_sums, b.steady_sums)
                 assert a.renorm_count == b.renorm_count
             assert np.array_equal(five.mean_xyz, again.mean_xyz)
             # five partial sums against one: the summation order alone differs
@@ -196,7 +201,8 @@ class TestRunEnsemble:
         one = self._lossy_run(monkeypatch, eng.BLOCK_STEPS)
         several = self._lossy_run(monkeypatch, 16)
         assert np.array_equal(one.mean_xyz, several.mean_xyz)
-        assert np.array_equal(one.steady_yz, several.steady_yz)
+        assert np.array_equal(one.steady_bins, several.steady_bins)
+        assert np.array_equal(one.steady_sums, several.steady_sums)
         assert one.renorm_count == several.renorm_count
 
     def test_one_block_run_builds_one_stream_per_chunk(self, monkeypatch):
@@ -283,9 +289,35 @@ class TestRunEnsemble:
             steady=sampling,
         )
         per = len(sampling.step_indices(2000, p.dt))
-        assert res.steady_yz.shape == (7 * per, 2)
+        assert res.steady_bins.shape == (7, per)
+        assert res.steady_sums.shape == (7, 2)
         # pole start + no feedback: all steady samples are exactly (0, 1)
-        assert np.all(res.steady_yz[:, 1] == 1.0)
+        assert np.all(res.steady_sums[:, 1] == per)
+        assert np.all(res.steady_bins == bin_index(np.zeros(1), np.ones(1), res.n_bins))
+
+    def test_each_law_shares_int32_bins_and_float64_sums(self, monkeypatch):
+        """A sweep's steady buffers are, per law, 4 bytes per sample and 16 per
+        trajectory: no sample crosses from the tasks to the caller."""
+        import qfb.engine as eng
+
+        made = []
+        shared = eng._shared
+
+        def recording(shape, dtype=np.float64):
+            made.append((shape, np.dtype(dtype)))
+            return shared(shape, dtype)
+
+        monkeypatch.setattr(eng, "_shared", recording)
+        laws, r_s = _lossy_laws()
+        sampling = SteadySampling(burn_in=0.1, stride=0.02)
+        summaries = steady_state(laws, [BlochState.from_polar(0.3 * math.pi, r_s)] * 3, LOSSY,
+                                 n_traj=12, total_time=0.2, steady=sampling, seed=1)
+        assert len(list(summaries)) == 3
+        per = len(sampling.step_indices(100, LOSSY.dt))
+        # one chunk's mean sums (two records) and renormalizations, then the laws'
+        assert made == [
+            ((1, 3, 2, 3), np.dtype(np.float64)), ((1, 3), np.dtype(np.int64)),
+        ] + [((12, per), np.dtype(np.int32)), ((12, 2), np.dtype(np.float64))] * 3
 
     def test_burn_in_doubling_insensitive(self):
         # steady-state summaries do not depend on burn-in beyond 10 tau_m
@@ -300,7 +332,7 @@ class TestRunEnsemble:
                 [law], [init], p, n_traj=800, total_time=26.0, record_stride=100, seed=6,
                 steady=SteadySampling(burn_in=burn, stride=0.2),
             )
-            my, mz = res.steady_yz.mean(axis=0)
+            my, mz = res.steady_sums.sum(axis=0) / res.steady_bins.size
             means.append((my, mz, math.hypot(my, mz)))
         assert means[0][2] == pytest.approx(means[1][2], abs=0.01)
         assert means[0][0] == pytest.approx(means[1][0], abs=0.01)
@@ -325,7 +357,8 @@ class TestRunEnsemble:
         for res, law, start in zip(batched, laws, starts):
             (alone,) = run_ensemble([law], [start], IDEAL, **run)
             assert np.array_equal(res.mean_xyz, alone.mean_xyz)
-            assert np.array_equal(res.steady_yz, alone.steady_yz)
+            assert np.array_equal(res.steady_bins, alone.steady_bins)
+            assert np.array_equal(res.steady_sums, alone.steady_sums)
             assert res.renorm_count == alone.renorm_count > 0
 
     def test_one_initial_state_per_law(self):
@@ -383,6 +416,7 @@ class TestRunEnsemble:
     ("total_time", dict(params=ModelParams(tau_m=1e-290, dt=1e-300), total_time=0.2)),
     # a NaN fails every comparison, so the sphere test must not ask "> 1"
     ("initials", dict(initials=[BlochState(0.0, math.nan, 0.0)])),
+    ("n_bins", dict(steady=SteadySampling(burn_in=0.0, stride=0.1, n_bins=1))),
 ])
 def test_each_refusal_names_its_argument_before_any_task(argument, call, monkeypatch):
     def no_task(*task):
@@ -395,7 +429,10 @@ def test_each_refusal_names_its_argument_before_any_task(argument, call, monkeyp
 
 
 _RUN = dict(n_traj=1, total_time=1.0)
-_STEADY = dict(_RUN, steady=SteadySampling(burn_in=0.0, stride=0.1))
+
+
+def _binned(n_bins):
+    return dict(_RUN, steady=SteadySampling(burn_in=0.0, stride=0.1, n_bins=n_bins))
 
 
 @pytest.mark.parametrize("prefix, call, start_methods", [
@@ -410,8 +447,8 @@ _STEADY = dict(_RUN, steady=SteadySampling(burn_in=0.0, stride=0.1))
     ("theta_s: must be finite", lambda: design_nonideal(math.nan, IDEAL), None),
     ("workers: ", lambda: run_ensemble([FREE], [POLE], IDEAL, workers=65, **_RUN), None),
     ("workers: ", lambda: run_ensemble([FREE], [POLE], IDEAL, workers=2, **_RUN), ["spawn"]),
-    ("n_bins: ", lambda: next(steady_state([FREE], [POLE], IDEAL, n_bins=1, **_STEADY)), None),
-    ("n_bins: ", lambda: next(steady_state([FREE], [POLE], IDEAL, n_bins=1001, **_STEADY)), None),
+    ("n_bins: ", lambda: steady_state([FREE], [POLE], IDEAL, **_binned(1)), None),
+    ("n_bins: ", lambda: steady_state([FREE], [POLE], IDEAL, **_binned(1001)), None),
 ], ids=["tau_m=inf", "dt=inf", "dt=nan", "delta0=nan", "Ts=inf",
         "ideal tau_m=0", "ideal tau_m=nan", "radius at a pole", "nan target", "workers=65", "workers without fork",
         "n_bins=1", "n_bins=1001"])
@@ -495,7 +532,8 @@ class TestWorkers:
     @staticmethod
     def _assert_same(one, three):
         assert np.array_equal(one.mean_xyz, three.mean_xyz)
-        assert np.array_equal(one.steady_yz, three.steady_yz)
+        assert np.array_equal(one.steady_bins, three.steady_bins)
+        assert np.array_equal(one.steady_sums, three.steady_sums)
         assert one.renorm_count == three.renorm_count
 
     @pytest.mark.parametrize("block_steps", [512, 16])  # one noise block; several

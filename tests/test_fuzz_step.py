@@ -88,14 +88,16 @@ def test_every_step_keeps_the_state_finite_and_on_the_sphere(run):
 
 
 @st.composite
-def huge_laws(draw, dt):
+def huge_laws(draw, dt, n_steps):
+    """A law far past the gain bound whose delay fits the ``n_steps`` run, which
+    would otherwise refuse it by ``Td`` before a step is taken."""
     whole_steps = st.integers(0, 4).map(lambda k: k * dt)
     sign = draw(st.sampled_from((1.0, -1.0)))
     return FeedbackLaw(
         delta0=draw(st.floats(-50.0, 50.0)),
         delta1=sign * 10.0 ** draw(st.floats(300.0, math.log10(1.7e308))),
         Ts=draw(whole_steps),
-        Td=draw(whole_steps),
+        Td=draw(st.integers(0, min(4, n_steps)).map(lambda k: k * dt)),
     )
 
 
@@ -113,7 +115,7 @@ def huge_runs(draw):
     run["steady"] = SteadySampling(
         burn_in=draw(st.integers(0, n_steps)) * dt, stride=draw(st.integers(1, 5)) * dt
     )
-    drawn_laws = draw(st.lists(huge_laws(dt), min_size=n_laws, max_size=n_laws))
+    drawn_laws = draw(st.lists(huge_laws(dt, n_steps), min_size=n_laws, max_size=n_laws))
     run["n_traj"] = draw(st.integers(1, 8))
     return params, drawn_laws, initials, run
 
@@ -131,4 +133,5 @@ def test_a_non_finite_state_is_refused_never_returned(run):
         return
     for result in results:
         assert np.isfinite(result.mean_xyz).all()
-        assert np.isfinite(result.steady_yz).all()
+        # a non-finite sample would leave its trajectory's sum non-finite
+        assert np.isfinite(result.steady_sums).all()

@@ -10,7 +10,6 @@ from qfb import (
     BlochState,
     ModelParams,
     SteadySampling,
-    build_histogram,
     design_ideal,
     design_nonideal,
     find_peak,
@@ -18,8 +17,9 @@ from qfb import (
     steady_state,
     summarize,
 )
-from qfb.stats import label_components
-from oracle import flood_fill_labels
+from qfb.engine import bin_index
+from qfb.stats import MAX_BINS, label_components
+from oracle import build_histogram, flood_fill_labels
 
 NONIDEAL_COARSE = ModelParams(tau_m=0.2, dt=0.01, T1=60.0, T2=40.0, eta=0.41)
 
@@ -62,12 +62,35 @@ class TestHistogramGrid:
             rng.uniform(-1.3, 1.3, 3000), [-1.0000001, 1.0000001, -5.0, 5.0],
         ])
         samples = np.stack([rng.permutation(values), rng.permutation(values)], axis=1)
-        grid = build_histogram(samples, n_bins=n_bins)
+        flat = bin_index(samples[:, 0], samples[:, 1], n_bins)
+        counts = np.bincount(flat, minlength=n_bins * n_bins).reshape(n_bins, n_bins)
         clipped = np.clip(samples, -1.0, 1.0)
         expected, _, _ = np.histogram2d(*clipped.T, bins=[edges, edges])
-        assert grid.counts.dtype == np.int64
-        assert np.array_equal(grid.counts, expected.astype(np.int64))
-        assert grid.counts.sum() == grid.n_samples == len(samples)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected.astype(np.int64))
+        assert counts.sum() == len(samples)
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 7, 100, 1000])
+    def test_each_value_lands_in_its_half_open_bin(self, n_bins):
+        """An interior edge opens its bin, 1 closes the last one, values beyond
+        the square are clipped onto it, and a non-finite value still gets a
+        bin inside the grid."""
+        edges = np.linspace(-1.0, 1.0, n_bins + 1)
+        inner = np.arange(1, n_bins)
+        cases = [
+            (edges[1:-1], inner), (np.nextafter(edges[1:-1], -2.0), inner - 1),
+            (np.array([-1.0, 1.0]), [0, n_bins - 1]),
+            (np.array([-1.5, -np.inf, 1.5, np.inf, np.nan]), [0, 0] + [n_bins - 1] * 3),
+        ]
+        for values, want in cases:
+            want = np.asarray(want)
+            for other, j in ((-1.0, 0), (1.0, n_bins - 1)):
+                fixed = np.full_like(values, other)
+                assert np.array_equal(bin_index(values, fixed, n_bins), want * n_bins + j)
+                assert np.array_equal(bin_index(fixed, values, n_bins), j * n_bins + want)
+
+    def test_the_largest_grid_indexes_in_int32(self):
+        assert MAX_BINS**2 <= np.iinfo(np.int32).max
 
     def test_a_nan_sample_is_refused(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -160,7 +183,7 @@ class TestSummaryAndSweeps:
             seed=14, steady=SteadySampling(2.0, 0.2),
         )
         summary = summarize(res)
-        assert summary.histogram.n_samples == res.steady_yz.shape[0]
+        assert summary.histogram.n_samples == res.steady_bins.size
         assert summary.histogram.counts.sum() == summary.histogram.n_samples
         assert 0.5 < summary.r_mean < 0.7
         assert summary.renorm_count == res.renorm_count
@@ -259,7 +282,7 @@ class TestSummaryAndSweeps:
                 [law], [init], p, n_traj=1250, total_time=17.8, record_stride=20, seed=44,
                 steady=SteadySampling(2.0, 0.2),
             )
-            my, mz = res.steady_yz.mean(axis=0)
+            my, mz = res.steady_sums.sum(axis=0) / res.steady_bins.size
             drift = math.atan2(my, mz) - theta
             # toward the excited pole (negative), magnitude ~pi/10
             assert -0.13 * math.pi < drift < -0.05 * math.pi, (which, drift)
@@ -276,10 +299,12 @@ class TestSummaryAndSweeps:
             init = BlochState.from_polar(theta, r_s)
             (res,) = run_ensemble(
                 [law], [init], p, n_traj=500, total_time=9.8, record_stride=20, seed=13,
-                steady=SteadySampling(2.0, 0.2),
+                steady=SteadySampling(2.0, 0.2, n_bins=MAX_BINS),
             )
-            yz = res.steady_yz
-            return float(np.std(np.arctan2(yz[:, 0], yz[:, 1]) - theta))
+            # each sample at the center of its bin, within 0.001 on each axis
+            centers = summarize(res).histogram.centers
+            iy, iz = np.divmod(res.steady_bins.ravel(), MAX_BINS)
+            return float(np.std(np.arctan2(centers[iy], centers[iz]) - theta))
 
         eq0, eq1 = ang_std(0.5, 0.0), ang_std(0.5, 0.02)
         g0, g1 = ang_std(0.3, 0.0), ang_std(0.3, 0.02)
