@@ -88,12 +88,16 @@ class FeedbackChain:
     """
 
     def __init__(self, laws: Sequence[FeedbackLaw], params: ModelParams, batch: int) -> None:
-        self._alpha = np.array([l.filter_alpha(params.dt) for l in laws])[:, None]
+        alpha = np.array([l.filter_alpha(params.dt) for l in laws])
+        # full (P, batch) arrays: an input broadcast into a (P, batch) out=
+        # makes numpy allocate a transient buffer on every call
+        self._alpha = np.repeat(alpha[:, None], batch, axis=1)
         self._passthrough = self._alpha == 1.0  # rows whose filter outputs its input
+        self._any_passthrough = bool(self._passthrough.any())
         n_delay = np.array([l.n_delay(params.dt) for l in laws])
         self.ring = np.zeros((n_delay.max() + 1, len(laws), batch))
         depth, n_points = self.ring.shape[:2]
-        self._markovian = depth == 1 and self._passthrough.all()
+        self._markovian = depth == 1 and bool(self._passthrough.all())
         # row of the flattened ring each point reads while slot k is the newest
         self._read = (np.arange(depth)[:, None] - n_delay) % depth * n_points + np.arange(n_points)
         self._flat = self.ring.reshape(-1, batch)
@@ -108,8 +112,8 @@ class FeedbackChain:
 
         Recursion: new = acc + alpha * (r - acc); rows with alpha = 1
         (Ts = 0) copy their input exactly.  The result is a buffer the next
-        push overwrites, or ``r`` itself for a chain with no filter and no
-        delay.
+        push overwrites: the ring's one slot for a chain with no delay, or
+        ``r`` itself for a chain with no filter and no delay either.
         """
         if self._markovian:
             return r
@@ -119,6 +123,9 @@ class FeedbackChain:
         diff = np.subtract(r, acc, out=self._diff)
         diff *= self._alpha
         np.add(acc, diff, out=new)
-        np.copyto(new, r, where=self._passthrough)  # acc + (r - acc) would round
+        if self._any_passthrough:
+            np.copyto(new, r, where=self._passthrough)  # acc + (r - acc) would round
+        if len(self.ring) == 1:
+            return new
         # mode="raise" would buffer out, allocating once per push
         return np.take(self._flat, self._read[self._newest], axis=0, out=self._out, mode="clip")

@@ -4,11 +4,16 @@ Each trajectory owns a counter-based random stream keyed by
 ``(master seed, trajectory index)``, so ensembles are bit-reproducible
 for any chunk schedule.  Trajectories advance in fixed-size chunks as
 vectorized numpy operations.  The work is a list of tasks, one call of
-``_run_chunk`` per (chunk, group of points): each task writes its chunk's
-mean sums, its renormalization counts and its steady-state statistics
-into its own slots of buffers allocated before any task runs, and the
-run then adds the per-chunk sums in chunk order, so the floating-point
-sums have one fixed order and every output bit is independent of how
+``_run_chunk`` per range of trajectories, run at every point: the
+chunks, except that while whole chunks would leave a worker idle, a
+chunk (or a piece of one) is cut in two where numpy's pairwise sum
+splits it.  Each task writes its range's mean sums, its renormalization
+counts and its steady-state statistics into its own slots of buffers
+allocated before any task runs.  The run adds the two pieces of every
+cut as numpy adds the two halves of its sum, which gives each chunk's
+sum the bits of one task over the whole chunk, and then adds the chunk
+sums in chunk order, so the floating-point sums have one fixed order
+and every output bit is independent of the worker count and of how
 tasks are scheduled.  A steady-state sample is binned where it is taken:
 the task writes its int32 histogram bin (:func:`bin_index`) and adds
 (y, z) to its trajectory's running sum, 4 bytes per sample and 16 per
@@ -73,6 +78,10 @@ __all__ = [
 #: (seed, n_traj).
 CHUNK_SIZE = 4096
 
+#: numpy sums a contiguous run of more than this many float64 values
+#: pairwise, as the sum of its two halves split at :func:`_pairwise_split`.
+PAIRWISE_BLOCK = 128
+
 #: Steps of noise generated per inner block; bounds the noise buffer to
 #: CHUNK_SIZE * BLOCK_STEPS doubles (8.7 MB with each row's padding).  Runs of at most this many steps
 #: draw all their noise in one block and share one re-keyed Generator per
@@ -91,6 +100,39 @@ DEFAULT_BINS = 100
 #: Largest histogram resolution: n_bins^2 int64 counters, 8 MB; every flat
 #: bin index below n_bins^2 fits the int32 the tasks write.
 MAX_BINS = 1000
+
+
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum splits n > ``PAIRWISE_BLOCK`` values:
+    ``a.sum() == a[:m].sum() + a[m:].sum()`` bit for bit."""
+    return n // 2 - (n // 2) % 8
+
+
+def _task_ranges(chunks: list[tuple[int, int]], workers: int) -> list[tuple[int, int]]:
+    """The trajectory ranges of a run's tasks, in order: its chunks, the
+    smallest range of more than ``PAIRWISE_BLOCK`` trajectories cut at its
+    pairwise split for as long as the task count is not a multiple of
+    ``workers``, so that no worker idles while another runs a last task."""
+    ranges = list(chunks)
+    while len(ranges) % workers:
+        cuttable = [r for r in ranges if r[1] - r[0] > PAIRWISE_BLOCK]
+        if not cuttable:
+            break
+        lo, hi = min(cuttable, key=lambda r: r[1] - r[0])
+        i = ranges.index((lo, hi))
+        mid = lo + _pairwise_split(hi - lo)
+        ranges[i:i + 1] = [(lo, mid), (mid, hi)]
+    return ranges
+
+
+def _range_sum(lo: int, hi: int, sums: dict) -> np.ndarray:
+    """The sum over trajectories ``lo:hi`` from ``sums``, keyed by task range.
+    A range cut into two tasks adds its halves' sums as numpy's pairwise
+    sum adds them, so the result has the bits of one task over ``lo:hi``."""
+    if (lo, hi) in sums:
+        return sums[lo, hi]
+    mid = lo + _pairwise_split(hi - lo)
+    return _range_sum(lo, mid, sums) + _range_sum(mid, hi, sums)
 
 
 def trajectory_rng(
@@ -215,12 +257,13 @@ class EnsembleResult:
 class BayesStepper:
     """Vectorized one-step update: readout, feedback chain, conditioned evolution.
 
-    Owns its batch: the coordinates ``x``, ``y``, ``z`` as (P, batch) arrays,
+    Owns its batch: the coordinates ``y`` and ``z`` as (P, batch) arrays,
     row p following ``laws[p]`` from ``initials[p]``, the feedback chain and
-    the per-point renormalization counts.  ``step`` takes one noise value
-    per trajectory, shared by its P rows, and updates the coordinates in
-    place through work arrays of the same shape, so it allocates no array
-    of the batch's size.
+    the per-point renormalization counts.  x is not held: every start lies
+    in the yz-plane, where x stays exactly 0 (see :mod:`qfb.model`).
+    ``step`` takes one noise value per trajectory, shared by its P rows,
+    and updates the coordinates in place through work arrays of the same
+    shape, so it allocates no array of the batch's size.
     """
 
     def __init__(
@@ -228,16 +271,22 @@ class BayesStepper:
         initials: Sequence[BlochState], batch: int,
     ) -> None:
         self.chain = FeedbackChain(laws, params, batch)
-        xyz = np.array([[s.x, s.y, s.z] for s in initials], dtype=np.float64).T  # (3, P)
-        self.x, self.y, self.z = np.repeat(xyz[:, :, None], batch, axis=2)
+
+        def rows(values):
+            # a full row per point: a (P, 1) column broadcast into a (P, batch)
+            # out= makes numpy allocate a transient buffer on every call
+            return np.repeat(np.array(values, dtype=np.float64)[:, None], batch, axis=1)
+
+        self.y, self.z = rows([s.y for s in initials]), rows([s.z for s in initials])
         # the readout, the rotation angle and four kernel work arrays
-        self._work = np.empty((6,) + self.x.shape)
-        self._outside = np.empty(self.x.shape, dtype=bool)
+        self._work = np.empty((6,) + self.y.shape)
+        self._noise = np.empty(batch)
+        self._outside = np.empty(self.y.shape, dtype=bool)
         self._sigma = params.readout_sigma
         self._s_scale = params.dt / params.tau_m
         self._dt = params.dt
-        self._delta0 = np.array([l.delta0 for l in laws])[:, None]
-        self._delta1 = np.array([l.delta1 for l in laws])[:, None]
+        self._delta0 = rows([l.delta0 for l in laws])
+        self._delta1 = rows([l.delta1 for l in laws])
         self._ft = params.transverse_decay
         self._e1 = params.t1_decay
         self.point_renorms = np.zeros(len(laws), dtype=np.int64)
@@ -248,19 +297,19 @@ class BayesStepper:
         return int(self.point_renorms.sum())
 
     def step(self, n01) -> None:
-        x, y, z = self.x, self.y, self.z
+        y, z = self.y, self.z
         rbar, angle, *work = self._work
-        np.add(z, np.multiply(n01, self._sigma, out=rbar), out=rbar)
+        # one contiguous row of noise, the same product in every element
+        np.add(z, np.multiply(n01, self._sigma, out=self._noise), out=rbar)
         fed = self.chain.push(rbar)  # rbar itself for a Markovian chain, else the chain's buffer
         np.add(self._delta0, np.multiply(self._delta1, fed, out=angle), out=angle)
         angle *= self._dt
         s = np.multiply(rbar, self._s_scale, out=rbar)  # rbar is spent once the angle is formed
-        backaction_update(x, y, z, s, out=(x, y, z, *work[:3]))
+        backaction_update(y, z, s, out=(y, z, *work[:3]))
         rotation_update(y, z, angle, out=(y, z, *work))
-        dissipation_update(x, y, z, self._ft, self._e1, out=(x, y, z))
+        dissipation_update(y, z, self._ft, self._e1, out=(y, z))
         r2, sq = work[:2]
-        np.multiply(x, x, out=r2)
-        r2 += np.multiply(y, y, out=sq)
+        np.multiply(y, y, out=r2)
         r2 += np.multiply(z, z, out=sq)
         outside = np.greater(r2, 1.0, out=self._outside)
         if np.count_nonzero(outside):
@@ -268,7 +317,6 @@ class BayesStepper:
             # 1/sqrt(1) = 1 exactly, so the rows inside (and NaN, which fmax
             # drops) are multiplied by exactly 1
             scale = np.divide(1.0, np.sqrt(np.fmax(r2, 1.0, out=r2), out=r2), out=r2)
-            x *= scale
             y *= scale
             z *= scale
 
@@ -303,10 +351,11 @@ def _run_chunk(
     steady_out: list[tuple[np.ndarray, np.ndarray]] | None,
 ) -> None:
     """Advance trajectories ``lo:hi`` at every point of ``laws``, adding point
-    p's sums into ``rec_sums[p]``, writing its renormalizations into
-    ``renorms[p]``, and, with ``steady_out[p] = (bins, sums)``, each
-    sample's bin into ``bins[lo:hi]`` and its (y, z) into ``sums[lo:hi]``.
-    The run lasts until its last record, ``rec_steps[-1]``."""
+    p's (y, z) sums into ``rec_sums[p]`` (its x column stays 0), writing
+    its renormalizations into ``renorms[p]``, and, with
+    ``steady_out[p] = (bins, sums)``, each sample's bin into
+    ``bins[lo:hi]`` and its (y, z) into ``sums[lo:hi]``.  The run lasts
+    until its last record, ``rec_steps[-1]``."""
     n = hi - lo
     n_steps = int(rec_steps[-1])
     batch = stepper_factory(laws, initials, n)
@@ -332,8 +381,8 @@ def _run_chunk(
     for i in range(n_steps + 1):
         slot = rec_slot.get(i)
         if slot is not None:
-            for c, coord in enumerate((batch.x, batch.y, batch.z)):
-                rec_sums[:, slot, c] += coord.sum(axis=1)
+            rec_sums[:, slot, 1] += batch.y.sum(axis=1)
+            rec_sums[:, slot, 2] += batch.z.sum(axis=1)
         slot = steady_slot.get(i)
         if slot is not None:
             flat = bin_index(batch.y, batch.z, n_bins)
@@ -408,15 +457,17 @@ def run_ensemble(
     ``total_time``, law p started from ``initials[p]``, and reduce them on
     the fly; returns one result per law.
 
-    ``total_time`` must be a whole number of steps of ``params.dt``, and
-    the mean curve is recorded every ``record_stride`` of them.
+    Every initial state must lie in the yz-plane (x = 0), where x stays
+    exactly 0: each result's mean x is 0.  ``total_time`` must be a
+    whole number of steps of ``params.dt``, and the mean curve is
+    recorded every ``record_stride`` of them.
     Trajectory i draws from the stream keyed (seed, i), ``seed`` an
     unsigned 64-bit integer.  ``steady`` enables steady-state sampling
     for histograms: each result then carries every sample's bin and each
     trajectory's (y, z) sum.  ``stepper_factory`` (laws, initial
     states, batch size -> stepper) swaps the physics kernel; the default
     is :class:`BayesStepper`.  A stepper owns (len(laws), batch) arrays
-    ``x``, ``y``, ``z`` started from the initial states, advances them by
+    ``y``, ``z`` started from the initial states, advances them by
     ``step(n01)`` on one noise value per trajectory, and counts its
     renormalizations per law in ``point_renorms``.
 
@@ -430,12 +481,15 @@ def run_ensemble(
     ``burn_in`` for the fields of ``steady`` and ``Td`` for a delay.
 
     ``workers`` is the number of processes that run the tasks, 1 to
-    ``MAX_WORKERS``; more than 1 needs the ``fork`` start method.  With C
-    chunks, P points and N workers, each chunk's points split into
-    ``min(P, ceil(N / C))`` contiguous groups, one task per chunk and
-    group, so a sweep that fits in one chunk still keeps N workers busy.
-    ``workers = 1`` starts no process.  Every result bit is the same for
-    any ``workers``; a worker that dies raises :class:`WorkerError`.
+    ``MAX_WORKERS``; more than 1 needs the ``fork`` start method.  Each
+    task runs a range of trajectories at every point.  The ranges are the
+    ``CHUNK_SIZE`` chunks, and while their count is not a multiple of N
+    workers, the smallest range of more than ``PAIRWISE_BLOCK``
+    trajectories is cut in two at its pairwise split, so a sweep that
+    fits in one chunk, or a run whose last chunk is short, still keeps N
+    workers busy.  ``workers = 1`` cuts nothing and starts no process.
+    Every result bit is the same for any ``workers``; a worker that dies
+    raises :class:`WorkerError`.
     """
     if isinstance(initials, BlochState):
         raise ValueError(f"initials: expected a sequence of states, one per law, got {initials!r}")
@@ -444,6 +498,8 @@ def run_ensemble(
     try:
         for state in initials:
             state.require_physical()
+            if state.x != 0.0:
+                raise ValueError(f"x: {state.x!r} is not 0; a run starts in the yz-plane")
     except ValueError as exc:
         raise ValueError(f"initials: {exc}") from exc
     if n_traj < 1:
@@ -476,37 +532,35 @@ def run_ensemble(
 
     n_points = len(laws)
     chunks = [(lo, min(lo + CHUNK_SIZE, n_traj)) for lo in range(0, n_traj, CHUNK_SIZE)]
-    n_groups = min(n_points, -(-workers // len(chunks)))
-    groups = [slice(g * n_points // n_groups, (g + 1) * n_points // n_groups)
-              for g in range(n_groups)]
-    # (chunk, point, record, xyz) mean sums; (chunk, point) renormalizations;
+    ranges = _task_ranges(chunks, workers)
+    # (task, point, record, xyz) mean sums; (task, point) renormalizations;
     # per point, (trajectory, sample) bins and (trajectory, yz) sample sums
-    chunk_sums = _shared((len(chunks), n_points, len(rec_steps), 3))
-    chunk_renorms = _shared((len(chunks), n_points), np.int64)
+    task_sums = _shared((len(ranges), n_points, len(rec_steps), 3))
+    task_renorms = _shared((len(ranges), n_points), np.int64)
     steady_out = None if steady_steps is None else [
         (_shared((n_traj, len(steady_steps)), np.int32), _shared((n_traj, 2))) for _ in laws
     ]
-    # task (c, g) runs chunk c at the points of group g and writes only its
-    # own slots of the buffers
+    # task k runs range k at every point and writes only its own slots of
+    # the buffers
     tasks = [
         partial(
-            _run_chunk, lo, hi, seed, stepper_factory, laws[g], initials[g],
-            rec_steps, steady_steps, n_bins, chunk_sums[c, g], chunk_renorms[c, g],
-            None if steady_out is None else steady_out[g],
+            _run_chunk, lo, hi, seed, stepper_factory, laws, initials, rec_steps,
+            steady_steps, n_bins, task_sums[k], task_renorms[k], steady_out,
         )
-        for c, (lo, hi) in enumerate(chunks)
-        for g in groups
+        for k, (lo, hi) in enumerate(ranges)
     ]
     _run_tasks(tasks, workers)
 
-    # Chunk index order fixes the float sums: 0 + chunk 0 + chunk 1 + ...
+    # Chunk order fixes the float sums: 0 + chunk 0 + chunk 1 + ..., each
+    # chunk's sum rebuilt from its tasks' along numpy's own pairwise tree
+    by_range = dict(zip(ranges, task_sums))
     rec_sums = np.zeros((n_points, len(rec_steps), 3))
-    for sums in chunk_sums:
-        rec_sums += sums
+    for lo, hi in chunks:
+        rec_sums += _range_sum(lo, hi, by_range)
     for law, sums in zip(laws, rec_sums):
         if not np.isfinite(sums[-1]).all():
             raise ValueError(f"delta0/delta1: the state went non-finite under {law}")
-    renorms = chunk_renorms.sum(axis=0)
+    renorms = task_renorms.sum(axis=0)
     return [
         EnsembleResult(
             times=rec_steps * params.dt,

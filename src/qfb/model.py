@@ -20,7 +20,11 @@ observable).
 The ``*_update`` kernels accept scalars or numpy arrays and are the only
 copy of the update formulas: the vectorized trajectory engine draws the
 readouts and calls them, updating its state arrays in place through
-``out``; without ``out`` they are pure functions of their inputs.
+``out``; without ``out`` they are pure functions of their inputs.  They
+update (y, z) only.  Nothing feeds x into y or z, and a step maps x to
+``x / p`` (backaction) and then ``x * transverse_decay``, so a state
+started in the yz-plane keeps x = +0.0 exactly, and the engine, which
+runs only such states, never holds x.
 """
 
 from __future__ import annotations
@@ -162,21 +166,22 @@ class ModelParams:
 # allocating nothing; every element sees the same operations in the same
 # order either way, so the bits do not depend on ``out``.
 
-def backaction_update(x, y, z, s, out=None):
+def backaction_update(y, z, s, out=None):
     """Measurement backaction for log-strength s = r_bar*dt/tau_m.
 
-    Returns the updated (x, y, z).  The normalization
-    p = cosh(s) + z sinh(s) is strictly positive whenever |z| <= 1.
-    ``out`` is (x', y', z', cosh, sinh, p).
+    Returns the updated (y, z) and the normalization
+    p = cosh(s) + z sinh(s), strictly positive whenever |z| <= 1, which
+    also divides x (x' = x / p) off the yz-plane.
+    ``out`` is (y', z', cosh, sinh, p).
     """
-    xo, yo, zo, ch, sh, p = out or (None,) * 6
+    yo, zo, ch, sh, p = out or (None,) * 5
     ch = np.cosh(s, out=ch)
     sh = np.sinh(s, out=sh)
     p = np.add(ch, np.multiply(z, sh, out=p), out=p)
     return (
-        np.divide(x, p, out=xo),
         np.divide(y, p, out=yo),
         np.divide(np.add(np.multiply(z, ch, out=zo), sh, out=zo), p, out=zo),
+        p,
     )
 
 
@@ -196,14 +201,14 @@ def rotation_update(y, z, angle, out=None):
     )
 
 
-def dissipation_update(x, y, z, transverse_decay, t1_decay, out=None):
-    """Relaxation/dephasing step with precomputed per-step factors.
+def dissipation_update(y, z, transverse_decay, t1_decay, out=None):
+    """Relaxation/dephasing step with precomputed per-step factors; x,
+    off the yz-plane, shrinks by ``transverse_decay`` like y.
 
-    ``out`` is (x', y', z').
+    ``out`` is (y', z').
     """
-    xo, yo, zo = out or (None,) * 3
+    yo, zo = out or (None,) * 2
     return (
-        np.multiply(x, transverse_decay, out=xo),
         np.multiply(y, transverse_decay, out=yo),
         np.subtract(np.multiply(z, t1_decay, out=zo), 1.0 - t1_decay, out=zo),
     )

@@ -93,8 +93,8 @@ def measurement_backaction(
         raise ValueError(
             f"non-positive readout likelihood p = {p!r}; state is corrupted (|z| > 1?)"
         )
-    x, y, z = backaction_update(state.x, state.y, state.z, s)
-    return BlochState(float(x), float(y), float(z))
+    y, z, p = backaction_update(state.y, state.z, s)
+    return BlochState(state.x / float(p), float(y), float(z))
 
 
 def feedback_rotation(
@@ -112,10 +112,8 @@ def dissipation_step(state: BlochState, params: ModelParams) -> BlochState:
     ground state at -1.  With T1 = T2 = inf and eta = 1 this is the
     identity.
     """
-    x, y, z = dissipation_update(
-        state.x, state.y, state.z, params.transverse_decay, params.t1_decay
-    )
-    return BlochState(float(x), float(y), float(z))
+    y, z = dissipation_update(state.y, state.z, params.transverse_decay, params.t1_decay)
+    return BlochState(state.x * params.transverse_decay, float(y), float(z))
 
 
 def composite_step(
@@ -300,8 +298,9 @@ class SmeStepper:
 
     An independent model of the same physics as the Bayesian update,
     valid only with a passthrough chain (Ts = Td = 0).  Like the engine's
-    steppers it owns its batch: ``x``, ``y``, ``z`` are (1, batch) arrays
-    started from ``initial``.  The scheme does not preserve positivity:
+    steppers it owns its batch: ``y`` and ``z`` are (1, batch) arrays
+    started from ``initial``, whose x the engine holds at 0, where the
+    scheme keeps it.  The scheme does not preserve positivity:
     excursions with R > 1.05 are counted in ``excursions`` but not
     corrected.  ``noise_scale=0`` freezes the noise, reducing the step to
     an Euler step of the mean equations.
@@ -321,9 +320,7 @@ class SmeStepper:
             raise ValueError(
                 "the diffusive model is Markovian only: requires Ts = 0 and Td = 0"
             )
-        self.x, self.y, self.z = (
-            np.full((1, batch), c) for c in (initial.x, initial.y, initial.z)
-        )
+        self.y, self.z = (np.full((1, batch), c) for c in (initial.y, initial.z))
         self._dt = params.dt
         self._g = params.gamma_total
         self._a = 0.5 * params.tau_m * law.delta1**2
@@ -337,9 +334,8 @@ class SmeStepper:
         self.excursions = 0
 
     def step(self, n01) -> None:
-        x, y, z, dt = self.x, self.y, self.z, self._dt
+        y, z, dt = self.y, self.z, self._dt
         g = self._noise_amp * n01
-        dx = -self._g * x * dt - x * z * g
         dy = (
             (-(self._g + self._a) * y + self._d0 * z + self._d1) * dt
             + (-y * z + self._taum_d1 * z) * g
@@ -348,12 +344,11 @@ class SmeStepper:
             (-self._a * z - self._d0 * y - (1.0 + z) * self._inv_t1) * dt
             + ((1.0 - z * z) - self._taum_d1 * y) * g
         )
-        x = x + dx
         y = y + dy
         z = z + dz
-        r2 = x * x + y * y + z * z
+        r2 = y * y + z * z
         self.excursions += int(np.count_nonzero(r2 > self.EXCURSION_RADIUS**2))
-        self.x, self.y, self.z = x, y, z
+        self.y, self.z = y, z
 
 
 @dataclass

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import ReferenceChain
 
@@ -213,6 +213,10 @@ def chains(draw):
 
 @settings(database=None, derandomize=True, deadline=None)
 @given(drawn=chains())
+# a delay longer than the 40 pushes: every output is 0
+@example(drawn=([law(Td=50 * P.dt), law(Ts=0.1)], 2, 7))
+# a ring of one slot, one passthrough row and one filter row
+@example(drawn=([law(Ts=0.0), law(Ts=5 * P.dt)], 3, 8))
 def test_push_matches_the_reference_chain_bit_for_bit(drawn):
     laws, batch, seed = drawn
     chain = FeedbackChain(laws, P, batch)

@@ -337,7 +337,7 @@ class TestExecute:
         assert first == second
 
     @staticmethod
-    def _outputs_across_threads_and_dirs(tmp_path, monkeypatch, **kw):
+    def _outputs_across_threads_and_dirs(tmp_path, monkeypatch, chunk_size=16, **kw):
         """Every written file for threads 1 and 4, with the noise drawn in one
         block and in blocks of 16 steps, each run in its own directory; no
         worker process outlives its run."""
@@ -345,7 +345,7 @@ class TestExecute:
 
         import qfb.engine as eng
 
-        monkeypatch.setattr(eng, "CHUNK_SIZE", 16)  # several chunks per run
+        monkeypatch.setattr(eng, "CHUNK_SIZE", chunk_size)  # by default several chunks per run
         outputs = []
         for block_steps in (eng.BLOCK_STEPS, 16):
             monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
@@ -372,10 +372,11 @@ class TestExecute:
         assert all(o == first for o in others)
 
     def test_sweep_points_split_across_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
-        # one chunk of 12 trajectories: four workers run the three points apart
+        # one chunk of 300 trajectories at three points: four workers run it
+        # cut into 72 + 72 + 72 + 84 trajectories
         first, *others = self._outputs_across_threads_and_dirs(
-            tmp_path, monkeypatch,
-            mode="sweep-filter", sweep_values="0,0.5,1", total_time=3.0, n_traj=12,
+            tmp_path, monkeypatch, chunk_size=512,
+            mode="sweep-filter", sweep_values="0,0.5,1", total_time=3.0, n_traj=300,
         )
         assert set(first) == {"peaks.json", "run_meta.json"}
         assert all(o == first for o in others)
@@ -745,9 +746,10 @@ def test_a_state_gone_non_finite_fails_by_key(argv, tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
-#: A two-point sweep in one chunk: with two threads, two worker processes.
+#: A two-point sweep in one chunk of 200 trajectories, which two threads cut
+#: into two tasks of 96 and 104: two worker processes.
 TWO_WORKERS = ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--dt", "0.01",
-               "--total-time", "3", "--n-traj", "5", "--sweep-values", "0,0.5",
+               "--total-time", "3", "--n-traj", "200", "--sweep-values", "0,0.5",
                "--threads", "2"]
 
 

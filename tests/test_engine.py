@@ -126,7 +126,7 @@ class TestRunTrajectory:
         # readouts rebuilt from the trajectory's own stream drive the scalar
         # reference step to the same states as the engine
         law = design_ideal(0.3 * math.pi, 0.2)  # Markovian: r_fed = r
-        s = BlochState(0.3, 0.5, 0.4)
+        s = BlochState(0.0, 0.5, 0.4)  # a mixed yz-plane start
         (res,) = run_ensemble([law], [s], IDEAL, n_traj=1, total_time=0.05, seed=5)
         xyz = res.mean_xyz
         n_steps = round(0.05 / IDEAL.dt)
@@ -135,7 +135,9 @@ class TestRunTrajectory:
             r = s.z + IDEAL.readout_sigma * noise[k]
             s = composite_step(s, ReadoutSample(r), r, law, IDEAL)
             assert (s.x, s.y, s.z) == pytest.approx(tuple(xyz[k + 1]), abs=1e-12)
-        assert abs(s.x) > 0.01  # all three coordinates moved away from zero
+        # the reference keeps x at exactly 0, the engine's column is exactly 0
+        assert s.x == 0.0 and np.all(xyz[:, 0] == 0.0)
+        assert abs(s.y - 0.5) > 0.01 and abs(s.z - 0.4) > 0.01
 
     def test_ideal_stabilization_fraction_over_seeds(self):
         # >= 80% of single trajectories end within 0.15 of the target state
@@ -417,6 +419,8 @@ class TestRunEnsemble:
     # a NaN fails every comparison, so the sphere test must not ask "> 1"
     ("initials", dict(initials=[BlochState(0.0, math.nan, 0.0)])),
     ("n_bins", dict(steady=SteadySampling(burn_in=0.0, stride=0.1, n_bins=1))),
+    # a start off the yz-plane, where x would not stay 0
+    ("initials", dict(initials=[BlochState(0.6, 0.0, 0.8)])),
 ])
 def test_each_refusal_names_its_argument_before_any_task(argument, call, monkeypatch):
     def no_task(*task):
@@ -510,24 +514,34 @@ def test_step_allocates_no_array_per_step(chain):
 
 
 class TestWorkers:
-    """The tasks (chunk x point group) write the same bits for any worker count."""
+    """The tasks (trajectory ranges) write the same bits for any worker count."""
 
     @staticmethod
-    def _runs(monkeypatch, n_traj, params, laws, initials, block_steps):
+    def _runs(monkeypatch, n_traj, params, laws, initials, block_steps, chunk_size=16,
+              workers=(1, 3)):
+        """One run per worker count; returns the runs and each run's task ranges."""
         import multiprocessing
 
         import qfb.engine as eng
 
-        monkeypatch.setattr(eng, "CHUNK_SIZE", 16)
+        monkeypatch.setattr(eng, "CHUNK_SIZE", chunk_size)
         monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
+        ranges = []
+        task_ranges = eng._task_ranges
+
+        def recording(chunks, n):
+            ranges.append(task_ranges(chunks, n))
+            return ranges[-1]
+
+        monkeypatch.setattr(eng, "_task_ranges", recording)
         sampling = SteadySampling(burn_in=0.1, stride=0.02)
         runs = [
             run_ensemble(laws, initials, params, n_traj=n_traj, total_time=0.2,
-                         record_stride=10, seed=9, steady=sampling, workers=workers)
-            for workers in (1, 3)
+                         record_stride=10, seed=9, steady=sampling, workers=n)
+            for n in workers
         ]
         assert multiprocessing.active_children() == []
-        return runs
+        return runs, ranges
 
     @staticmethod
     def _assert_same(one, three):
@@ -541,25 +555,84 @@ class TestWorkers:
         laws, _ = _lossy_laws()
         start = BlochState.from_polar(0.1 * math.pi)
         # four chunks of 16, 16, 16 and 2 trajectories on three workers
-        (one,), (three,) = self._runs(monkeypatch, 50, LOSSY, laws[:1], (start,), block_steps)
+        ((one,), (three,)), _ = self._runs(monkeypatch, 50, LOSSY, laws[:1], (start,),
+                                           block_steps)
         self._assert_same(one, three)
 
     @pytest.mark.parametrize("block_steps", [512, 16])
-    def test_point_groups_split_one_chunk(self, monkeypatch, block_steps):
+    def test_points_share_each_cut_of_one_chunk(self, monkeypatch, block_steps):
         laws, r_s = _lossy_laws()
         start = BlochState.from_polar(0.3 * math.pi, r_s)
-        # one chunk of 12 trajectories: each worker runs one of the three points
-        one, three = self._runs(monkeypatch, 12, LOSSY, laws, (start,) * 3, block_steps)
-        for a, b in zip(one, three):
-            self._assert_same(a, b)
+        # one chunk of 300 trajectories at three points, cut at numpy's
+        # pairwise split into 144 + 156, then 72 + 72 + 156, and then the
+        # right half too, whose sum the left half's must not absorb
+        runs, ranges = self._runs(monkeypatch, 300, LOSSY, laws, (start,) * 3, block_steps,
+                                  chunk_size=512, workers=(1, 2, 3, 4))
+        assert ranges == [[(0, 300)], [(0, 144), (144, 300)],
+                          [(0, 72), (72, 144), (144, 300)],
+                          [(0, 72), (72, 144), (144, 216), (216, 300)]]
+        for one, *more in zip(*runs):
+            for other in more:
+                self._assert_same(one, other)
+
+    def test_a_short_last_chunk_is_cut(self, monkeypatch):
+        laws, _ = _lossy_laws()
+        start = BlochState.from_polar(0.1 * math.pi)
+        # chunks of 512, 512 and 300: at two workers the last one is halved
+        runs, ranges = self._runs(monkeypatch, 1324, LOSSY, laws[2:], (start,), 512,
+                                  chunk_size=512, workers=(1, 2, 3))
+        assert ranges == [
+            [(0, 512), (512, 1024), (1024, 1324)],
+            [(0, 512), (512, 1024), (1024, 1168), (1168, 1324)],
+            [(0, 512), (512, 1024), (1024, 1324)],
+        ]
+        (one,), *more = runs
+        for (other,) in more:
+            self._assert_same(one, other)
 
     def test_lossless_renormalizing_run(self, monkeypatch):
         law = design_ideal(0.3 * math.pi, 0.2)
         laws = [law, FeedbackLaw(law.delta0, law.delta1, Ts=0.004)]
         start = BlochState.from_polar(0.1 * math.pi)
-        # two chunks at two points: tasks (chunk, point) on three workers
-        one, three = self._runs(monkeypatch, 20, ModelParams(tau_m=0.2, dt=0.002), laws,
-                                (start,) * 2, 512)
+        # two chunks of 16 and 4 trajectories at two points on three workers
+        (one, three), _ = self._runs(monkeypatch, 20, ModelParams(tau_m=0.2, dt=0.002), laws,
+                                     (start,) * 2, 512)
         for a, b in zip(one, three):
             self._assert_same(a, b)
             assert a.renorm_count > 0
+
+
+def test_tasks_cut_chunks_only_to_keep_every_worker_busy():
+    """A chunk is cut, at numpy's pairwise split, only while the task count
+    is not a multiple of the worker count, smallest cuttable range first."""
+    from qfb.engine import CHUNK_SIZE, _task_ranges
+
+    def chunks(n_traj):
+        return [(lo, min(lo + CHUNK_SIZE, n_traj)) for lo in range(0, n_traj, CHUNK_SIZE)]
+
+    fig4 = chunks(10_000)  # 4096, 4096 and 1808 trajectories
+    assert _task_ranges(fig4, 1) == _task_ranges(fig4, 3) == fig4
+    assert _task_ranges(fig4, 2) == fig4[:2] + [(8192, 9096), (9096, 10_000)]
+    assert _task_ranges(chunks(1250), 2) == [(0, 624), (624, 1250)]
+    assert _task_ranges(chunks(1250), 3) == [(0, 312), (312, 624), (624, 1250)]
+    # ranges of at most 128 trajectories are summed unsplit: never cut
+    assert _task_ranges(chunks(128), 2) == [(0, 128)]
+    assert _task_ranges(chunks(200), 4) == [(0, 96), (96, 200)]
+
+
+@pytest.mark.parametrize("copy", [False, True], ids=["view", "contiguous"])
+def test_numpy_sums_a_row_as_its_two_halves(copy):
+    """Every chunk's sum rebuilt from its tasks' has the bits of one task
+    over the chunk only while numpy sums a (P, n) array along axis 1 as
+    the sum of its halves split at ``_pairwise_split``."""
+    from qfb.engine import CHUNK_SIZE, PAIRWISE_BLOCK, _pairwise_split
+
+    rng = np.random.default_rng(27)
+    # mixed magnitudes, so that a different order of additions rounds differently
+    a = rng.standard_normal((3, CHUNK_SIZE)) * np.exp(rng.uniform(-20, 20, (3, CHUNK_SIZE)))
+    for n in range(PAIRWISE_BLOCK + 1, CHUNK_SIZE + 1):
+        m = _pairwise_split(n)
+        whole, left, right = a[:, :n], a[:, :m], a[:, m:n]
+        if copy:
+            whole, left, right = whole.copy(), left.copy(), right.copy()
+        assert np.array_equal(whole.sum(axis=1), left.sum(axis=1) + right.sum(axis=1)), n

@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import fields
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfb.cli import MODES, RunConfig, main
@@ -104,6 +104,12 @@ def _written_numbers(path):
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=200)
 @given(run=runs())
+# a delay longer than the 3 us run
+@example(run=("ensemble", {"td": "5"}))
+# a law that drives the state non-finite
+@example(run=("ensemble", {"theta_target": "none", "delta0": "1", "delta1": "1e308"}))
+# a start off the sphere (no key sets an x off the yz-plane)
+@example(run=("histogram", {"r_init": "1e308"}))
 def test_a_run_succeeds_with_finite_output_or_is_refused_by_key(run, tmp_path_factory):
     mode, overrides = run
     out = tmp_path_factory.mktemp("fuzz") / "out"

@@ -6,22 +6,25 @@ stay below the practical bound of :func:`qfb.validate_law`, with filter
 and delay settings of 0 or a few whole steps mixed within the one chain,
 starts every law from a drawn physical state, and steps a batch of at
 most 8 trajectories of an ideal or a lossy qubit for at most 60 steps
-on standard-normal noise.  The property: after every step every
-coordinate is finite and every state lies on or inside the Bloch sphere,
-``x^2 + y^2 + z^2 <= 1 + SPHERE_TOL``.
+on standard-normal noise.  Every drawn state lies in the yz-plane,
+where the engine runs.  The property: after every step every coordinate
+is finite and every state lies on or inside the Bloch sphere,
+``y^2 + z^2 <= 1 + SPHERE_TOL``.
 
 Each ensemble example runs 1-3 laws whose ``delta1`` is drawn
 log-uniformly from 1e300 to 1.7e308, far past the bound, through
 :func:`qfb.engine.run_ensemble` with steady-state sampling.  The
 property: either every mean curve and every steady sample is finite, or
 the run raises a ``delta0/delta1:`` ValueError that names a drawn law;
-a non-finite state is never returned.
+a non-finite state is never returned.  A delay longer than the run and
+a start off the yz-plane, which the strategies do not draw, are pinned
+as explicit examples that the run refuses as ``Td:`` and ``initials:``.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfb import BlochState, FeedbackLaw, ModelParams
@@ -33,14 +36,8 @@ TAU_M = 0.2
 
 @st.composite
 def states(draw):
-    theta = draw(st.floats(0.0, math.pi))
-    phi = draw(st.floats(0.0, 2.0 * math.pi))
-    r = draw(st.floats(0.0, 1.0))
-    return BlochState(
-        r * math.sin(theta) * math.cos(phi),
-        r * math.sin(theta) * math.sin(phi),
-        r * math.cos(theta),
-    )
+    """A physical state in the yz-plane."""
+    return BlochState.from_polar(draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.0, 1.0)))
 
 
 @st.composite
@@ -81,9 +78,9 @@ def test_every_step_keeps_the_state_finite_and_on_the_sphere(run):
     noise = np.random.default_rng(seed).standard_normal((n_steps, batch))
     for k in range(n_steps):
         stepper.step(noise[k])
-        x, y, z = stepper.x, stepper.y, stepper.z
-        assert np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(z).all(), k
-        r2 = x * x + y * y + z * z
+        y, z = stepper.y, stepper.z
+        assert np.isfinite(y).all() and np.isfinite(z).all(), k
+        r2 = y * y + z * z
         assert r2.max() <= 1.0 + SPHERE_TOL, (k, r2.max())
 
 
@@ -120,17 +117,40 @@ def huge_runs(draw):
     return params, drawn_laws, initials, run
 
 
+def _example(laws, initials, dt=0.01, n_steps=10):
+    """An ideal run of ``n_steps`` with one sample at its end."""
+    end = n_steps * dt
+    run = dict(total_time=end, seed=3, n_traj=4, steady=SteadySampling(burn_in=end, stride=dt))
+    return ModelParams(tau_m=TAU_M, dt=dt), laws, initials, run
+
+
+_START = BlochState.from_polar(0.3 * math.pi)
+
+
 @settings(database=None, derandomize=True, deadline=None)
 @given(run=huge_runs())
+# the rotation angle overflows to inf on the first step
+@example(run=_example([FeedbackLaw(0.0, 1.7e308)], [_START]))
+# a delay of 11 steps in a 10-step run
+@example(run=_example([FeedbackLaw(0.0, 1e300), FeedbackLaw(0.0, 1e300, Td=0.11)], [_START] * 2))
+# a start off the yz-plane
+@example(run=_example([FeedbackLaw(0.0, 1e300)], [BlochState(0.6, 0.0, 0.8)]))
 def test_a_non_finite_state_is_refused_never_returned(run):
     params, drawn_laws, initials, ensemble = run
     try:
         results = run_ensemble(drawn_laws, initials, params, **ensemble)
     except ValueError as exc:
         message = str(exc)
-        assert message.startswith("delta0/delta1:"), message
-        assert any(str(law) in message for law in drawn_laws), message
+        if any(s.x != 0.0 for s in initials):
+            assert message.startswith("initials:"), message
+        elif max(law.Td for law in drawn_laws) > ensemble["total_time"]:
+            assert message.startswith("Td:"), message
+        else:
+            assert message.startswith("delta0/delta1:"), message
+            assert any(str(law) in message for law in drawn_laws), message
         return
+    assert all(s.x == 0.0 for s in initials)
+    assert max(law.Td for law in drawn_laws) <= ensemble["total_time"]
     for result in results:
         assert np.isfinite(result.mean_xyz).all()
         # a non-finite sample would leave its trajectory's sum non-finite
