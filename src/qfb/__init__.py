@@ -31,7 +31,6 @@ from .engine import (
 from .model import BlochState, ModelParams
 from .stats import (
     EnsembleSummary,
-    HistogramGrid,
     Lobe,
     PeakReport,
     find_peak,
@@ -48,7 +47,6 @@ __all__ = [
     "SteadySampling",
     "EnsembleResult",
     "EnsembleSummary",
-    "HistogramGrid",
     "PeakReport",
     "Lobe",
     "validate_law",

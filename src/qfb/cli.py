@@ -55,9 +55,11 @@ import numpy as np
 from . import __version__
 from .chain import FeedbackLaw
 from .design import design_ideal, design_nonideal
-from .engine import MAX_WORKERS, SteadySampling, WorkerError, run_ensemble
+from .engine import (
+    DEFAULT_BINS, MAX_WORKERS, SteadySampling, WorkerError, bin_centers, run_ensemble,
+)
 from .model import BlochState, ModelParams
-from .stats import DEFAULT_BINS, steady_state
+from .stats import steady_state
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
@@ -223,10 +225,12 @@ _READS = {
 
 
 def parse_angle(text: str) -> float:
-    """Radians, with an optional 'pi' suffix: '0.3pi' -> 0.3*pi."""
+    """Radians, with an optional 'pi' suffix: '0.3pi' -> 0.3*pi; a bare sign
+    before it counts as one: '-pi' -> -pi."""
     text = text.strip().lower()
     if text.endswith("pi"):
-        return float(text[:-2] or "1") * math.pi
+        coef = text[:-2]
+        return float(coef + "1" if coef in ("", "+", "-") else coef) * math.pi
     return float(text)
 
 
@@ -422,17 +426,17 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
     elif cfg.mode == "histogram":
         [(_, _, law, r_target)] = points
         (summary,) = steady_state(laws, [cfg.initial_state()], params, **sampled)
-        grid = summary.histogram
-        centers = grid.centers
+        counts = summary.histogram
+        centers = bin_centers(len(counts))
         path = out_dir / "hist.csv"
-        iy, iz = np.nonzero(grid.counts)
-        rows = ((centers[i], centers[j], int(grid.counts[i, j])) for i, j in zip(iy, iz))
+        iy, iz = np.nonzero(counts)
+        rows = ((centers[i], centers[j], int(counts[i, j])) for i, j in zip(iy, iz))
         _write_csv(path, ["y_bin", "z_bin", "count"], rows)
         written.append(path)
         payload = {
             **asdict(summary.peak),
             "r_e": summary.r_mean,
-            "n_samples": grid.n_samples,
+            "n_samples": int(counts.sum()),
             "law": {**asdict(law), "r_target": r_target},
         }
         path = out_dir / "peaks.json"

@@ -68,6 +68,7 @@ __all__ = [
     "BayesStepper",
     "run_ensemble",
     "bin_index",
+    "bin_centers",
     "steps_for",
     "trajectory_rng",
     "WorkerError",
@@ -176,6 +177,16 @@ def steps_for(total_time: float, dt: float) -> int:
     return int(n)
 
 
+def _bin_edges(n_bins: int) -> np.ndarray:
+    return np.linspace(-1.0, 1.0, n_bins + 1)
+
+
+def bin_centers(n_bins: int) -> np.ndarray:
+    """Centre of each bin of :func:`bin_index`'s grid along either axis."""
+    edges = _bin_edges(n_bins)
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
 def bin_index(y: np.ndarray, z: np.ndarray, n_bins: int) -> np.ndarray:
     """Flat bin ``iy * n_bins + iz`` of each (y, z) on the uniform
     ``n_bins`` x ``n_bins`` grid over [-1, 1]^2, as an intp array of y's shape.
@@ -189,7 +200,7 @@ def bin_index(y: np.ndarray, z: np.ndarray, n_bins: int) -> np.ndarray:
     estimated arithmetically and then corrected against the edges, which
     moves it by at most one.
     """
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
+    edges = _bin_edges(n_bins)
     flat = 0
     for v in (y, z):
         v = np.fmax(np.fmin(v, 1.0), -1.0)  # fmin and fmax drop a NaN for the bound

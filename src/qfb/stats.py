@@ -21,18 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import FeedbackLaw
-from .engine import (
-    DEFAULT_BINS,
-    MAX_BINS,
-    EnsembleResult,
-    SteadySampling,
-    run_ensemble,
-    steps_for,
-)
+from .engine import EnsembleResult, SteadySampling, bin_centers, run_ensemble, steps_for
 from .model import BlochState, ModelParams
 
 __all__ = [
-    "HistogramGrid",
     "PeakReport",
     "Lobe",
     "EnsembleSummary",
@@ -40,8 +32,6 @@ __all__ = [
     "label_components",
     "summarize",
     "steady_state",
-    "DEFAULT_BINS",
-    "MAX_BINS",
     "LOBE_THRESHOLD",
     "MIN_LOBE_MASS",
 ]
@@ -54,23 +44,6 @@ LOBE_THRESHOLD = 0.05
 #: Connected components below this total mass fraction are Poisson specks,
 #: not lobes.
 MIN_LOBE_MASS = 0.005
-
-
-@dataclass(frozen=True)
-class HistogramGrid:
-    """Uniform 2D histogram of (y, z) samples over [-1, 1] x [-1, 1].
-
-    ``edges`` bins both axes; ``counts[iy, iz]`` counts the samples in
-    y-bin ``iy`` and z-bin ``iz`` and totals ``n_samples``.
-    """
-
-    edges: np.ndarray
-    counts: np.ndarray
-    n_samples: int
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 @dataclass(frozen=True)
@@ -129,68 +102,70 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     are numbered 1..count in raster order of their first cell, the
     numbering of ``scipy.ndimage.label`` with a full 3 x 3 structure.
 
-    Every mask cell starts labelled with its own flat index; each pass
-    takes the minimum over the 3 x 3 neighbourhood, then jumps each label
-    to the label of the cell it names.  A label always names a cell of the
-    same component, so the fixed point gives every cell its component's
-    first index.
+    A union-find over the links between neighbouring mask cells: each
+    round hooks the larger root of every link under the smaller, then
+    jumps each cell to its root.  No cell's parent lies after it, so once
+    no link joins two roots, each root is its component's first cell.
     """
     rows, cols = mask.shape
-    on = mask.ravel()
-    off = rows * cols  # larger than any cell index
-    labels = np.where(on, np.arange(off), off)
-    padded = np.full((rows + 2, cols + 2), off)
-    while True:
-        padded[1:-1, 1:-1] = labels.reshape(rows, cols)
-        low = labels.reshape(rows, cols).copy()
-        for dy in range(3):
-            for dx in range(3):
-                np.minimum(low, padded[dy:dy + rows, dx:dx + cols], out=low)
-        low = low.ravel()
-        low[on] = low[low[on]]
-        low[~on] = off
-        if np.array_equal(low, labels):
-            break
-        labels = low
-    first, number = np.unique(labels[on], return_inverse=True)
-    out = np.zeros(rows * cols, dtype=np.int64)
-    out[on] = number + 1
-    return out.reshape(rows, cols), len(first)
+    width = cols + 1
+    on = np.pad(mask, ((0, 1), (0, 1))).ravel()  # an off column ends each row: no link wraps
+    cells = np.flatnonzero(on)
+    ends = cells[:, None] + [1, width - 1, width, width + 1]  # E, SW, S and SE neighbours
+    i, k = np.nonzero(on[ends])
+    a, b = cells[i], ends[i, k]
+    parent = np.arange(on.size)
+    while a.size:
+        ra, rb = parent[a], parent[b]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(parent, jumped := parent[parent]):
+            parent = jumped
+        a, b = a[ra != rb], b[ra != rb]
+    number = np.cumsum(on & (parent == np.arange(on.size)))
+    labels = np.where(on, number[parent], 0).reshape(rows + 1, width)
+    return labels[:rows, :cols], int(number[-1])
 
 
-def find_peak(grid: HistogramGrid) -> PeakReport:
-    """Locate the dominant histogram peak and the high-density lobes."""
-    if grid.n_samples == 0:
-        raise ValueError("grid: empty histogram")
-    iys, izs = np.nonzero(grid.counts == grid.counts.max())
+def find_peak(counts: np.ndarray) -> PeakReport:
+    """Locate the dominant peak and the high-density lobes of an
+    ``(n_bins, n_bins)`` histogram of bin counts, whose bins lie at
+    :func:`qfb.engine.bin_centers`.
+
+    :func:`label_components`, a union-find, labels the lobe candidates and
+    one weighted ``bincount`` weighs every component (exactly: its integer sums stay
+    below 2**53); only the components heavy enough to be lobes get a
+    centroid.
+    """
+    n_samples = int(counts.sum())
+    if n_samples == 0:
+        raise ValueError("counts: empty histogram")
+    iys, izs = np.nonzero(counts == counts.max())
     maxima = list(zip(iys.tolist(), izs.tolist()))
     iy, iz = maxima[0]
-    centers = grid.centers
+    centers = bin_centers(len(counts))
     yc, zc = centers[iy], centers[iz]
 
     dy = centers[:, None] - yc
     dz = centers[None, :] - zc
     dist = np.sqrt(dy * dy + dz * dz)
-    mean_d = float((grid.counts * dist).sum()) / grid.n_samples
-    mean_d2 = float((grid.counts * dist * dist).sum()) / grid.n_samples
+    mean_d = float((counts * dist).sum()) / n_samples
+    mean_d2 = float((counts * dist * dist).sum()) / n_samples
     sigma_rms = math.sqrt(mean_d2)
     sigma = math.sqrt(max(mean_d2 - mean_d * mean_d, 0.0))
 
-    mask = grid.counts >= LOBE_THRESHOLD * grid.counts[iy, iz]
-    labels, n_lobes = label_components(mask)
+    labels, _ = label_components(counts >= LOBE_THRESHOLD * counts[iy, iz])
+    masses = np.bincount(labels.ravel(), weights=counts.ravel())
     lobes = []
-    yy = np.broadcast_to(centers[:, None], grid.counts.shape)
-    zz = np.broadcast_to(centers[None, :], grid.counts.shape)
-    for lab in range(1, n_lobes + 1):
+    yy = np.broadcast_to(centers[:, None], counts.shape)
+    zz = np.broadcast_to(centers[None, :], counts.shape)
+    for lab in np.flatnonzero(masses[1:] >= MIN_LOBE_MASS * n_samples) + 1:
         sel = labels == lab
-        mass = float(grid.counts[sel].sum())
-        if mass < MIN_LOBE_MASS * grid.n_samples:
-            continue
+        mass = float(masses[lab])
         lobes.append(
             Lobe(
-                y=float((grid.counts[sel] * yy[sel]).sum() / mass),
-                z=float((grid.counts[sel] * zz[sel]).sum() / mass),
-                mass_fraction=mass / grid.n_samples,
+                y=float((counts[sel] * yy[sel]).sum() / mass),
+                z=float((counts[sel] * zz[sel]).sum() / mass),
+                mass_fraction=mass / n_samples,
             )
         )
     lobes.sort(key=lambda l: l.mass_fraction, reverse=True)
@@ -206,10 +181,12 @@ def find_peak(grid: HistogramGrid) -> PeakReport:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    """Steady-state view of an ensemble run: histogram, peak report, mean radius
-    ``r_mean`` = |<(y, z)>| of the pooled samples, renormalization count."""
+    """Steady-state view of an ensemble run: ``histogram``, the int64
+    ``(n_bins, n_bins)`` counts of its samples on the bins of
+    :func:`qfb.engine.bin_index`; peak report; mean radius ``r_mean`` =
+    |<(y, z)>| of the pooled samples; renormalization count."""
 
-    histogram: HistogramGrid
+    histogram: np.ndarray
     peak: PeakReport
     r_mean: float
     renorm_count: int
@@ -220,11 +197,9 @@ def summarize(result: EnsembleResult) -> EnsembleSummary:
     bins, n_bins = result.steady_bins, result.n_bins
     if bins is None or bins.size == 0:
         raise ValueError("result: no steady-state samples were collected")
-    counts = np.bincount(bins.ravel(), minlength=n_bins * n_bins)
-    grid = HistogramGrid(np.linspace(-1.0, 1.0, n_bins + 1), counts.reshape(n_bins, n_bins),
-                         bins.size)
+    counts = np.bincount(bins.ravel(), minlength=n_bins * n_bins).reshape(n_bins, n_bins)
     my, mz = result.steady_sums.sum(axis=0) / bins.size
-    return EnsembleSummary(grid, find_peak(grid), math.hypot(my, mz), result.renorm_count)
+    return EnsembleSummary(counts, find_peak(counts), math.hypot(my, mz), result.renorm_count)
 
 
 def steady_state(

@@ -44,7 +44,6 @@ from qfb.model import (
     dissipation_update,
     rotation_update,
 )
-from qfb.stats import HistogramGrid
 
 
 @dataclass
@@ -419,15 +418,15 @@ class ReferenceChain:
         return out
 
 
-def build_histogram(samples: np.ndarray, n_bins: int = DEFAULT_BINS) -> HistogramGrid:
-    """Histogram an (n, 2) array of (y, z) samples on the bins the engine's
-    tasks use (:func:`qfb.engine.bin_index`); a NaN sample raises ValueError."""
+def build_histogram(samples: np.ndarray, n_bins: int = DEFAULT_BINS) -> np.ndarray:
+    """The ``(n_bins, n_bins)`` bin counts of an (n, 2) array of (y, z)
+    samples on the bins the engine's tasks use (:func:`qfb.engine.bin_index`);
+    a NaN sample raises ValueError."""
     yz = np.asarray(samples, dtype=float)
     if np.isnan(yz).any():
         raise ValueError("samples: a steady-state sample is NaN")
     counts = np.bincount(bin_index(yz[:, 0], yz[:, 1], n_bins), minlength=n_bins * n_bins)
-    return HistogramGrid(np.linspace(-1.0, 1.0, n_bins + 1), counts.reshape(n_bins, n_bins),
-                         len(yz))
+    return counts.reshape(n_bins, n_bins)
 
 
 def minimize_golden(f, lo: float, hi: float, tol: float = 1e-12) -> float:

@@ -45,6 +45,8 @@ class TestParseAngle:
     def test_pi_suffix(self):
         assert parse_angle("0.3pi") == pytest.approx(0.3 * math.pi, rel=1e-15)
         assert parse_angle("pi") == pytest.approx(math.pi)
+        assert parse_angle("-pi") == -math.pi
+        assert parse_angle("+pi") == math.pi
 
     def test_bad(self):
         with pytest.raises(ValueError):

@@ -636,3 +636,51 @@ def test_numpy_sums_a_row_as_its_two_halves(copy):
         if copy:
             whole, left, right = whole.copy(), left.copy(), right.copy()
         assert np.array_equal(whole.sum(axis=1), left.sum(axis=1) + right.sum(axis=1)), n
+
+
+_CHAINS = pytest.mark.parametrize(
+    "chain", [{}, dict(Ts=0.02), dict(Td=0.01)], ids=["plain", "filter", "delay"]
+)
+
+
+def _symmetry_case(chain):
+    """The lossy 0.3 pi design with ``chain``, its target state, and a
+    300-trajectory, 2 us run that samples from 1 us on."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        law, r_s = design_nonideal(0.3 * math.pi, LOSSY)
+    run = dict(n_traj=300, total_time=2.0, record_stride=10, seed=3)
+    return replace(law, **chain), BlochState.from_polar(0.3 * math.pi, r_s), run
+
+
+@_CHAINS
+def test_the_y_mirror_is_exact(chain):
+    """The laws (-delta0, -delta1) from (0, -y, z), on the same noise as
+    (delta0, delta1) from (0, y, z), give exactly -y, the same z and the
+    same renormalizations: the model is symmetric under y -> -y."""
+    law, start, run = _symmetry_case(chain)
+    mirror = replace(law, delta0=-law.delta0, delta1=-law.delta1)
+    res, mir = run_ensemble([law, mirror], [start, replace(start, y=-start.y)], LOSSY,
+                            steady=SteadySampling(1.0, 0.2), **run)
+    assert np.array_equal(mir.mean_xyz * [1, -1, 1], res.mean_xyz)
+    assert np.array_equal(mir.steady_sums * [-1, 1], res.steady_sums)
+    assert mir.renorm_count == res.renorm_count
+
+
+@_CHAINS
+def test_doubling_every_time_and_halving_every_rate_is_exact(chain):
+    """tau_m, dt, T1, T2, Ts, Td and the run's times doubled, delta0 and
+    delta1 halved: every step is the same map, so a run depends on its
+    times only through their ratios to tau_m."""
+    law, start, run = _symmetry_case(chain)
+    slow = replace(LOSSY, tau_m=2 * LOSSY.tau_m, dt=2 * LOSSY.dt, T1=2 * LOSSY.T1,
+                   T2=2 * LOSSY.T2)
+    slow_law = FeedbackLaw(law.delta0 / 2, law.delta1 / 2, Ts=2 * law.Ts, Td=2 * law.Td)
+    (res,) = run_ensemble([law], [start], LOSSY, steady=SteadySampling(1.0, 0.2), **run)
+    (doubled,) = run_ensemble([slow_law], [start], slow, steady=SteadySampling(2.0, 0.4),
+                              **dict(run, total_time=2 * run["total_time"]))
+    assert np.array_equal(doubled.times, 2 * res.times)
+    assert np.array_equal(doubled.mean_xyz, res.mean_xyz)
+    assert np.array_equal(doubled.steady_bins, res.steady_bins)
+    assert np.array_equal(doubled.steady_sums, res.steady_sums)
+    assert doubled.renorm_count == res.renorm_count

@@ -8,6 +8,7 @@ import pytest
 
 from qfb import (
     BlochState,
+    Lobe,
     ModelParams,
     SteadySampling,
     design_ideal,
@@ -17,8 +18,8 @@ from qfb import (
     steady_state,
     summarize,
 )
-from qfb.engine import bin_index
-from qfb.stats import MAX_BINS, label_components
+from qfb.engine import MAX_BINS, bin_centers, bin_index
+from qfb.stats import LOBE_THRESHOLD, MIN_LOBE_MASS, label_components
 from oracle import build_histogram, flood_fill_labels
 
 NONIDEAL_COARSE = ModelParams(tau_m=0.2, dt=0.01, T1=60.0, T2=40.0, eta=0.41)
@@ -33,23 +34,25 @@ def gaussian_cloud(center, spread, n, seed=0):
 
 
 class TestHistogramGrid:
+    """The histogram is its (n_bins, n_bins) int64 bin counts."""
+
     def test_counts_total_and_coverage(self):
         samples = gaussian_cloud((0.3, 0.2), 0.2, 5000, seed=1)
-        grid = build_histogram(samples)
-        assert grid.counts.sum() == 5000
-        assert grid.n_samples == 5000
+        counts = build_histogram(samples)
+        assert counts.shape == (100, 100) and counts.dtype == np.int64
+        assert counts.sum() == 5000
 
     def test_single_point_single_bin(self):
         samples = np.tile([[0.515, 0.375]], (100, 1))
-        grid = build_histogram(samples)
-        assert (grid.counts > 0).sum() == 1
-        assert grid.counts.max() == 100
+        counts = build_histogram(samples)
+        assert (counts > 0).sum() == 1
+        assert counts.max() == 100
 
     def test_clipping_keeps_all_samples(self):
         # integrators that leak slightly outside the square still land in edge bins
         samples = np.array([[1.02, 0.0], [-1.5, 0.3], [0.0, 1.001]])
-        grid = build_histogram(samples)
-        assert grid.counts.sum() == 3
+        counts = build_histogram(samples)
+        assert counts.sum() == 3
 
     @pytest.mark.parametrize("n_bins", [2, 3, 7, 100, 333, 999, 1000])
     def test_bins_match_histogram2d(self, n_bins):
@@ -99,9 +102,9 @@ class TestHistogramGrid:
     def test_uniform_chi_square_sanity(self):
         rng = np.random.default_rng(8)
         samples = rng.uniform(-1, 1, size=(200000, 2))
-        grid = build_histogram(samples, n_bins=20)
+        counts = build_histogram(samples, n_bins=20)
         expected = 200000 / 400.0
-        chi2 = ((grid.counts - expected) ** 2 / expected).sum()
+        chi2 = ((counts - expected) ** 2 / expected).sum()
         # dof = 399, sd = sqrt(2*399) ~ 28; allow 5 sigma
         assert abs(chi2 - 399) < 5 * math.sqrt(2 * 399)
 
@@ -151,13 +154,59 @@ class TestFindPeak:
         with pytest.raises(ValueError):
             find_peak(build_histogram(np.empty((0, 2))))
 
+    def test_lobes_match_each_flood_filled_component_on_the_finest_grid(self):
+        """On a MAX_BINS grid whose lobe mask has thousands of components,
+        the lobes are, bit for bit, the count-weighted centroids and masses
+        of the flood-filled components at or above the minimum mass,
+        heaviest first; one cloud sits just below that mass, one just above."""
+        counts = build_histogram(np.vstack([
+            gaussian_cloud((0.3, 0.5), 0.05, 150000, seed=1),
+            gaussian_cloud((-0.4, 0.2), 0.03, 40000, seed=2),
+            gaussian_cloud((0.1, -0.6), 0.01, 3200, seed=3),
+            gaussian_cloud((-0.5, -0.5), 0.01, 2000, seed=4),
+            np.random.default_rng(5).uniform(-1, 1, (300000, 2)),
+        ]), n_bins=MAX_BINS)
+        n = int(counts.sum())
+        labels, count = flood_fill_labels(counts >= LOBE_THRESHOLD * counts.max())
+        assert count > 3000
+        members = [[] for _ in range(count)]
+        for i, lab in zip(np.flatnonzero(labels).tolist(), labels[labels > 0].tolist()):
+            members[lab - 1].append(i)  # each component's cells in raster order
+        yy, zz = (a.ravel() for a in np.meshgrid(bin_centers(MAX_BINS), bin_centers(MAX_BINS),
+                                                 indexing="ij"))
+        want = []
+        for cells in members:
+            c = counts.ravel()[cells]
+            mass = float(c.sum())
+            if mass >= MIN_LOBE_MASS * n:
+                want.append(Lobe(float((c * yy[cells]).sum() / mass),
+                                 float((c * zz[cells]).sum() / mass), mass / n))
+        want.sort(key=lambda l: l.mass_fraction, reverse=True)
+        assert len(want) == 3
+        assert find_peak(counts).lobes == tuple(want)
+
 
 class TestLabelComponents:
     def test_matches_flood_fill_on_random_masks(self):
         rng = np.random.default_rng(12)
+        masks = []
         for _ in range(60):
             shape = tuple(rng.integers(1, 40, size=2))
-            mask = rng.random(shape) < rng.uniform(0.02, 0.6)
+            masks.append(rng.random(shape) < rng.uniform(0.02, 0.6))
+        # large masks: thousands of specks, clusters near percolation, and
+        # serpentines (nested, mirrored and transposed) among specks
+        masks += [rng.random((300, 320)) < p for p in (0.1, 0.35)]
+        snake = np.zeros((101, 100), dtype=bool)
+        snake[::2] = True
+        snake[1::4, -1] = True
+        snake[3::4, 0] = True
+        snakes = np.zeros((306, 304), dtype=bool)
+        snakes[:101, :100] = snake
+        snakes[:101, 102:202] = snake[::-1, ::-1]
+        snakes[103:203, :101] = snake.T
+        snakes[205:306, 204:] = snake[:, ::-1]
+        masks.append(snakes | (rng.random(snakes.shape) < 0.04))
+        for mask in masks:
             labels, count = label_components(mask)
             want, want_count = flood_fill_labels(mask)
             assert count == want_count
@@ -183,8 +232,8 @@ class TestSummaryAndSweeps:
             seed=14, steady=SteadySampling(2.0, 0.2),
         )
         summary = summarize(res)
-        assert summary.histogram.n_samples == res.steady_bins.size
-        assert summary.histogram.counts.sum() == summary.histogram.n_samples
+        assert summary.histogram.shape == (100, 100)
+        assert summary.histogram.sum() == res.steady_bins.size
         assert 0.5 < summary.r_mean < 0.7
         assert summary.renorm_count == res.renorm_count
 
@@ -211,7 +260,7 @@ class TestSummaryAndSweeps:
             seed=3,
         )
         # every law draws the same noise: equal laws give equal summaries
-        assert np.array_equal(none.histogram.counts, again.histogram.counts)
+        assert np.array_equal(none.histogram, again.histogram)
         assert (none.peak, none.r_mean) == (again.peak, again.r_mean)
         assert delayed.r_mean < none.r_mean  # delay degrades the mean radius
 
@@ -264,7 +313,7 @@ class TestSummaryAndSweeps:
         assert len(batched) == len(laws)
         for s, law, start in zip(batched, laws, starts):
             (alone,) = steady_state([law], [start], ideal, **run)
-            assert np.array_equal(s.histogram.counts, alone.histogram.counts)
+            assert np.array_equal(s.histogram, alone.histogram)
             assert (s.peak, s.r_mean, s.renorm_count) == (
                 alone.peak, alone.r_mean, alone.renorm_count,
             )
@@ -302,7 +351,7 @@ class TestSummaryAndSweeps:
                 steady=SteadySampling(2.0, 0.2, n_bins=MAX_BINS),
             )
             # each sample at the center of its bin, within 0.001 on each axis
-            centers = summarize(res).histogram.centers
+            centers = bin_centers(MAX_BINS)
             iy, iz = np.divmod(res.steady_bins.ravel(), MAX_BINS)
             return float(np.std(np.arctan2(centers[iy], centers[iz]) - theta))
 
