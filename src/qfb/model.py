@@ -164,7 +164,10 @@ class ModelParams:
 # Given ``out``, a kernel writes its results into the leading arrays of that
 # tuple, which may be its own inputs, and its intermediates into the rest,
 # allocating nothing; every element sees the same operations in the same
-# order either way, so the bits do not depend on ``out``.
+# order either way, so the bits do not depend on ``out``.  Every operation is
+# float64, except that the rotation computes its cos and sin in the angle's
+# dtype: the engine's step passes a float32 angle, the float64 sin/cos costing
+# about ten times as much per element.
 
 def backaction_update(y, z, s, out=None):
     """Measurement backaction for log-strength s = r_bar*dt/tau_m.
@@ -186,13 +189,21 @@ def backaction_update(y, z, s, out=None):
 
 
 def rotation_update(y, z, angle, out=None):
-    """Rotate (y, z) by ``angle`` (rad); +z turns toward +y. Norm-preserving.
+    """Rotate (y, z) by ``angle`` (rad); +z turns toward +y. Norm-preserving
+    to the precision of the angle's dtype.
 
-    ``out`` is (y', z', cos, sin, y sin, z sin).
+    cos and sin are computed in the angle's dtype (float32 for a float32
+    angle) and widened to float64 for the products, which are float64.
+    ``out`` is (y', z', cos, sin, y sin, z sin, trig), ``trig`` of the
+    angle's dtype: cos and sin are written there and copied on, because a
+    float32 ufunc writing into float64 allocates a cast buffer.
     """
-    yo, zo, c, s, ys, zs = out or (None,) * 6
-    c = np.cos(angle, out=c)
-    s = np.sin(angle, out=s)
+    yo, zo, c, s, ys, zs, trig = out or (None,) * 7
+    if out is None:
+        c, s = (np.asarray(f(angle), dtype=np.float64) for f in (np.cos, np.sin))
+    else:
+        np.copyto(c, np.cos(angle, out=trig))
+        np.copyto(s, np.sin(angle, out=trig))
     ys = np.multiply(y, s, out=ys)  # before y' overwrites y
     zs = np.multiply(z, s, out=zs)
     return (

@@ -18,6 +18,8 @@
   and so shares the engine's streams and reduction.  ``run_sme_ensemble``
   and ``integrate_sme_trajectory`` take ``(law, initial, params)`` and
   the engine's keywords.
+* The engine's own stepper with a float64 rotation angle, the reference
+  for the step's float32 angle; it plugs in through ``stepper_factory``.
 * Plain numerical references: a per-row feedback chain (a filter
   accumulator and a ``deque`` delay line for each law), a histogram of
   given (y, z) samples on the engine's bins, a golden-section minimizer
@@ -36,7 +38,7 @@ import numpy as np
 
 from qfb.chain import FeedbackLaw
 from qfb.design import max_radius
-from qfb.engine import DEFAULT_BINS, EnsembleResult, bin_index, run_ensemble
+from qfb.engine import DEFAULT_BINS, BayesStepper, EnsembleResult, bin_index, run_ensemble
 from qfb.model import (
     BlochState,
     ModelParams,
@@ -97,10 +99,12 @@ def measurement_backaction(
 
 
 def feedback_rotation(
-    state: BlochState, delta: float, params: ModelParams
+    state: BlochState, delta: float, params: ModelParams, angle_dtype=np.float64
 ) -> BlochState:
-    """Coherent yz-plane rotation by dt*delta; x and the norm are unchanged."""
-    y, z = rotation_update(state.y, state.z, params.dt * delta)
+    """Coherent yz-plane rotation by dt*delta, the angle rounded to
+    ``angle_dtype`` (``np.float32`` replays the engine's step); x and the
+    norm are unchanged."""
+    y, z = rotation_update(state.y, state.z, angle_dtype(params.dt * delta))
     return BlochState(state.x, float(y), float(z))
 
 
@@ -121,19 +125,21 @@ def composite_step(
     r_fed: float,
     law,
     params: ModelParams,
+    angle_dtype=np.float64,
 ) -> BlochState:
     """Full update for one step: backaction, then feedback rotation, then dissipation.
 
     ``r`` is the readout sampled this step; ``r_fed`` is the filtered and
     delayed readout the controller actually sees (0 while the delay
     buffer is still filling).  The rotation rate is
-    ``law.delta0 + law.delta1 * r_fed``.
+    ``law.delta0 + law.delta1 * r_fed``, and the rotation angle is rounded
+    to ``angle_dtype``: ``np.float32`` gives the engine's step.
 
     The result is renormalized onto the sphere if floating-point drift
     pushes it infinitesimally outside.
     """
     out = measurement_backaction(state, r, params)
-    out = feedback_rotation(out, law.delta0 + law.delta1 * r_fed, params)
+    out = feedback_rotation(out, law.delta0 + law.delta1 * r_fed, params, angle_dtype)
     out = dissipation_step(out, params)
     r2 = out.x * out.x + out.y * out.y + out.z * out.z
     if r2 > 1.0:
@@ -394,6 +400,16 @@ def integrate_sme_trajectory(
         record_stride=record_stride, seed=seed,
     )
     return Curve(result.times, result.mean_xyz, result.excursion_count)
+
+
+class Float64AngleStepper(BayesStepper):
+    """:class:`qfb.engine.BayesStepper` with its angle buffer in float64, so the
+    rotation's cos and sin are float64 and every other operation is the
+    engine's own."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._angle = np.empty(self._angle.shape)
 
 
 class ReferenceChain:

@@ -8,8 +8,8 @@ is left out: it carries the package version.
 
 ``TRAJECTORY_GOLDEN`` pins the one-trajectory ``mean.csv`` of the two
 ensemble configs run with ``n_traj = 1``: trajectory 0 of the seed's
-streams.  The digests were recorded while a separate trajectory mode
-still kept a per-trajectory record, and are not re-recorded.
+streams.  They were first recorded while a separate trajectory mode
+still kept a per-trajectory record.
 
 ``TWO_CHUNK_GOLDEN`` runs 4100 trajectories, two chunks of the engine's
 4096, so that the chunk-order sum of the mean curve and the pooling of
@@ -27,6 +27,14 @@ The digests pin refactors to byte-identical output.  A deliberate change
 of output (new physics, a different float format) or a numpy upgrade that
 moves the random streams or the last ulp re-records them; CHANGES.md then
 says which change did so and why.
+
+The last re-recording came from the step's float32 rotation angle
+(``BayesStepper``): its cos and sin round at about 1e-8, which moves every
+simulated state at that level.  Thirteen digests moved: the results of the
+nine simulating configs (``mean.csv`` or ``peaks.json``; at 32
+trajectories no histogram bin changed), both two-chunk runs and both
+trajectory-mode curves, which follow one trajectory step by step.  fig1's
+and fig5's ``design.csv`` run no trajectory and kept their bytes.
 """
 
 import hashlib
@@ -46,56 +54,56 @@ GOLDEN = {
         "design.csv": "72a3b96c3319c37705177fba8abd8bcd733fb7d27bd2f8212ee571121a779897",
     },
     "fig2_delay": {
-        "peaks.json": "6a2738fd3fa52f25242b4cb6de86d1b8ce5ecf243f504c68723a35d68fe9e717",
+        "peaks.json": "4357893cfd1f751d0b25e3f74b022e9f5f802a61336d9b0e24a648b16528e213",
     },
     "fig2_filter": {
-        "peaks.json": "e66f097cbbdbc4719e60890cd8ca9ee4cbc24e118bde28aeb9aa157a2b5a6c4a",
+        "peaks.json": "8b1173b96ed3a02a68e9cd4c694cb8c3cc40916a0c72e625feb4309474049ce4",
     },
     "fig3": {
-        "mean.csv": "b4e663c9c02726bc6e0f092f26a8f042d14db0a7512cb86ba250f96fb1a19e83",
+        "mean.csv": "66b581265a40201d57d162f319d5817f0f2a60701cb6b4b4206a31ce740915bb",
     },
     "fig4": {
-        "mean.csv": "0362f61161b4ca82443aacc28b19f24646e61447def364b58d33704095cc473e",
+        "mean.csv": "b167144edcfc7858e6a4e87d8dac2c7bc1d8766d6b73bd9db736d5a031c862a9",
     },
     "fig5": {
         "design.csv": "0b93f3d9b64ae9ea12087e710bcececb04babce140535206476841efecf44738",
-        "peaks.json": "1a42b652b2dc7783745638b5b3a82435aa8a6c8f3c9f2237a63baa388ec4a1d9",
+        "peaks.json": "c167e3cee9ca9b444083b277eed26246b745b2ccdd868adb78d813241096fd48",
     },
     "fig6_bottom": {
         "hist.csv": "987b458a7faf018de4efd91bfb01abebe8d9f81045970b9ff46cfc6f5346f4bd",
-        "peaks.json": "71f43e77a85555bf8068a765f0af82fb89d86d7ba2bf8b579e878c0c130e553d",
+        "peaks.json": "debbe7f898896d153b40349fba26b8c827ec41bfabdeb69bf9938bc188a7b676",
     },
     "fig6_top": {
         "hist.csv": "29fd286c2f156ff7832b535279785cf0c11965111334a2a37469429107d00b45",
-        "peaks.json": "697c78d9ab6b150e0424570ccf1acff20075cab8eeafeb094785f54321cebd99",
+        "peaks.json": "d3e4995b1286572ff57d154432c8bcac8c23845f25092a16492eb3ec8a650dee",
     },
     "fig7_delay": {
         "hist.csv": "ae0be292788ef7a52d717f2eb11c6af56400dceaa9602bd4310840768fe33175",
-        "peaks.json": "433e9324c6cfee38edb27fa033a8c1eb119619b0eb8d9e747abb84e0499ee2fe",
+        "peaks.json": "49bdda2f8256b352c7230e74040d677635e1781b24d5259716e6869d9337de4b",
     },
     "fig7_filter": {
         "hist.csv": "aa5e501974e768184d7cd5472eede0c35040430d12ea03f6cf9f6620304c3861",
-        "peaks.json": "cf4ba9f14a93b3b54f5c22e9fb29f50774c0ee38536fc059fe9064c6add500e9",
+        "peaks.json": "79b30f0c0a3bbe3d07c412a3da2a242be1194cd64d694518801abeeda3236c3a",
     },
 }
 
 TWO_CHUNK_GOLDEN = {
     "fig4": (
         {"n_traj": 4100, "total_time": 0.4},
-        {"mean.csv": "f2915d41f20b4ae5b1afd86306314249b951e0d04709165f560a2e94657671cc"},
+        {"mean.csv": "9b9a95dd5fcaeb33a6d49ec7a80e3acdfafb403d320f3f6e29623a14fe28c348"},
     ),
     "fig6_top": (
         {"n_traj": 4100},
         {
             "hist.csv": "9e654e2c979d5245de6b683d9d64b2559d261fb7b97d34c4a1e02343d203d269",
-            "peaks.json": "20a3056431853348f9fce3569126f6797b5d0228f41f680e6731b24b3e1b8b01",
+            "peaks.json": "de9467a48ba16d34a278b617a8915105cf41092127e6cbf26bc059c65dbdcdb3",
         },
     ),
 }
 
 TRAJECTORY_GOLDEN = {
-    "fig3": "6c54f7aae743ddd51898a55e32f221600a26674089a3254821e13e7237de6b91",
-    "fig4": "95fb090a1e4772a37ae2800ec3782da2f2306c261dc12ddf53359fe26b024966",
+    "fig3": "c9dc8cf4a4170df67b958e911f010902e7364ad700ec612c5c14a4e2e66dc235",
+    "fig4": "88ecf49ed7486cf33768ba440702696296aa16054ec8cf3c3338e7128d29632c",
 }
 
 

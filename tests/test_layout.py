@@ -7,17 +7,23 @@ and name their common keywords alike.  No module uses a private name of
 another: the CLI's lack of one keeps the engine's own checks the only copy
 of its rules.  Every ValueError the library raises opens with the
 argument at fault, which is how the CLI names the config key behind it.
+The engine's step calls each model kernel once through the engine
+module's own name for it, the name the tracer of ``bench/run.py``
+rebinds to time the kernels.
 """
 
 import ast
 import inspect
+import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import qfb
-from qfb import run_ensemble, steady_state
+import qfb.engine
+from qfb import BlochState, FeedbackLaw, ModelParams, run_ensemble, steady_state
 
 
 def _used_names() -> set[str]:
@@ -93,3 +99,31 @@ def test_every_value_error_opens_with_its_argument(module):
         and not (node.exc.args and _opens_with_a_name(node.exc.args[0]))
     ]
     assert not offenders, f"ValueError messages not opening with 'name: ': {offenders}"
+
+
+_KERNELS = ("backaction_update", "rotation_update", "dissipation_update")
+
+
+@pytest.mark.parametrize("law", [{}, dict(Ts=0.004, Td=0.006)], ids=["markovian", "chain"])
+def test_each_step_calls_each_kernel_once_through_the_engine_names(law, monkeypatch):
+    """Counters bound to ``qfb.engine``'s kernel names see one call of each
+    per step, at two points over two chunks: a step that inlined a kernel,
+    or imported it under another name, would leave its timing span at 0."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in _KERNELS:
+        monkeypatch.setattr(qfb.engine, name, counted(name, getattr(qfb.engine, name)))
+    monkeypatch.setattr(qfb.engine.BayesStepper, "step",
+                        counted("step", qfb.engine.BayesStepper.step))
+    monkeypatch.setattr(qfb.engine, "CHUNK_SIZE", 8)
+    laws = [FeedbackLaw(1.0, 2.0, **law), FeedbackLaw(-1.0, 3.0, **law)]
+    run_ensemble(laws, [BlochState.from_polar(0.3 * math.pi)] * 2,
+                 ModelParams(tau_m=0.2, dt=0.002), n_traj=12, total_time=0.02)
+    # two chunks of 10 steps
+    assert calls == {name: 20 for name in ("step", *_KERNELS)}
