@@ -23,24 +23,32 @@ the calling process and no process is started; with more, they run in
 that many forked worker processes that write into anonymous shared
 memory, and only task numbers cross a pipe.
 
-A Philox stream is fully set by its key and a zero counter, so when a
-run fits in one noise block (at most ``BLOCK_STEPS`` steps) each chunk
-re-keys a single Generator before each trajectory's one draw instead of
-constructing one per trajectory.  Longer runs keep one Generator per
-trajectory, because each stream carries its position from block to
-block.  Both paths draw the same numbers, and since each stream is read
-strictly in order, the block length sets only the noise buffer's size
-and the number of draw calls, never which numbers are drawn: 256 steps
-is the shortest power-of-two block on which the shipped 200-step
-histogram runs still draw once per trajectory.
+The noise is float32 and keyed by groups of ``STREAM_GROUP`` (8)
+trajectories: trajectory i draws from the Philox stream keyed
+``(master seed, i // 8)``, and its noise at step k is draw ``8 k + i % 8``
+of that stream, so one call fills a group's (steps, 8) slab in time order.
+Every task boundary is a multiple of 8 (chunks start at multiples of
+``CHUNK_SIZE``, and a task is cut at a pairwise split), so no group
+straddles two tasks, and the last group always draws all 8 columns, so
+trajectory i's noise does not depend on ``n_traj``.  A Philox stream is
+fully set by its key and a zero counter, so when a run fits in one noise
+block (at most ``BLOCK_STEPS`` steps) each chunk re-keys a single
+Generator before each group's one draw instead of constructing one per
+group.  Longer runs keep one Generator per group, because each stream
+carries its position from block to block.  Both paths draw the same
+numbers, and since each stream is read strictly in order, the block
+length sets only the noise buffer's size and the number of draw calls,
+never which numbers are drawn: 256 steps is the shortest power-of-two
+block on which the shipped 200-step histogram runs still draw once per
+group.  The step receives each row widened to float64.
 
 A run, ``run_ensemble(laws, initials, params, **run)`` like
 :func:`qfb.stats.steady_state`, takes P >= 1 feedback laws (operating
 points), each started from its own initial state.  The batch is held
-as (P, batch) arrays, one row per point; trajectory i draws its noise
-once from stream (seed, i) and every point reuses it (common random
-numbers), so each point gets the bits it would get if run alone, with
-P times fewer streams, noise fills and step calls.
+as (P, batch) arrays, one row per point; trajectory i's noise is drawn
+once and every point reuses it (common random numbers), so each point
+gets the bits it would get if run alone, with P times fewer streams,
+noise fills and step calls.
 """
 
 from __future__ import annotations
@@ -83,11 +91,16 @@ CHUNK_SIZE = 4096
 #: pairwise, as the sum of its two halves split at :func:`_pairwise_split`.
 PAIRWISE_BLOCK = 128
 
+#: Trajectories that share one noise stream.  CHUNK_SIZE and every pairwise
+#: split are multiples of it, so a task holds whole groups and its column j
+#: of noise is its trajectory lo + j.
+STREAM_GROUP = 8
+
 #: Steps of noise generated per inner block; bounds the noise buffer to
-#: CHUNK_SIZE * BLOCK_STEPS doubles (8.7 MB with each row's padding).  Runs of at most this many steps
-#: draw all their noise in one block and share one re-keyed Generator per
-#: chunk.  256 is the smallest power of two that keeps the 200-step histogram
-#: runs on that path; a smaller block would also add a draw call per stream
+#: CHUNK_SIZE * BLOCK_STEPS float32 values (4 MB).  Runs of at most this many
+#: steps draw all their noise in one block and share one re-keyed Generator
+#: per chunk.  256 is the smallest power of two that keeps the 200-step histogram
+#: runs on that path; a smaller block would also add a draw call per group
 #: for every block of a longer run.
 BLOCK_STEPS = 256
 
@@ -139,7 +152,8 @@ def _range_sum(lo: int, hi: int, sums: dict) -> np.ndarray:
 def trajectory_rng(
     seed: int, index: int, reuse: np.random.Generator | None = None
 ) -> np.random.Generator:
-    """Independent stream for one trajectory, keyed by (seed, index).
+    """Independent stream for the ``index``-th group of ``STREAM_GROUP``
+    trajectories, keyed by (seed, index).
 
     With ``reuse`` (a Philox Generator), that Generator is re-keyed in
     place and returned: key (seed, index), counter 0 and an empty buffer,
@@ -317,8 +331,10 @@ class BayesStepper:
     def step(self, n01) -> None:
         y, z = self.y, self.z
         rbar, angle, *work = self._work
-        # one contiguous row of noise, the same product in every element
-        np.add(z, np.multiply(n01, self._sigma, out=self._noise), out=rbar)
+        # one product per trajectory, copied into every point's row: the
+        # readout rbar = sigma n + z, with no transient of the batch's shape
+        np.copyto(rbar, np.multiply(n01, self._sigma, out=self._noise))
+        rbar += z
         fed = self.chain.push(rbar)  # rbar itself for a Markovian chain, else the chain's buffer
         np.add(self._delta0, np.multiply(self._delta1, fed, out=angle), out=angle)
         angle *= self._dt
@@ -334,9 +350,13 @@ class BayesStepper:
         outside = np.greater(r2, 1.0, out=self._outside)
         count = np.count_nonzero(outside)
         if count:
-            # one point's count is the total; the per-row count allocates
-            per_point = count if len(outside) == 1 else np.count_nonzero(outside, axis=1)
-            self.point_renorms += per_point
+            # one point's count is the total; a count along axis=1 would
+            # allocate a cast buffer of the mask's size, one per row does not
+            if len(outside) == 1:
+                self.point_renorms += count
+            else:
+                for p, row in enumerate(outside):
+                    self.point_renorms[p] += np.count_nonzero(row)
             # 1/sqrt(1) = 1 exactly, so the rows inside (and NaN, which fmax
             # drops) are multiplied by exactly 1
             scale = np.divide(1.0, np.sqrt(np.fmax(r2, 1.0, out=r2), out=r2), out=r2)
@@ -382,13 +402,14 @@ def _run_chunk(
     n = hi - lo
     n_steps = int(rec_steps[-1])
     batch = stepper_factory(laws, initials, n)
+    groups = range(lo // STREAM_GROUP, -(-hi // STREAM_GROUP))
     if n_steps <= BLOCK_STEPS:
-        # One draw per trajectory: re-key one Generator right before each.
-        shared = trajectory_rng(seed, lo)
-        streams = lambda: (trajectory_rng(seed, i, reuse=shared) for i in range(lo, hi))
+        # One draw per group: re-key one Generator right before each.
+        shared = trajectory_rng(seed, groups[0])
+        streams = lambda: (trajectory_rng(seed, g, reuse=shared) for g in groups)
     else:
-        # Each stream resumes where the previous block left it.
-        gens = [trajectory_rng(seed, i) for i in range(lo, hi)]
+        # Each group's stream resumes where the previous block left it.
+        gens = [trajectory_rng(seed, g) for g in groups]
         streams = lambda: gens
 
     # state index -> slot in the mean-sum / steady-bin buffers
@@ -396,11 +417,13 @@ def _run_chunk(
     steady_slot = {} if steady_out is None else {int(s): k for k, s in enumerate(steady_steps)}
     steady = [] if steady_out is None else [(b[lo:hi], s[lo:hi]) for b, s in steady_out]
 
-    # rows of an odd number of 64-byte lines, so that the column noise[:, k]
-    # a step reads spreads over every cache set: with 256-double rows (32
-    # lines) it falls on a few sets and is evicted before the next steps
+    # time-major, so that the row a step reads is contiguous: column j is
+    # trajectory lo + j.  A Generator fills only a contiguous array, so each
+    # group draws into ``slab`` and is copied into its 8 columns.
     width = min(BLOCK_STEPS, n_steps)
-    noise = np.empty((n, 8 * (-(-width // 8) | 1)))[:, :width]
+    noise = np.empty((width, STREAM_GROUP * len(groups)), dtype=np.float32)
+    slab = np.empty((width, STREAM_GROUP), dtype=np.float32)
+    n01 = np.empty(n)
     for i in range(n_steps + 1):
         slot = rec_slot.get(i)
         if slot is not None:
@@ -419,8 +442,10 @@ def _run_chunk(
         if k == 0:
             block = min(BLOCK_STEPS, n_steps - i)
             for j, g in enumerate(streams()):
-                g.standard_normal(out=noise[j, :block])
-        batch.step(noise[:, k])
+                g.standard_normal(out=slab[:block], dtype=np.float32)
+                noise[:block, STREAM_GROUP * j:STREAM_GROUP * (j + 1)] = slab[:block]
+        np.copyto(n01, noise[k, :n])  # the step takes float64
+        batch.step(n01)
     renorms[:] = batch.point_renorms
 
 
@@ -484,15 +509,16 @@ def run_ensemble(
     exactly 0: each result's mean x is 0.  ``total_time`` must be a
     whole number of steps of ``params.dt``, and the mean curve is
     recorded every ``record_stride`` of them.
-    Trajectory i draws from the stream keyed (seed, i), ``seed`` an
-    unsigned 64-bit integer.  ``steady`` enables steady-state sampling
-    for histograms: each result then carries every sample's bin and each
-    trajectory's (y, z) sum.  ``stepper_factory`` (laws, initial
+    Trajectory i draws float32 noise from the stream keyed (seed, i // 8),
+    ``seed`` an unsigned 64-bit integer.  ``steady`` enables steady-state
+    sampling for histograms: each result then carries every sample's bin
+    and each trajectory's (y, z) sum.  ``stepper_factory`` (laws, initial
     states, batch size -> stepper) swaps the physics kernel; the default
     is :class:`BayesStepper`.  A stepper owns (len(laws), batch) arrays
     ``y``, ``z`` started from the initial states, advances them by
-    ``step(n01)`` on one noise value per trajectory, and counts its
-    renormalizations per law in ``point_renorms``.
+    ``step(n01)`` on one noise value per trajectory, a float32 draw
+    widened to float64, and counts its renormalizations per law in
+    ``point_renorms``.
 
     The laws run as that many points in one batch, and each result is
     bit-identical to running that law alone.  A law whose state goes

@@ -20,6 +20,8 @@
   the engine's keywords.
 * The engine's own stepper with a float64 rotation angle, the reference
   for the step's float32 angle; it plugs in through ``stepper_factory``.
+* The definition of the engine's noise: trajectory i's draws, one per
+  step, built from their own Philox stream.
 * Plain numerical references: a per-row feedback chain (a filter
   accumulator and a ``deque`` delay line for each law), a histogram of
   given (y, z) samples on the engine's bins, a golden-section minimizer
@@ -410,6 +412,14 @@ class Float64AngleStepper(BayesStepper):
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self._angle = np.empty(self._angle.shape)
+
+
+def trajectory_noise(seed: int, i: int, n_steps: int) -> np.ndarray:
+    """Trajectory ``i``'s float32 noise over ``n_steps`` steps: column
+    ``i % 8`` of the ``(n_steps, 8)`` standard normals that the Philox
+    stream keyed ``(seed, i // 8)`` draws from counter 0 in one call."""
+    stream = np.random.Generator(np.random.Philox(key=np.array([seed, i // 8], np.uint64)))
+    return stream.standard_normal((n_steps, 8), dtype=np.float32)[:, i % 8]
 
 
 class ReferenceChain:

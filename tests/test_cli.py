@@ -970,3 +970,32 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     )
     assert proc.stdout.splitlines() == ["[]", "[]"]
     assert (out / "hist.csv").is_file()
+
+
+def test_numpy_random_stays_out_of_the_parent(tmp_path):
+    """Importing qfb or its CLI loads no ``numpy.random``, and neither does the
+    parent of a two-worker sweep: its 300 trajectories form two tasks, and
+    only the forked workers draw noise.  A module-level import would add
+    about 2 MB to each run's peak memory."""
+    import subprocess
+    import sys
+
+    out = tmp_path / "out"
+    code = (
+        "import sys, warnings\n"
+        "loaded = lambda: print('numpy.random' in sys.modules)\n"
+        "import qfb\n"
+        "loaded()\n"
+        "import qfb.cli\n"
+        "loaded()\n"
+        "warnings.simplefilter('ignore')\n"
+        f"qfb.cli.execute(qfb.cli.parse_config({str(REPO / 'configs' / 'fig2_filter.cfg')!r},"
+        f" dict(n_traj=300, threads=2, out={str(out)!r})))\n"
+        "loaded()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.stdout.splitlines() == ["False"] * 3
+    assert (out / "peaks.json").is_file()

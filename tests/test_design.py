@@ -10,11 +10,13 @@ from qfb import (
     BlochState,
     FeedbackLaw,
     ModelParams,
+    SteadySampling,
     design_ideal,
     design_nonideal,
     max_radius,
 )
 from qfb.design import POLE_MARGIN
+from qfb.engine import MAX_BINS, bin_centers
 from oracle import (
     TargetSpec,
     disturbance,
@@ -304,13 +306,22 @@ class TestSmeModel:
         assert np.abs(res.mean_xyz - ode.xyz).max() < 0.03
 
     def test_excursions_flagged_not_corrected(self):
-        # near-equator target at coarse dt: Euler steps overshoot the sphere
+        """Near-equator target at coarse dt: Euler steps overshoot the sphere
+        during the 20-step transient.  In separate runs of 10^5 trajectories,
+        27% overshot R = 1.05 within those steps, so all 64 miss with
+        probability 0.73^64 ~ 2e-9, and none went non-finite, which the
+        engine would refuse (0.13% do within 100 steps)."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             p = ModelParams(tau_m=0.2, dt=0.01)
         law = design_ideal(0.45 * math.pi, 0.2)
         init = BlochState.from_polar(0.1 * math.pi)
-        rec = integrate_sme_trajectory(law, init, p, total_time=20.0, seed=12)
-        radii = np.linalg.norm(rec.xyz, axis=1)
-        assert radii.max() > 1.0  # not renormalized
-        assert rec.excursion_count >= 1  # beyond 1.05 is flagged
+        every_step = SteadySampling(burn_in=0.0, stride=p.dt, n_bins=MAX_BINS)
+        res = run_sme_ensemble(law, init, p, n_traj=64, total_time=0.2, seed=12,
+                               steady=every_step)
+        assert res.excursion_count >= 1  # beyond 1.05 is flagged
+        # not renormalized: a kept state lies well outside the sphere (a bin
+        # centre is within 0.0015 of its samples)
+        centres = bin_centers(MAX_BINS)
+        iy, iz = np.divmod(res.steady_bins, MAX_BINS)
+        assert np.hypot(centres[iy], centres[iz]).max() > 1.04

@@ -22,7 +22,13 @@ from qfb import (
 )
 from qfb.engine import BayesStepper, bin_index
 from qfb.stats import summarize
-from oracle import Float64AngleStepper, ReadoutSample, composite_step, integrate_mean_ode
+from oracle import (
+    Float64AngleStepper,
+    ReadoutSample,
+    composite_step,
+    integrate_mean_ode,
+    trajectory_noise,
+)
 
 IDEAL = ModelParams(tau_m=0.2, dt=0.0005)
 
@@ -97,6 +103,51 @@ class TestStreams:
         )
 
 
+class NoiseRecorder:
+    """A stepper that writes the noise of each step into ``rows``, trajectory
+    i's at row i, in shared memory that forked workers write too.  Where its
+    range starts comes from ``located``, a wrapper of the engine's task
+    body."""
+
+    start = 0
+
+    def __init__(self, rows, laws, initials, batch):
+        self.rows, self.lo, self.k = rows, NoiseRecorder.start, 0
+        self.y, self.z = np.zeros((1, batch)), np.ones((1, batch))
+        self.point_renorms = np.zeros(1, dtype=np.int64)
+
+    def step(self, n01):
+        assert n01.dtype == np.float64
+        self.rows[self.lo:self.lo + len(n01), self.k] = n01
+        self.k += 1
+
+    @staticmethod
+    def located(run_chunk, lo, *args):
+        NoiseRecorder.start = lo
+        run_chunk(lo, *args)
+
+
+@pytest.mark.parametrize("block_steps", [256, 16])  # one noise block; three
+@pytest.mark.parametrize("workers", [1, 3])
+def test_each_trajectory_draws_its_defined_noise(monkeypatch, block_steps, workers):
+    """Trajectory i's noise at step k is draw 8 k + i % 8 of the float32
+    stream keyed (seed, i // 8), widened to float64, whatever ``n_traj``
+    (the last group of 1 and 9 is partial), the worker count and the noise
+    block; at 4097 trajectories and 3 workers, the first chunk is split."""
+    import qfb.engine as eng
+
+    monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
+    monkeypatch.setattr(eng, "_run_chunk", partial(NoiseRecorder.located, eng._run_chunk))
+    n_steps = 40
+    for n_traj in (1, 9, 4097):
+        rows = eng._shared((n_traj, n_steps))
+        run_ensemble([FREE], [POLE], IDEAL, n_traj=n_traj, total_time=n_steps * IDEAL.dt,
+                     seed=2**64 - 3, stepper_factory=partial(NoiseRecorder, rows),
+                     workers=workers)
+        for i in range(n_traj):
+            assert np.array_equal(rows[i], trajectory_noise(2**64 - 3, i, n_steps)), i
+
+
 class TestRunTrajectory:
     """One trajectory is an ensemble of one: its mean curve is the trajectory."""
 
@@ -125,7 +176,7 @@ class TestRunTrajectory:
         assert len(res.mean_xyz) == len(res.times)
 
     def test_readout_recording(self):
-        # readouts rebuilt from the trajectory's own stream drive the scalar
+        # readouts rebuilt from the trajectory's own noise drive the scalar
         # reference step, with the engine's float32 rotation angle, to the
         # same states as the engine
         law = design_ideal(0.3 * math.pi, 0.2)  # Markovian: r_fed = r
@@ -133,9 +184,9 @@ class TestRunTrajectory:
         (res,) = run_ensemble([law], [s], IDEAL, n_traj=1, total_time=0.05, seed=5)
         xyz = res.mean_xyz
         n_steps = round(0.05 / IDEAL.dt)
-        noise = trajectory_rng(5, 0).standard_normal(n_steps)
+        noise = trajectory_noise(5, 0, n_steps)
         for k in range(n_steps):
-            r = s.z + IDEAL.readout_sigma * noise[k]
+            r = s.z + IDEAL.readout_sigma * float(noise[k])  # sigma n in float64
             s = composite_step(s, ReadoutSample(r), r, law, IDEAL, np.float32)
             assert (s.x, s.y, s.z) == pytest.approx(tuple(xyz[k + 1]), abs=1e-12)
         # the reference keeps x at exactly 0, the engine's column is exactly 0
@@ -187,7 +238,7 @@ class TestRunEnsemble:
     def test_chunk_schedule_does_not_change_bits(self, monkeypatch):
         import qfb.engine as eng
 
-        # one noise block (re-keyed shared stream), then seven (a stream each)
+        # one noise block (re-keyed shared stream), then seven (a stream per group)
         for block_steps in (eng.BLOCK_STEPS, 16):
             five = self._lossy_run(monkeypatch, block_steps, chunk_size=64)
             again = self._lossy_run(monkeypatch, block_steps, chunk_size=64)
@@ -225,10 +276,10 @@ class TestRunEnsemble:
         law, start, run = ideal_setup(seed=3, total_time=0.1, stride=20)  # 200 steps
         run_ensemble([law], [start], IDEAL, n_traj=50, **run)
         assert len(built) == 4  # chunks of 16, 16, 16 and 2 trajectories
-        monkeypatch.setattr(eng, "BLOCK_STEPS", 16)  # several blocks: one per trajectory
+        monkeypatch.setattr(eng, "BLOCK_STEPS", 16)  # several blocks: one per group of 8
         built.clear()
         run_ensemble([law], [start], IDEAL, n_traj=50, **run)
-        assert len(built) == 50
+        assert len(built) == 7  # 2 + 2 + 2 + 1 groups
 
     @pytest.mark.parametrize("n_steps", [200, 800])  # one noise block; several
     def test_peak_memory_is_one_chunk(self, monkeypatch, n_steps):
@@ -271,12 +322,18 @@ class TestRunEnsemble:
         assert abs(finals_z.mean() - z0) < 5 * se
 
     def test_standard_error_scales_inverse_sqrt_n(self):
+        """The spread of single trajectories against that of means of 64
+        neighbours, which span 8 whole noise groups: sqrt(64) = 8 for
+        independent trajectories.  For normal values, (ratio / 8)^2 follows
+        F(4095, 63), and the bounds are its 5e-5 and 1 - 5e-5 quantiles
+        (scipy.stats.f.ppf), so a sound engine fails with probability 1e-4;
+        the means of 64 are close to normal.  Identical noise within each
+        group of 8 would give a ratio of about sqrt(8)."""
         law, start, run = ideal_setup(seed=15, total_time=1.0, stride=2000)
         finals_y = final_states(4096, law, start, IDEAL, run)[:, 0]
-        small = finals_y.reshape(64, 64).mean(axis=1)  # batches of 64
-        big = finals_y.reshape(4, 1024).mean(axis=1)  # batches of 1024
-        ratio = small.std(ddof=1) / big.std(ddof=1)
-        assert 4.0 / 1.8 < ratio < 4.0 * 1.8  # ~sqrt(1024/64) = 4
+        means = finals_y.reshape(64, 64).mean(axis=1)
+        ratio = finals_y.std(ddof=1) / means.std(ddof=1)
+        assert 8.0 * math.sqrt(0.53781) < ratio < 8.0 * math.sqrt(2.22932)
 
     def test_steady_sampling_grid(self):
         p = ModelParams(tau_m=0.2, dt=0.002)
@@ -485,14 +542,32 @@ def _lossy_laws():
             FeedbackLaw(law.delta0, law.delta1, Td=0.006)], r_s
 
 
-@pytest.mark.parametrize("chain", ["markovian", "filter", "delay", "mixed"])
-def test_step_allocates_no_array_per_step(chain):
-    """The step updates its batch in place: after a warm-up step, 20 steps of
-    three lossy laws at batch 4096, with no filter or delay, a filter, a
-    delay, or one law of each kind, allocate less, at their peak, than one
-    (3, 4096) array."""
+#: The most a step may allocate at its peak: far below the 56 KB that a
+#: readout formed as ``z + noise_row`` or a renormalization count along
+#: ``axis=1`` would allocate at 11 x 625 (98 KB at 3 x 4096).
+STEP_ALLOCATION_BOUND = 4096
+
+
+def _peak_step_allocation(stepper, batch):
+    """tracemalloc's peak over 20 steps of ``stepper``, after a warm-up step."""
     import tracemalloc
 
+    noise = trajectory_rng(1, 0).standard_normal((21, batch))
+    stepper.step(noise[0])
+    tracemalloc.start()
+    try:
+        for n01 in noise[1:]:
+            stepper.step(n01)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("chain", ["markovian", "filter", "delay", "mixed"])
+def test_step_allocates_no_array_per_step(chain):
+    """The step updates its batch in place: 20 steps of three lossy laws at
+    batch 4096, with no filter or delay, a filter, a delay, or one law of
+    each kind, allocate at their peak less than ``STEP_ALLOCATION_BOUND``."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         laws = [design_nonideal(a * math.pi, LOSSY)[0] for a in (0.2, 0.3, 0.5)]
@@ -504,16 +579,20 @@ def test_step_allocates_no_array_per_step(chain):
     }[chain]
     laws = [replace(law, **kind) for law, kind in zip(laws, kinds)]
     stepper = BayesStepper(LOSSY, laws, [BlochState.from_polar(0.1 * math.pi)] * 3, 4096)
-    noise = trajectory_rng(1, 0).standard_normal((21, 4096))
-    stepper.step(noise[0])
-    tracemalloc.start()
-    try:
-        for n01 in noise[1:]:
-            stepper.step(n01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < np.empty((3, 4096)).nbytes, peak
+    peak = _peak_step_allocation(stepper, 4096)
+    assert peak < STEP_ALLOCATION_BOUND, peak
+
+
+def test_renormalizing_sweep_step_allocates_no_array():
+    """A sweep's shape, 11 pure-state points x 625 trajectories, whose steps
+    renormalize and so count each point's renormalizations: no readout or
+    count transient either (measured peak about 1.6 KB)."""
+    laws = [design_ideal(a * math.pi, IDEAL.tau_m) for a in np.linspace(0.1, 0.9, 11)]
+    stepper = BayesStepper(IDEAL, laws, [BlochState.from_polar(0.1 * math.pi)] * 11, 625)
+    before = stepper.point_renorms.copy()
+    peak = _peak_step_allocation(stepper, 625)
+    assert (stepper.point_renorms > before).all()
+    assert peak < STEP_ALLOCATION_BOUND, peak
 
 
 class TestWorkers:

@@ -20,21 +20,21 @@ steps, one noise block).
 ``test_shipped_runs_keep_their_stream_path`` counts the Philox streams
 the same 32-trajectory runs build: a 200-step histogram run draws its
 noise in one block and re-keys one stream per chunk, and every longer run
-keeps one stream per trajectory, so a noise block shorter than 200 steps
-(or one as long as a whole ensemble run) fails it.
+keeps one stream per group of 8 trajectories, so a noise block shorter
+than 200 steps (or one as long as a whole ensemble run) fails it.
 
 The digests pin refactors to byte-identical output.  A deliberate change
 of output (new physics, a different float format) or a numpy upgrade that
 moves the random streams or the last ulp re-records them; CHANGES.md then
 says which change did so and why.
 
-The last re-recording came from the step's float32 rotation angle
-(``BayesStepper``): its cos and sin round at about 1e-8, which moves every
-simulated state at that level.  Thirteen digests moved: the results of the
-nine simulating configs (``mean.csv`` or ``peaks.json``; at 32
-trajectories no histogram bin changed), both two-chunk runs and both
-trajectory-mode curves, which follow one trajectory step by step.  fig1's
-and fig5's ``design.csv`` run no trajectory and kept their bytes.
+The last re-recording came from the noise itself: trajectories now share
+a float32 Philox stream per group of 8, keyed (seed, i // 8), in place of
+a float64 stream per trajectory, so every trajectory draws new numbers.
+Thirteen tests moved: the results of the nine simulating configs (18
+file digests with the histograms, every ``hist.csv`` among them), both
+two-chunk runs and both trajectory-mode curves.  fig1's and fig5's
+``design.csv`` run no trajectory and kept their bytes.
 """
 
 import hashlib
@@ -54,56 +54,56 @@ GOLDEN = {
         "design.csv": "72a3b96c3319c37705177fba8abd8bcd733fb7d27bd2f8212ee571121a779897",
     },
     "fig2_delay": {
-        "peaks.json": "4357893cfd1f751d0b25e3f74b022e9f5f802a61336d9b0e24a648b16528e213",
+        "peaks.json": "0bbe579069d37461410e9e88bf4c273941b0f8e2ce98955c4aa823d0e519b396",
     },
     "fig2_filter": {
-        "peaks.json": "8b1173b96ed3a02a68e9cd4c694cb8c3cc40916a0c72e625feb4309474049ce4",
+        "peaks.json": "5b116c10035f87b1a77007adb7dac301b6ef0d64c90d48d532c6ff205d4622de",
     },
     "fig3": {
-        "mean.csv": "66b581265a40201d57d162f319d5817f0f2a60701cb6b4b4206a31ce740915bb",
+        "mean.csv": "b5567c76af7978e989eb95a625ea2fa79e086711b197bf5edd527fa8ae0ac1ba",
     },
     "fig4": {
-        "mean.csv": "b167144edcfc7858e6a4e87d8dac2c7bc1d8766d6b73bd9db736d5a031c862a9",
+        "mean.csv": "efad302a285297408b6278b25d4cdf141ceca4ac948d355ec5c7af934b0589b9",
     },
     "fig5": {
         "design.csv": "0b93f3d9b64ae9ea12087e710bcececb04babce140535206476841efecf44738",
-        "peaks.json": "c167e3cee9ca9b444083b277eed26246b745b2ccdd868adb78d813241096fd48",
+        "peaks.json": "7df02f3afab62c55057b85bb130f8b22e4fa52b7c11d2f350fd075dfe91ca245",
     },
     "fig6_bottom": {
-        "hist.csv": "987b458a7faf018de4efd91bfb01abebe8d9f81045970b9ff46cfc6f5346f4bd",
-        "peaks.json": "debbe7f898896d153b40349fba26b8c827ec41bfabdeb69bf9938bc188a7b676",
+        "hist.csv": "b9190177eb7891180ae95dc18bb29ab83a6a3118c0b066143c66dbd09d05df14",
+        "peaks.json": "13215e45965d72c805d3873cb10f0632427a11debb0292255b99f580d7d6a579",
     },
     "fig6_top": {
-        "hist.csv": "29fd286c2f156ff7832b535279785cf0c11965111334a2a37469429107d00b45",
-        "peaks.json": "d3e4995b1286572ff57d154432c8bcac8c23845f25092a16492eb3ec8a650dee",
+        "hist.csv": "1a7cccdac21b2d62a206a8b93a2ea277b7cc981c9024bfe86449b160721efc12",
+        "peaks.json": "47586814db36615d8d58fc574d653ff89c817f7b0841567641b50cf9008c688b",
     },
     "fig7_delay": {
-        "hist.csv": "ae0be292788ef7a52d717f2eb11c6af56400dceaa9602bd4310840768fe33175",
-        "peaks.json": "49bdda2f8256b352c7230e74040d677635e1781b24d5259716e6869d9337de4b",
+        "hist.csv": "04df014bcafb813468e8a120a58beb4ebce78e43ed9b4e2412c2d408292d4bab",
+        "peaks.json": "6c06ed9b85ff33b2f15c256b4785ac26754cd286df20fd85595aae8d5af310b0",
     },
     "fig7_filter": {
-        "hist.csv": "aa5e501974e768184d7cd5472eede0c35040430d12ea03f6cf9f6620304c3861",
-        "peaks.json": "79b30f0c0a3bbe3d07c412a3da2a242be1194cd64d694518801abeeda3236c3a",
+        "hist.csv": "6507fec33de3fa23d9360c3e9ed70838468ed7e10cefb33ab97916bd618d6e0d",
+        "peaks.json": "e5495fed84af4ddb82d50b622881ec38b4a28d391a668ead90872c5ad55b7b10",
     },
 }
 
 TWO_CHUNK_GOLDEN = {
     "fig4": (
         {"n_traj": 4100, "total_time": 0.4},
-        {"mean.csv": "9b9a95dd5fcaeb33a6d49ec7a80e3acdfafb403d320f3f6e29623a14fe28c348"},
+        {"mean.csv": "8bfc3186a00e18f9a33d256bbd9fc907e802e8a9800cc428dd9ce506aff95ffd"},
     ),
     "fig6_top": (
         {"n_traj": 4100},
         {
-            "hist.csv": "9e654e2c979d5245de6b683d9d64b2559d261fb7b97d34c4a1e02343d203d269",
-            "peaks.json": "de9467a48ba16d34a278b617a8915105cf41092127e6cbf26bc059c65dbdcdb3",
+            "hist.csv": "61ecd0a959d3376caee8ac0c028c233d08984ccb80e0a692d0989eb42d640c5e",
+            "peaks.json": "e3ffd831cd08d79eddca33257ede43bc5f023af7ded3870e9f00bc3c5de23469",
         },
     ),
 }
 
 TRAJECTORY_GOLDEN = {
-    "fig3": "c9dc8cf4a4170df67b958e911f010902e7364ad700ec612c5c14a4e2e66dc235",
-    "fig4": "88ecf49ed7486cf33768ba440702696296aa16054ec8cf3c3338e7128d29632c",
+    "fig3": "88223b4bff0e5e7e9549e716c9ed8d98cd28058585caa7f5061d16dcdd2019fc",
+    "fig4": "c4528d0b0b157a58eeb46f175fa2da5ce7b27f07daedcbeecaa3e9ee0e67a3dd",
 }
 
 
@@ -139,7 +139,7 @@ def test_shipped_runs_keep_their_stream_path(name, tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     cfg = parse_config(CONFIGS / f"{name}.cfg", {"n_traj": 32, "out": str(tmp_path)})
     execute(cfg)
-    streams = {"design-table": 0, "histogram": 1}.get(cfg.mode, cfg.n_traj)
+    streams = {"design-table": 0, "histogram": 1}.get(cfg.mode, -(-cfg.n_traj // 8))
     assert len(built) == streams
 
 

@@ -127,3 +127,15 @@ def test_each_step_calls_each_kernel_once_through_the_engine_names(law, monkeypa
                  ModelParams(tau_m=0.2, dt=0.002), n_traj=12, total_time=0.02)
     # two chunks of 10 steps
     assert calls == {name: 20 for name in ("step", *_KERNELS)}
+
+
+def test_no_noise_group_straddles_two_tasks():
+    """Trajectories share a noise stream in groups of ``STREAM_GROUP``, and a
+    task must hold whole groups: chunks start at multiples of ``CHUNK_SIZE``
+    and tasks are cut at pairwise splits, so both must be multiples of it."""
+    from qfb.engine import CHUNK_SIZE, PAIRWISE_BLOCK, STREAM_GROUP, _pairwise_split
+
+    assert CHUNK_SIZE % STREAM_GROUP == 0
+    assert all(
+        _pairwise_split(n) % STREAM_GROUP == 0 for n in range(PAIRWISE_BLOCK + 1, CHUNK_SIZE + 1)
+    )
