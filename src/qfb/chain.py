@@ -93,7 +93,6 @@ class FeedbackChain:
         # makes numpy allocate a transient buffer on every call
         self._alpha = np.repeat(alpha[:, None], batch, axis=1)
         self._passthrough = self._alpha == 1.0  # rows whose filter outputs its input
-        self._any_passthrough = bool(self._passthrough.any())
         n_delay = np.array([l.n_delay(params.dt) for l in laws])
         self.ring = np.zeros((n_delay.max() + 1, len(laws), batch))
         depth, n_points = self.ring.shape[:2]
@@ -123,8 +122,7 @@ class FeedbackChain:
         diff = np.subtract(r, acc, out=self._diff)
         diff *= self._alpha
         np.add(acc, diff, out=new)
-        if self._any_passthrough:
-            np.copyto(new, r, where=self._passthrough)  # acc + (r - acc) would round
+        np.copyto(new, r, where=self._passthrough)  # acc + (r - acc) would round
         if len(self.ring) == 1:
             return new
         # mode="raise" would buffer out, allocating once per push

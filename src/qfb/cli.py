@@ -63,14 +63,25 @@ from .stats import steady_state
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
-MODES = (
-    "ensemble",
-    "design-table",
-    "histogram",
-    "sweep-angle",
-    "sweep-filter",
-    "sweep-delay",
-)
+_MODEL_KEYS = {"mode", "tau_m", "t1", "t2", "eta"}
+_RUN_KEYS = _MODEL_KEYS | {"dt", "total_time", "n_traj", "seed"}
+_STEADY_KEYS = {"burn_in", "sample_every", "n_bins"}
+_INIT_KEYS = _RUN_KEYS | {"theta_target", "delta0", "delta1", "ts", "td", "theta_init", "r_init"}
+# sweeps start every point at its target, so they read no theta_init/r_init
+_CHAIN_SWEEP_KEYS = _RUN_KEYS | _STEADY_KEYS | {"theta_target", "sweep_values", "ts", "td"}
+
+#: The keys each mode reads.  run_meta.json records only these: two runs
+#: that differ only in another key write identical files.
+_READS = {
+    "ensemble": _INIT_KEYS | {"record_stride"},
+    "design-table": _MODEL_KEYS | {"theta_list"},
+    "histogram": _INIT_KEYS | _STEADY_KEYS,
+    "sweep-angle": _RUN_KEYS | _STEADY_KEYS | {"theta_list", "ts", "td"},
+    "sweep-filter": _CHAIN_SWEEP_KEYS - {"ts"},
+    "sweep-delay": _CHAIN_SWEEP_KEYS - {"td"},
+}
+
+MODES = tuple(_READS)
 
 
 #: Modes with one operating point per ``theta_list`` angle.
@@ -203,25 +214,6 @@ _HINTS = get_type_hints(RunConfig)
 _TYPES = {key: _base_type(hint) for key, hint in _HINTS.items()}
 _NULLABLE = {key for key, hint in _HINTS.items() if type(None) in get_args(hint)}
 _ANGLE_KEYS = {"theta_target", "theta_init"}
-
-
-_MODEL_KEYS = {"mode", "tau_m", "t1", "t2", "eta"}
-_RUN_KEYS = _MODEL_KEYS | {"dt", "total_time", "n_traj", "seed"}
-_STEADY_KEYS = {"burn_in", "sample_every", "n_bins"}
-_INIT_KEYS = _RUN_KEYS | {"theta_target", "delta0", "delta1", "ts", "td", "theta_init", "r_init"}
-# sweeps start every point at its target, so they read no theta_init/r_init
-_CHAIN_SWEEP_KEYS = _RUN_KEYS | _STEADY_KEYS | {"theta_target", "sweep_values", "ts", "td"}
-
-#: The keys each mode reads.  run_meta.json records only these: two runs
-#: that differ only in another key write identical files.
-_READS = {
-    "ensemble": _INIT_KEYS | {"record_stride"},
-    "histogram": _INIT_KEYS | _STEADY_KEYS,
-    "design-table": _MODEL_KEYS | {"theta_list"},
-    "sweep-angle": _RUN_KEYS | _STEADY_KEYS | {"theta_list", "ts", "td"},
-    "sweep-filter": _CHAIN_SWEEP_KEYS - {"ts"},
-    "sweep-delay": _CHAIN_SWEEP_KEYS - {"td"},
-}
 
 
 def parse_angle(text: str) -> float:

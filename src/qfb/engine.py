@@ -26,7 +26,8 @@ memory, and only task numbers cross a pipe.
 The noise is float32 and keyed by groups of ``STREAM_GROUP`` (8)
 trajectories: trajectory i draws from the Philox stream keyed
 ``(master seed, i // 8)``, and its noise at step k is draw ``8 k + i % 8``
-of that stream, so one call fills a group's (steps, 8) slab in time order.
+of that stream, so one call fills the group's own (steps, 8) rows of the
+group-major noise buffer in time order.
 Every task boundary is a multiple of 8 (chunks start at multiples of
 ``CHUNK_SIZE``, and a task is cut at a pairwise split), so no group
 straddles two tasks, and the last group always draws all 8 columns, so
@@ -40,7 +41,7 @@ numbers, and since each stream is read strictly in order, the block
 length sets only the noise buffer's size and the number of draw calls,
 never which numbers are drawn: 256 steps is the shortest power-of-two
 block on which the shipped 200-step histogram runs still draw once per
-group.  The step receives each row widened to float64.
+group.  Each step receives one value per trajectory, widened to float64.
 
 A run, ``run_ensemble(laws, initials, params, **run)`` like
 :func:`qfb.stats.steady_state`, takes P >= 1 feedback laws (operating
@@ -92,8 +93,8 @@ CHUNK_SIZE = 4096
 PAIRWISE_BLOCK = 128
 
 #: Trajectories that share one noise stream.  CHUNK_SIZE and every pairwise
-#: split are multiples of it, so a task holds whole groups and its column j
-#: of noise is its trajectory lo + j.
+#: split are multiples of it, so a task holds whole groups and column j of
+#: its group g's noise is its trajectory lo + 8 g + j.
 STREAM_GROUP = 8
 
 #: Steps of noise generated per inner block; bounds the noise buffer to
@@ -350,13 +351,10 @@ class BayesStepper:
         outside = np.greater(r2, 1.0, out=self._outside)
         count = np.count_nonzero(outside)
         if count:
-            # one point's count is the total; a count along axis=1 would
-            # allocate a cast buffer of the mask's size, one per row does not
-            if len(outside) == 1:
-                self.point_renorms += count
-            else:
-                for p, row in enumerate(outside):
-                    self.point_renorms[p] += np.count_nonzero(row)
+            # a count along axis=1 would allocate a cast buffer of the mask's
+            # size, one per row does not
+            for p, row in enumerate(outside):
+                self.point_renorms[p] += np.count_nonzero(row)
             # 1/sqrt(1) = 1 exactly, so the rows inside (and NaN, which fmax
             # drops) are multiplied by exactly 1
             scale = np.divide(1.0, np.sqrt(np.fmax(r2, 1.0, out=r2), out=r2), out=r2)
@@ -404,26 +402,25 @@ def _run_chunk(
     batch = stepper_factory(laws, initials, n)
     groups = range(lo // STREAM_GROUP, -(-hi // STREAM_GROUP))
     if n_steps <= BLOCK_STEPS:
-        # One draw per group: re-key one Generator right before each.
+        # One block, so one draw per group: this one-shot generator re-keys
+        # one Generator right before each.
         shared = trajectory_rng(seed, groups[0])
-        streams = lambda: (trajectory_rng(seed, g, reuse=shared) for g in groups)
+        gens = (trajectory_rng(seed, g, reuse=shared) for g in groups)
     else:
         # Each group's stream resumes where the previous block left it.
         gens = [trajectory_rng(seed, g) for g in groups]
-        streams = lambda: gens
 
     # state index -> slot in the mean-sum / steady-bin buffers
     rec_slot = {int(step): k for k, step in enumerate(rec_steps)}
     steady_slot = {} if steady_out is None else {int(s): k for k, s in enumerate(steady_steps)}
     steady = [] if steady_out is None else [(b[lo:hi], s[lo:hi]) for b, s in steady_out]
 
-    # time-major, so that the row a step reads is contiguous: column j is
-    # trajectory lo + j.  A Generator fills only a contiguous array, so each
-    # group draws into ``slab`` and is copied into its 8 columns.
-    width = min(BLOCK_STEPS, n_steps)
-    noise = np.empty((width, STREAM_GROUP * len(groups)), dtype=np.float32)
-    slab = np.empty((width, STREAM_GROUP), dtype=np.float32)
-    n01 = np.empty(n)
+    # group-major: the task's group g draws straight into its own (steps, 8)
+    # rows, column j being trajectory lo + 8 g + j; a step widens its slice
+    # into ``wide``, whose first n values are trajectories lo:hi
+    noise = np.empty((len(groups), min(BLOCK_STEPS, n_steps), STREAM_GROUP), dtype=np.float32)
+    wide = np.empty((len(groups), STREAM_GROUP))
+    n01 = wide.reshape(-1)[:n]
     for i in range(n_steps + 1):
         slot = rec_slot.get(i)
         if slot is not None:
@@ -441,10 +438,9 @@ def _run_chunk(
         k = i % BLOCK_STEPS
         if k == 0:
             block = min(BLOCK_STEPS, n_steps - i)
-            for j, g in enumerate(streams()):
-                g.standard_normal(out=slab[:block], dtype=np.float32)
-                noise[:block, STREAM_GROUP * j:STREAM_GROUP * (j + 1)] = slab[:block]
-        np.copyto(n01, noise[k, :n])  # the step takes float64
+            for rows, g in zip(noise, gens):
+                g.standard_normal(out=rows[:block], dtype=np.float32)
+        np.copyto(wide, noise[:, k])  # the step takes float64
         batch.step(n01)
     renorms[:] = batch.point_renorms
 

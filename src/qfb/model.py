@@ -166,8 +166,10 @@ class ModelParams:
 # allocating nothing; every element sees the same operations in the same
 # order either way, so the bits do not depend on ``out``.  Every operation is
 # float64, except that the rotation computes its cos and sin in the angle's
-# dtype: the engine's step passes a float32 angle, the float64 sin/cos costing
-# about ten times as much per element.
+# dtype: the engine's step passes a float32 angle.  On 4096 angles (a 2-vCPU
+# AVX-512 Xeon) float32 sin + cos take about 2.2 ns per element against
+# 9.2 ns in float64, and the whole float32 path, with its cast and two
+# copies, 2.6-4.0 ns.
 
 def backaction_update(y, z, s, out=None):
     """Measurement backaction for log-strength s = r_bar*dt/tau_m.

@@ -338,6 +338,36 @@ class TestExecute:
         }
         assert first == second
 
+    def test_doubling_every_time_of_a_shipped_config_halves_only_the_law(self, tmp_path):
+        """fig7_delay with every time doubled (tau_m, dt, T1, T2, the run's
+        times and the delay; sample_every follows tau_m) takes the same steps:
+        the same hist.csv bytes and peak, and the designed delta0 and delta1
+        halve.  A run depends on its delay only through Td / tau_m."""
+        from qfb.engine import CHUNK_SIZE
+
+        original = REPO / "configs" / "fig7_delay.cfg"
+        times = dict(tau_m=0.4, dt=0.02, t1=120, t2=80, total_time=4.0, burn_in=4.0, td=0.08)
+        base = parse_config(original)
+        assert {k: 2 * getattr(base, k) for k in times} == times
+        assert base.sample_every is None
+        doubled = tmp_path / "doubled.cfg"
+        lines = [
+            line for line in original.read_text().splitlines()
+            if line.partition("=")[0] not in times
+        ]
+        doubled.write_text("\n".join(lines + [f"{k}={v}" for k, v in times.items()]) + "\n")
+        runs = []
+        for name, path in (("original", original), ("doubled", doubled)):
+            out = tmp_path / name
+            execute(parse_config(path, dict(n_traj=CHUNK_SIZE + 4, out=str(out))))  # two chunks
+            runs.append(((out / "hist.csv").read_bytes(), json.loads((out / "peaks.json").read_text())))
+        (hist, peaks), (hist2, peaks2) = runs
+        assert hist2 == hist
+        same = ("theta_p", "r_p", "sigma", "sigma_rms", "lobes", "tie_bins", "r_e", "n_samples")
+        assert {k: peaks2[k] for k in same} == {k: peaks[k] for k in same}
+        for k in ("delta0", "delta1"):  # printed to 9 digits
+            assert peaks2["law"][k] == pytest.approx(peaks["law"][k] / 2, rel=1e-8, abs=0)
+
     @staticmethod
     def _outputs_across_threads_and_dirs(tmp_path, monkeypatch, chunk_size=16, **kw):
         """Every written file for threads 1 and 4, with the noise drawn in one
