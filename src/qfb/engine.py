@@ -36,12 +36,14 @@ fully set by its key and a zero counter, so when a run fits in one noise
 block (at most ``BLOCK_STEPS`` steps) each chunk re-keys a single
 Generator before each group's one draw instead of constructing one per
 group.  Longer runs keep one Generator per group, because each stream
-carries its position from block to block.  Both paths draw the same
-numbers, and since each stream is read strictly in order, the block
-length sets only the noise buffer's size and the number of draw calls,
-never which numbers are drawn: 256 steps is the shortest power-of-two
-block on which the shipped 200-step histogram runs still draw once per
-group.  Each step receives one value per trajectory, widened to float64.
+carries its position from window to window, and draw in windows of at
+most ``WINDOW_BYTES`` per task (64 steps at 4096 trajectories).  Both
+paths draw the same numbers, and since each stream is read strictly in
+order, the block and the window set only the noise buffer's size and
+the number of draw calls, never which numbers are drawn: 256 steps is
+the shortest power-of-two block on which the shipped 200-step histogram
+runs still draw once per group.  Each step receives one value per
+trajectory, widened to float64.
 
 A run, ``run_ensemble(laws, initials, params, **run)`` like
 :func:`qfb.stats.steady_state`, takes P >= 1 feedback laws (operating
@@ -97,13 +99,20 @@ PAIRWISE_BLOCK = 128
 #: its group g's noise is its trajectory lo + 8 g + j.
 STREAM_GROUP = 8
 
-#: Steps of noise generated per inner block; bounds the noise buffer to
-#: CHUNK_SIZE * BLOCK_STEPS float32 values (4 MB).  Runs of at most this many
-#: steps draw all their noise in one block and share one re-keyed Generator
-#: per chunk.  256 is the smallest power of two that keeps the 200-step histogram
-#: runs on that path; a smaller block would also add a draw call per group
-#: for every block of a longer run.
+#: Longest run, in steps, whose noise a task draws in one block, one draw per
+#: group from a single re-keyed Generator; also the longest window of a longer
+#: run.  256 is the smallest power of two that keeps the 200-step histogram
+#: runs on that path, whose buffer holds all their steps: 4 MiB at 4096
+#: trajectories.
 BLOCK_STEPS = 256
+
+#: Most bytes of float32 noise that a task of a run longer than BLOCK_STEPS
+#: holds: such a run draws its noise in windows of
+#: ``min(BLOCK_STEPS, WINDOW_BYTES // (4 * STREAM_GROUP * groups))`` steps, 64
+#: at 4096 trajectories and 256 at 625 (a sweep's task).  Each stream is
+#: read in order, so the window changes no drawn number; a shorter window
+#: adds a draw call per group for every window.
+WINDOW_BYTES = 1 << 20
 
 #: Most worker processes a run may start.
 MAX_WORKERS = 64
@@ -297,6 +306,9 @@ class BayesStepper:
     backaction, the dissipation, the chain and every sum stay float64.
     """
 
+    #: dtype of the rounded rotation angle and of its cos and sin
+    _angle_dtype = np.float32
+
     def __init__(
         self, params: ModelParams, laws: Sequence[FeedbackLaw],
         initials: Sequence[BlochState], batch: int,
@@ -311,8 +323,15 @@ class BayesStepper:
         self.y, self.z = rows([s.y for s in initials]), rows([s.z for s in initials])
         # the readout, the rotation angle and four kernel work arrays; the
         # angle rounded to float32 and the rotation's float32 cos and sin
-        self._work = np.empty((6,) + self.y.shape)
-        self._angle = np.empty((2,) + self.y.shape, dtype=np.float32)
+        self._rbar, self._angle64, *work = np.empty((6,) + self.y.shape)
+        self._angle, trig = np.empty((2,) + self.y.shape, dtype=self._angle_dtype)
+        # each kernel's out: y and z in place, then its work arrays
+        self._outs = (
+            (self.y, self.z, *work[:3]),
+            (self.y, self.z, *work, trig),
+            (self.y, self.z),
+        )
+        self._r2, self._sq = work[:2]
         self._noise = np.empty(batch)
         self._outside = np.empty(self.y.shape, dtype=bool)
         self._sigma = params.readout_sigma
@@ -330,34 +349,32 @@ class BayesStepper:
         return int(self.point_renorms.sum())
 
     def step(self, n01) -> None:
-        y, z = self.y, self.z
-        rbar, angle, *work = self._work
+        y, z, rbar, angle = self.y, self.z, self._rbar, self._angle64
+        back, rot, diss = self._outs
         # one product per trajectory, copied into every point's row: the
-        # readout rbar = sigma n + z, with no transient of the batch's shape
-        np.copyto(rbar, np.multiply(n01, self._sigma, out=self._noise))
+        # readout rbar = sigma n + z, with no transient of the batch's shape;
+        # every ufunc takes its out positionally, which numpy parses faster
+        np.copyto(rbar, np.multiply(n01, self._sigma, self._noise))
         rbar += z
         fed = self.chain.push(rbar)  # rbar itself for a Markovian chain, else the chain's buffer
-        np.add(self._delta0, np.multiply(self._delta1, fed, out=angle), out=angle)
+        np.add(self._delta0, np.multiply(self._delta1, fed, angle), angle)
         angle *= self._dt
-        angle32, trig = self._angle
-        np.copyto(angle32, angle, casting="same_kind")
-        s = np.multiply(rbar, self._s_scale, out=rbar)  # rbar is spent once the angle is formed
-        backaction_update(y, z, s, out=(y, z, *work[:3]))
-        rotation_update(y, z, angle32, out=(y, z, *work, trig))
-        dissipation_update(y, z, self._ft, self._e1, out=(y, z))
-        r2, sq = work[:2]
-        np.multiply(y, y, out=r2)
-        r2 += np.multiply(z, z, out=sq)
-        outside = np.greater(r2, 1.0, out=self._outside)
-        count = np.count_nonzero(outside)
-        if count:
+        np.copyto(self._angle, angle)  # rounded to float32: copyto casts "same_kind"
+        s = np.multiply(rbar, self._s_scale, rbar)  # rbar is spent once the angle is formed
+        backaction_update(y, z, s, out=back)
+        rotation_update(y, z, self._angle, out=rot)
+        dissipation_update(y, z, self._ft, self._e1, out=diss)
+        r2 = np.multiply(y, y, self._r2)
+        r2 += np.multiply(z, z, self._sq)
+        outside = np.greater(r2, 1.0, self._outside)
+        if outside.any():
             # a count along axis=1 would allocate a cast buffer of the mask's
             # size, one per row does not
             for p, row in enumerate(outside):
                 self.point_renorms[p] += np.count_nonzero(row)
             # 1/sqrt(1) = 1 exactly, so the rows inside (and NaN, which fmax
             # drops) are multiplied by exactly 1
-            scale = np.divide(1.0, np.sqrt(np.fmax(r2, 1.0, out=r2), out=r2), out=r2)
+            scale = np.divide(1.0, np.sqrt(np.fmax(r2, 1.0, r2), r2), r2)
             y *= scale
             z *= scale
 
@@ -404,10 +421,12 @@ def _run_chunk(
     if n_steps <= BLOCK_STEPS:
         # One block, so one draw per group: this one-shot generator re-keys
         # one Generator right before each.
+        window = n_steps
         shared = trajectory_rng(seed, groups[0])
         gens = (trajectory_rng(seed, g, reuse=shared) for g in groups)
     else:
-        # Each group's stream resumes where the previous block left it.
+        # Each group's stream resumes where the previous window left it.
+        window = min(BLOCK_STEPS, WINDOW_BYTES // (4 * STREAM_GROUP * len(groups)))
         gens = [trajectory_rng(seed, g) for g in groups]
 
     # state index -> slot in the mean-sum / steady-bin buffers
@@ -415,10 +434,10 @@ def _run_chunk(
     steady_slot = {} if steady_out is None else {int(s): k for k, s in enumerate(steady_steps)}
     steady = [] if steady_out is None else [(b[lo:hi], s[lo:hi]) for b, s in steady_out]
 
-    # group-major: the task's group g draws straight into its own (steps, 8)
+    # group-major: the task's group g draws straight into its own (window, 8)
     # rows, column j being trajectory lo + 8 g + j; a step widens its slice
     # into ``wide``, whose first n values are trajectories lo:hi
-    noise = np.empty((len(groups), min(BLOCK_STEPS, n_steps), STREAM_GROUP), dtype=np.float32)
+    noise = np.empty((len(groups), window, STREAM_GROUP), dtype=np.float32)
     wide = np.empty((len(groups), STREAM_GROUP))
     n01 = wide.reshape(-1)[:n]
     for i in range(n_steps + 1):
@@ -435,9 +454,9 @@ def _run_chunk(
                 sums[:, 1] += z
         if i == n_steps:
             break
-        k = i % BLOCK_STEPS
+        k = i % window
         if k == 0:
-            block = min(BLOCK_STEPS, n_steps - i)
+            block = min(window, n_steps - i)
             for rows, g in zip(noise, gens):
                 g.standard_normal(out=rows[:block], dtype=np.float32)
         np.copyto(wide, noise[:, k])  # the step takes float64

@@ -409,9 +409,7 @@ class Float64AngleStepper(BayesStepper):
     rotation's cos and sin are float64 and every other operation is the
     engine's own."""
 
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self._angle = np.empty(self._angle.shape)
+    _angle_dtype = np.float64
 
 
 def trajectory_noise(seed: int, i: int, n_steps: int) -> np.ndarray:

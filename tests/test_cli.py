@@ -371,7 +371,8 @@ class TestExecute:
     @staticmethod
     def _outputs_across_threads_and_dirs(tmp_path, monkeypatch, chunk_size=16, **kw):
         """Every written file for threads 1 and 4, with the noise drawn in one
-        block and in blocks of 16 steps, each run in its own directory; no
+        block, in blocks of 16 steps and in windows of 5 steps for a whole
+        chunk (longer for a smaller task), each run in its own directory; no
         worker process outlives its run."""
         import multiprocessing
 
@@ -379,10 +380,12 @@ class TestExecute:
 
         monkeypatch.setattr(eng, "CHUNK_SIZE", chunk_size)  # by default several chunks per run
         outputs = []
-        for block_steps in (eng.BLOCK_STEPS, 16):
+        for block_steps, window in ((eng.BLOCK_STEPS, eng.WINDOW_BYTES),
+                                    (16, eng.WINDOW_BYTES), (16, 5 * 4 * chunk_size)):
             monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
+            monkeypatch.setattr(eng, "WINDOW_BYTES", window)
             for threads in (1, 4):
-                out = tmp_path / f"blocks{block_steps}-threads{threads}"
+                out = tmp_path / f"blocks{block_steps}-window{window}-threads{threads}"
                 cfg = parse_config(None, small_overrides(out, threads=threads, **kw))
                 written = execute(cfg)
                 assert multiprocessing.active_children() == []

@@ -20,7 +20,7 @@ from qfb import (
     steady_state,
     trajectory_rng,
 )
-from qfb.engine import BayesStepper, bin_index
+from qfb.engine import WINDOW_BYTES, BayesStepper, bin_index
 from qfb.stats import summarize
 from oracle import (
     Float64AngleStepper,
@@ -127,16 +127,24 @@ class NoiseRecorder:
         run_chunk(lo, *args)
 
 
-@pytest.mark.parametrize("block_steps", [256, 16])  # one noise block; three
+# one noise block; three blocks of 16 steps; windows of 3 steps for the
+# tasks of 512 groups and of 6 for those of 256, blocks of 32 for the rest
+@pytest.mark.parametrize(
+    "block_steps, window_bytes", [(256, WINDOW_BYTES), (16, WINDOW_BYTES), (32, 3 * 32 * 512)],
+    ids=["256", "16", "windows"],
+)
 @pytest.mark.parametrize("workers", [1, 3])
-def test_each_trajectory_draws_its_defined_noise(monkeypatch, block_steps, workers):
+def test_each_trajectory_draws_its_defined_noise(monkeypatch, block_steps, window_bytes,
+                                                 workers):
     """Trajectory i's noise at step k is draw 8 k + i % 8 of the float32
     stream keyed (seed, i // 8), widened to float64, whatever ``n_traj``
-    (the last group of 1 and 9 is partial), the worker count and the noise
-    block; at 4097 trajectories and 3 workers, the first chunk is split."""
+    (the last group of 1 and 9 is partial), the worker count, the noise
+    block and the noise window; at 4097 trajectories and 3 workers, the
+    first chunk is split."""
     import qfb.engine as eng
 
     monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
+    monkeypatch.setattr(eng, "WINDOW_BYTES", window_bytes)
     monkeypatch.setattr(eng, "_run_chunk", partial(NoiseRecorder.located, eng._run_chunk))
     n_steps = 40
     for n_traj in (1, 9, 4097):
@@ -217,10 +225,15 @@ class TestRunEnsemble:
         # the sum of its samples, added in time order
         assert np.array_equal(many.steady_sums[0], np.cumsum(yz, axis=0)[-1])
 
+    #: Noise windows of 7 steps for a chunk of 64 trajectories, 9 for the
+    #: last one of 44 and 1 for one chunk of all 300: each splits the
+    #: 100-step run below ``BLOCK_STEPS`` = 16.
+    SHORT_WINDOW = 7 * 32 * 8
+
     @staticmethod
-    def _lossy_run(monkeypatch, block_steps, chunk_size=64):
+    def _lossy_run(monkeypatch, block_steps, chunk_size=64, window_bytes=WINDOW_BYTES):
         """300 trajectories of 100 lossy steps in chunks of ``chunk_size``,
-        noise in blocks of ``block_steps``."""
+        noise in blocks of ``block_steps`` and windows of ``window_bytes``."""
         import qfb.engine as eng
 
         p = ModelParams(tau_m=0.2, dt=0.002, T1=60.0, T2=40.0, eta=0.41)
@@ -229,6 +242,7 @@ class TestRunEnsemble:
             law, _ = design_nonideal(0.3 * math.pi, p)
         monkeypatch.setattr(eng, "CHUNK_SIZE", chunk_size)
         monkeypatch.setattr(eng, "BLOCK_STEPS", block_steps)
+        monkeypatch.setattr(eng, "WINDOW_BYTES", window_bytes)
         (res,) = run_ensemble(
             [law], [BlochState.from_polar(0.1 * math.pi)], p, n_traj=300, total_time=0.2,
             record_stride=10, seed=9, steady=SteadySampling(burn_in=0.1, stride=0.02),
@@ -238,11 +252,13 @@ class TestRunEnsemble:
     def test_chunk_schedule_does_not_change_bits(self, monkeypatch):
         import qfb.engine as eng
 
-        # one noise block (re-keyed shared stream), then seven (a stream per group)
-        for block_steps in (eng.BLOCK_STEPS, 16):
-            five = self._lossy_run(monkeypatch, block_steps, chunk_size=64)
-            again = self._lossy_run(monkeypatch, block_steps, chunk_size=64)
-            one = self._lossy_run(monkeypatch, block_steps, chunk_size=4096)
+        # one noise block (re-keyed shared stream), then seven (a stream per
+        # group), then windows shorter than a block
+        for block_steps, window in ((eng.BLOCK_STEPS, WINDOW_BYTES), (16, WINDOW_BYTES),
+                                    (16, self.SHORT_WINDOW)):
+            five = self._lossy_run(monkeypatch, block_steps, 64, window)
+            again = self._lossy_run(monkeypatch, block_steps, 64, window)
+            one = self._lossy_run(monkeypatch, block_steps, 4096, window)
             for a, b in ((five, again), (five, one)):
                 assert np.array_equal(a.steady_bins, b.steady_bins)
                 assert np.array_equal(a.steady_sums, b.steady_sums)
@@ -255,11 +271,12 @@ class TestRunEnsemble:
         import qfb.engine as eng
 
         one = self._lossy_run(monkeypatch, eng.BLOCK_STEPS)
-        several = self._lossy_run(monkeypatch, 16)
-        assert np.array_equal(one.mean_xyz, several.mean_xyz)
-        assert np.array_equal(one.steady_bins, several.steady_bins)
-        assert np.array_equal(one.steady_sums, several.steady_sums)
-        assert one.renorm_count == several.renorm_count
+        for several in (self._lossy_run(monkeypatch, 16),
+                        self._lossy_run(monkeypatch, 16, window_bytes=self.SHORT_WINDOW)):
+            assert np.array_equal(one.mean_xyz, several.mean_xyz)
+            assert np.array_equal(one.steady_bins, several.steady_bins)
+            assert np.array_equal(one.steady_sums, several.steady_sums)
+            assert one.renorm_count == several.renorm_count
 
     def test_one_block_run_builds_one_stream_per_chunk(self, monkeypatch):
         import qfb.engine as eng
@@ -300,6 +317,24 @@ class TestRunEnsemble:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    def test_a_long_run_holds_one_window_of_noise(self):
+        """A task of a run longer than ``BLOCK_STEPS`` holds ``WINDOW_BYTES``
+        (1 MiB) of noise, not a 256-step block (4 MiB at 4096 trajectories):
+        one 4096-trajectory lossy task of 800 steps peaks at 1.93 MB (2.65 MB
+        as a process's first run), against 5.08 MB (5.80 MB) with the whole
+        block."""
+        import tracemalloc
+
+        laws, _ = _lossy_laws()
+        tracemalloc.start()
+        try:
+            run_ensemble(laws[:1], [BlochState.from_polar(0.1 * math.pi)], LOSSY, n_traj=4096,
+                         total_time=800 * LOSSY.dt, record_stride=800, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6, peak
 
     def test_ensemble_mean_tracks_ode(self):
         law, start, run = ideal_setup(seed=7)
