@@ -287,18 +287,13 @@ def _json_ready(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json(payload: dict) -> str:
     """Sorted, indented JSON; infinities as "inf"/"-inf", and a NaN raises."""
-    path.write_text(
-        json.dumps(_json_ready(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    )
+    return json.dumps(_json_ready(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _csv(header: list[str], rows) -> str:
+    return "\n".join([",".join(header), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
 
 
 def _finite(values: list[float]) -> list[float]:
@@ -384,7 +379,9 @@ def _config_key(cfg: RunConfig, arg: str) -> str:
 
 
 def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
-    """Write the outputs of ``cfg.mode``, appending each path as it is written."""
+    """Write the outputs of ``cfg.mode``.  Each file's text is built first,
+    then its path joins ``written``, then the file is written: a write that
+    fails partway is removed, a text that cannot be built touches nothing."""
     params = cfg.model_params()
     points = cfg.points()
     laws = [law for _, _, law, _ in points]
@@ -399,78 +396,70 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
         "renorm_count": 0,
     }
     run = dict(n_traj=cfg.n_traj, total_time=cfg.total_time, seed=cfg.seed, workers=cfg.threads)
-    sampled = dict(run, steady=cfg.sampling())
+
+    def write(name: str, text: str) -> None:
+        path = out_dir / name
+        written.append(path)
+        path.write_text(text)
+
+    def row(value, theta_s, law, r_target, s) -> dict:
+        """A sweep's peaks.json row for one operating point and its summary."""
+        meta["renorm_count"] += s.renorm_count
+        return {
+            "value": value, "theta_s": theta_s, "r_target": r_target,
+            "delta0": law.delta0, "delta1": law.delta1,
+            "theta_p": s.peak.theta_p, "r_p": s.peak.r_p, "r_e": s.r_mean,
+            "sigma": s.peak.sigma, "n_lobes": len(s.peak.lobes),
+        }
 
     if cfg.mode == "ensemble":
         [(_, _, law, r_target)] = points
         (result,) = run_ensemble(
             laws, [cfg.initial_state()], params, record_stride=cfg.record_stride, **run
         )
-        path = out_dir / "mean.csv"
-        _write_csv(
-            path, ["t", "x", "y", "z"],
-            ((t, *row) for t, row in zip(result.times, result.mean_xyz)),
-        )
-        written.append(path)
+        write("mean.csv", _csv(
+            ["t", "x", "y", "z"], ((t, *xyz) for t, xyz in zip(result.times, result.mean_xyz))
+        ))
         meta["renorm_count"] = result.renorm_count
         meta["law"] = {**asdict(law), "r_target": r_target}
 
-    elif cfg.mode == "histogram":
-        [(_, _, law, r_target)] = points
-        (summary,) = steady_state(laws, [cfg.initial_state()], params, **sampled)
-        counts = summary.histogram
-        centers = bin_centers(len(counts))
-        path = out_dir / "hist.csv"
-        iy, iz = np.nonzero(counts)
-        rows = ((centers[i], centers[j], int(counts[i, j])) for i, j in zip(iy, iz))
-        _write_csv(path, ["y_bin", "z_bin", "count"], rows)
-        written.append(path)
-        payload = {
-            **asdict(summary.peak),
-            "r_e": summary.r_mean,
-            "n_samples": int(counts.sum()),
-            "law": {**asdict(law), "r_target": r_target},
-        }
-        path = out_dir / "peaks.json"
-        _write_json(path, payload)
-        written.append(path)
-        meta["renorm_count"] = summary.renorm_count
-
-    elif cfg.mode in _SWEEP_AXIS:
-        # each point runs its law from its target state
-        summaries = steady_state(
-            laws, [BlochState.from_polar(theta_s, r_target) for _, theta_s, _, r_target in points],
-            params, **sampled,
+    elif cfg.mode != "design-table":
+        # histogram mode starts at theta_init/r_init, a sweep each point at its target
+        initials = (
+            [cfg.initial_state()] if cfg.mode == "histogram"
+            else [BlochState.from_polar(theta_s, r_target) for _, theta_s, _, r_target in points]
         )
-        rows = []
-        for value, theta_s, law, r_target in points:
-            s = next(summaries)
-            rows.append({
-                "value": value, "theta_s": theta_s, "r_target": r_target,
-                "delta0": law.delta0, "delta1": law.delta1,
-                "theta_p": s.peak.theta_p, "r_p": s.peak.r_p, "r_e": s.r_mean,
-                "sigma": s.peak.sigma, "n_lobes": len(s.peak.lobes),
-            })
-            meta["renorm_count"] += s.renorm_count
-            # a summary still bound while the next one is built raises peak RSS
-            del s
+        summaries = steady_state(laws, initials, params, steady=cfg.sampling(), **run)
+        if cfg.mode == "histogram":
+            [(_, _, law, r_target)] = points
+            (summary,) = summaries
+            counts = summary.histogram
+            centers = bin_centers(len(counts))
+            iy, iz = np.nonzero(counts)
+            write("hist.csv", _csv(
+                ["y_bin", "z_bin", "count"],
+                ((centers[i], centers[j], int(counts[i, j])) for i, j in zip(iy, iz)),
+            ))
+            write("peaks.json", _json({
+                **asdict(summary.peak),
+                "r_e": summary.r_mean,
+                "n_samples": int(counts.sum()),
+                "law": {**asdict(law), "r_target": r_target},
+            }))
+            meta["renorm_count"] = summary.renorm_count
+        else:
+            # each summary is built as its row needs it, so no two are held at once
+            rows = [row(*point, next(summaries)) for point in points]
 
     # after the sweep: a run refused at run time leaves an existing design.csv alone
     if cfg.mode in _ANGLE_MODES:
-        path = out_dir / "design.csv"
-        _write_csv(
-            path, ["theta", "delta0", "delta1", "r_max"],
+        write("design.csv", _csv(
+            ["theta", "delta0", "delta1", "r_max"],
             ((theta, law.delta0, law.delta1, r_target) for _, theta, law, r_target in points),
-        )
-        written.append(path)
+        ))
     if cfg.mode in _SWEEP_AXIS:
-        path = out_dir / "peaks.json"
-        _write_json(path, {"sweep": _SWEEP_AXIS[cfg.mode], "rows": rows})
-        written.append(path)
-
-    meta_path = out_dir / "run_meta.json"
-    _write_json(meta_path, meta)
-    written.append(meta_path)
+        write("peaks.json", _json({"sweep": _SWEEP_AXIS[cfg.mode], "rows": rows}))
+    write("run_meta.json", _json(meta))
 
 
 def _build_parser() -> argparse.ArgumentParser:

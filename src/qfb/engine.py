@@ -33,10 +33,11 @@ Every task boundary is a multiple of 8 (chunks start at multiples of
 straddles two tasks, and the last group always draws all 8 columns, so
 trajectory i's noise does not depend on ``n_traj``.  A Philox stream is
 fully set by its key and a zero counter, so when a run fits in one noise
-block (at most ``BLOCK_STEPS`` steps) each chunk re-keys a single
-Generator before each group's one draw instead of constructing one per
-group.  Longer runs keep one Generator per group, because each stream
-carries its position from window to window, and draw in windows of at
+block (at most ``BLOCK_STEPS`` steps) each task re-keys its own single
+Generator before each of its groups' one draw instead of constructing
+one per group; a chunk cut into two tasks re-keys one in each.  Longer
+runs keep one Generator per group, because each stream carries its
+position from window to window, and draw in windows of at
 most ``WINDOW_BYTES`` per task (64 steps at 4096 trajectories).  Both
 paths draw the same numbers, and since each stream is read strictly in
 order, the block and the window set only the noise buffer's size and

@@ -53,9 +53,9 @@ class BlochState:
 
     A physical state satisfies ``x**2 + y**2 + z**2 <= 1``; the excited
     state of the measured observable sits at z = +1, the ground state at
-    z = -1.  The polar representation (``radius``, ``theta``) is derived
-    on demand; for states in the yz-plane x = 0 and ``theta`` is measured
-    from the +z axis toward +y.
+    z = -1.  :meth:`from_polar` builds a state in the yz-plane (x = 0)
+    from its radius and its polar angle ``theta``, measured from the +z
+    axis toward +y.
     """
 
     x: float
@@ -66,15 +66,6 @@ class BlochState:
     def from_polar(cls, theta: float, radius: float = 1.0) -> "BlochState":
         """In-plane state (0, R sin(theta), R cos(theta))."""
         return cls(0.0, radius * math.sin(theta), radius * math.cos(theta))
-
-    @property
-    def radius(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    @property
-    def theta(self) -> float:
-        """Polar angle in the yz-plane, atan2(y, z)."""
-        return math.atan2(self.y, self.z)
 
     def require_physical(self) -> "BlochState":
         """Raise ValueError unless the vector lies within the Bloch sphere (a NaN does not)."""

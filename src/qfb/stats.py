@@ -54,14 +54,6 @@ class Lobe:
     z: float
     mass_fraction: float
 
-    @property
-    def theta(self) -> float:
-        return math.atan2(self.y, self.z)
-
-    @property
-    def radius(self) -> float:
-        return math.hypot(self.y, self.z)
-
 
 @dataclass(frozen=True)
 class PeakReport:

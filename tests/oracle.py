@@ -22,6 +22,7 @@
   for the step's float32 angle; it plugs in through ``stepper_factory``.
 * The definition of the engine's noise: trajectory i's draws, one per
   step, built from their own Philox stream.
+* The polar form of a state: its radius and its angle in the yz-plane.
 * Plain numerical references: a per-row feedback chain (a filter
   accumulator and a ``deque`` delay line for each law), a histogram of
   given (y, z) samples on the engine's bins, a golden-section minimizer
@@ -57,6 +58,17 @@ class Curve:
     times: np.ndarray
     xyz: np.ndarray
     excursion_count: int = 0
+
+
+def radius(state: BlochState) -> float:
+    """Length of the Bloch vector."""
+    return math.sqrt(state.x * state.x + state.y * state.y + state.z * state.z)
+
+
+def polar_angle(v) -> float:
+    """Polar angle in the yz-plane of a BlochState or a Lobe, atan2(y, z),
+    measured from the +z axis toward +y."""
+    return math.atan2(v.y, v.z)
 
 
 @dataclass(frozen=True)
@@ -212,8 +224,8 @@ def stationary_delta1_roots(
 def stationary_state(law: FeedbackLaw, params: ModelParams) -> BlochState:
     """Stationary in-plane state of the ensemble-average dynamics for ``law``.
 
-    Solves the zero-drift condition for (y, z); the polar form is
-    available as ``.theta``/``.radius`` on the result.  Raises when the
+    Solves the zero-drift condition for (y, z); :func:`polar_angle` and
+    :func:`radius` give its polar form.  Raises when the
     drift matrix is degenerate (vanishing determinant).
     """
     a = 0.5 * params.tau_m * law.delta1**2

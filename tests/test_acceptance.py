@@ -31,6 +31,8 @@ from oracle import (
     disturbance,
     integrate_mean_ode,
     optimal_delta1,
+    polar_angle,
+    radius,
     run_sme_ensemble,
     stationary_state,
 )
@@ -315,8 +317,8 @@ def test_criterion_6_property_suites():
     for theta in np.linspace(0.02 * math.pi, 0.98 * math.pi, 100):
         law, r_t = design_nonideal(theta, LOSSY_FINE)
         st = stationary_state(law, LOSSY_FINE)
-        assert abs(st.theta - theta) < 1e-10
-        assert abs(st.radius - r_t) < 1e-10
+        assert abs(polar_angle(st) - theta) < 1e-10
+        assert abs(radius(st) - r_t) < 1e-10
 
     # (d) disturbance optimum vs numerical minimizer, 1e-8 relative
     from oracle import TargetSpec

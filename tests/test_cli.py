@@ -1,8 +1,11 @@
 """Config parsing, validation, output files, byte determinism, CLI entry."""
 
+import errno
 import json
 import math
-from dataclasses import fields
+import os
+import weakref
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,20 @@ from qfb.cli import (
 )
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def fill_disk_at(monkeypatch, name):
+    """Make writing a file called ``name`` stop halfway with ENOSPC, as a
+    full disk does: the first half of the text stays in the file."""
+    write_text = Path.write_text
+
+    def write(path, text, *args, **kwargs):
+        if path.name != name:
+            return write_text(path, text, *args, **kwargs)
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(Path, "write_text", write)
 
 
 def small_overrides(out, **kw):
@@ -219,13 +236,12 @@ class TestExecute:
         meta = json.loads(text, parse_constant=no_constants)
         assert meta["config"]["t1"] == meta["config"]["t2"] == "inf"
 
-    def test_a_nan_is_refused_instead_of_written(self, tmp_path):
-        from qfb.cli import _write_json
+    def test_a_nan_is_refused_instead_of_written(self):
+        from qfb.cli import _json
 
         with pytest.raises(ValueError):
-            _write_json(tmp_path / "nan.json", {"r_e": math.nan})
-        _write_json(tmp_path / "inf.json", {"v": -math.inf})
-        assert (tmp_path / "inf.json").read_text() == '{\n  "v": "-inf"\n}\n'
+            _json({"r_e": math.nan})
+        assert _json({"v": -math.inf}) == '{\n  "v": "-inf"\n}\n'
 
     def test_histogram_outputs(self, tmp_path):
         cfg = parse_config(
@@ -287,6 +303,25 @@ class TestExecute:
         hist = renorm_count("hist", mode="histogram", theta_init="0.3pi")
         assert hist > 0
         assert renorm_count("sweep", mode="sweep-filter", sweep_values="0,0") == 2 * hist
+
+    def test_a_sweep_holds_one_summary_at_a_time(self, tmp_path, monkeypatch):
+        """Each summary holds a histogram: a sweep that kept one while the
+        next is built would raise its peak memory."""
+        import qfb.stats
+
+        summarize, alive = qfb.stats.summarize, []
+
+        def tracked(result):
+            assert all(ref() is None for ref in alive), "an earlier summary is still held"
+            summary = summarize(result)
+            alive.append(weakref.ref(summary))
+            return summary
+
+        monkeypatch.setattr(qfb.stats, "summarize", tracked)
+        execute(parse_config(None, small_overrides(
+            tmp_path, mode="sweep-filter", sweep_values="0,0.5,1", total_time=3.0, n_traj=20,
+        )))
+        assert len(alive) == 3
 
     def test_sweep_row_is_the_steady_state_from_its_target(self, tmp_path):
         cfg = parse_config(None, small_overrides(
@@ -424,12 +459,7 @@ class TestExecute:
         assert list(tmp_path.iterdir()) == []
 
     def test_failure_after_a_write_removes_it(self, tmp_path, monkeypatch):
-        import qfb.cli
-
-        def full_disk(path, payload):
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(qfb.cli, "_write_json", full_disk)
+        fill_disk_at(monkeypatch, "peaks.json")
         cfg = parse_config(
             None,
             small_overrides(
@@ -442,12 +472,7 @@ class TestExecute:
         assert list(tmp_path.iterdir()) == []
 
     def test_failure_removes_the_directories_it_created(self, tmp_path, monkeypatch):
-        import qfb.cli
-
-        def full_disk(path, payload):
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(qfb.cli, "_write_json", full_disk)
+        fill_disk_at(monkeypatch, "run_meta.json")
         (tmp_path / "kept").mkdir()
         (tmp_path / "kept" / "note.txt").write_text("x")
         for out in (tmp_path / "new" / "deeper", tmp_path / "kept" / "run"):
@@ -552,6 +577,32 @@ class TestMain:
         assert main(argv + ["--dt", "0.01", "--total-time", "3", "--n-traj", "5"]) == 0
         names = ["design.csv", "peaks.json", "run_meta.json"]
         assert capsys.readouterr().out == "".join(f"{tmp_path / n}\n" for n in names)
+
+    def test_a_write_cut_short_by_a_full_disk_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        fill_disk_at(monkeypatch, "peaks.json")
+        argv = ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--sweep-values", "0,0.5",
+                "--dt", "0.01", "--total-time", "3", "--n-traj", "5"]
+        assert main(argv + ["--out", str(tmp_path / "new" / "run")]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 28] ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_refused_nan_leaves_an_existing_file_of_its_name_alone(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import qfb.stats
+
+        summarize = qfb.stats.summarize
+        monkeypatch.setattr(
+            qfb.stats, "summarize", lambda result: replace(summarize(result), r_mean=math.nan)
+        )
+        sentinel = tmp_path / "peaks.json"
+        sentinel.write_text("keep\n")
+        argv = ["--mode", "histogram", "--theta-target", "0.3pi", "--dt", "0.01",
+                "--total-time", "3", "--n-traj", "5", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["peaks.json"]  # hist.csv went
+        assert sentinel.read_text() == "keep\n"
 
     def test_cli_error_exit(self, tmp_path, capsys):
         rc = main(["--mode", "ensemble", "--out", str(tmp_path)])

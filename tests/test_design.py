@@ -24,6 +24,8 @@ from oracle import (
     integrate_sme_trajectory,
     minimize_golden,
     optimal_delta1,
+    polar_angle,
+    radius,
     run_sme_ensemble,
     stationary_delta1_roots,
     stationary_state,
@@ -146,8 +148,8 @@ class TestStationaryState:
         for theta in np.linspace(0.02 * math.pi, 0.98 * math.pi, 100):
             law, r_s = design_nonideal(theta, NONIDEAL)
             st = stationary_state(law, NONIDEAL)
-            assert st.theta == pytest.approx(theta, abs=1e-10)
-            assert st.radius == pytest.approx(r_s, abs=1e-10)
+            assert polar_angle(st) == pytest.approx(theta, abs=1e-10)
+            assert radius(st) == pytest.approx(r_s, abs=1e-10)
 
     def test_ideal_law_gives_pure_target(self):
         for theta in (0.2 * math.pi, 0.5 * math.pi, 0.71 * math.pi):
@@ -206,8 +208,8 @@ class TestDelta1Roots:
                 - (1.0 + z_s) / (NONIDEAL.T1 * y_s)
             )
             st = stationary_state(FeedbackLaw(d0, d1), NONIDEAL)
-            assert st.radius == pytest.approx(r, abs=1e-10)
-            assert st.theta == pytest.approx(theta, abs=1e-10)
+            assert radius(st) == pytest.approx(r, abs=1e-10)
+            assert polar_angle(st) == pytest.approx(theta, abs=1e-10)
 
     def test_unreachable_radius_rejected(self):
         with pytest.raises(ValueError):

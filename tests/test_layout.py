@@ -1,7 +1,8 @@
 """Code used only by tests lives in ``tests/``, and the runners share one shape.
 
-Every name the package exports must be used somewhere in the package
-itself: a name that only the tests call belongs in ``tests/oracle.py``.
+Every name the package exports, and every public method or property of
+its classes, must be used somewhere in the package itself: a name that
+only the tests call belongs in ``tests/oracle.py``.
 ``run_ensemble`` and ``steady_state`` take the same leading arguments
 and name their common keywords alike.  No module uses a private name of
 another: the CLI's lack of one keeps the engine's own checks the only copy
@@ -26,12 +27,19 @@ import qfb.engine
 from qfb import BlochState, FeedbackLaw, ModelParams, run_ensemble, steady_state
 
 
+def _trees() -> list[ast.Module]:
+    """The parsed modules of the package, its ``__init__.py`` aside."""
+    return [
+        ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(qfb.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+
+
 def _used_names() -> set[str]:
     used = set()
-    for path in Path(qfb.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -42,6 +50,28 @@ def _used_names() -> set[str]:
 def test_every_exported_name_is_used_by_the_package():
     unused = sorted(set(qfb.__all__) - _used_names())
     assert not unused, f"exported but unused by src/qfb (move to tests/): {unused}"
+
+
+#: Read only by the tracer of ``bench/run.py``, until ROADMAP item 4 deletes it.
+_TRACER_ONLY = {"BayesStepper.renorms"}
+
+
+def test_every_public_method_is_used_by_the_package():
+    """Each public method or property a class of ``src/qfb`` defines is read
+    as an attribute somewhere in ``src/qfb``."""
+    trees = _trees()
+    read = {
+        node.attr for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unused = sorted(
+        f"{cls.name}.{fn.name}"
+        for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and fn.name not in read
+    )
+    assert set(unused) <= _TRACER_ONLY, f"unused by src/qfb (move to tests/): {unused}"
 
 
 @pytest.mark.parametrize("runner", [run_ensemble, steady_state])

@@ -12,6 +12,8 @@ from oracle import (
     dissipation_step,
     feedback_rotation,
     measurement_backaction,
+    polar_angle,
+    radius,
     sample_readout,
 )
 from qfb import BlochState, FeedbackLaw, ModelParams, design_ideal
@@ -48,8 +50,8 @@ class TestBlochState:
     def test_polar_round_trip(self):
         s = BlochState.from_polar(0.3 * math.pi, 0.64)
         assert s.x == 0.0
-        assert s.radius == pytest.approx(0.64, abs=1e-15)
-        assert s.theta == pytest.approx(0.3 * math.pi, abs=1e-15)
+        assert radius(s) == pytest.approx(0.64, abs=1e-15)
+        assert polar_angle(s) == pytest.approx(0.3 * math.pi, abs=1e-15)
 
     def test_outside_sphere_rejected(self):
         with pytest.raises(ValueError):
@@ -179,13 +181,13 @@ class TestMeasurementBackaction:
             v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
             r = ReadoutSample(rng.normal(scale=p.readout_sigma))
             out = measurement_backaction(BlochState(*v), r, p)
-            assert out.radius <= max(np.linalg.norm(v), 1.0) + 1e-12
+            assert radius(out) <= max(np.linalg.norm(v), 1.0) + 1e-12
 
     def test_pure_state_stays_pure(self):
         p = ModelParams(tau_m=0.2, dt=0.002)
         s = BlochState.from_polar(1.1)
         out = measurement_backaction(s, ReadoutSample(3.3), p)
-        assert out.radius == pytest.approx(1.0, abs=1e-12)
+        assert radius(out) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFeedbackRotation:
@@ -276,7 +278,7 @@ class TestCompositeStep:
             r = ReadoutSample(v[2] + p.readout_sigma * rng.standard_normal())
             fed = rng.normal(scale=p.readout_sigma)
             out = composite_step(BlochState(*v), r, fed, law, p)
-            assert out.radius <= 1.0 + 1e-12
+            assert radius(out) <= 1.0 + 1e-12
 
     @staticmethod
     def _one_step_displacement(state, r_bar, law, params):
