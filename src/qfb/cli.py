@@ -31,7 +31,7 @@ design table runs nothing and reads no ``dt``.
 Every mode also writes run_meta.json: the package version, the summed
 renormalization count and the config keys the mode reads (``_READS``).
 JSON files write an infinite value (``t1 = inf``) as the string ``"inf"``
-and refuse to write a NaN.
+and refuse a NaN by file and field, as ``peaks.json: r_e is NaN``.
 
 ``threads`` is the ``workers`` of :func:`qfb.engine.run_ensemble`: no
 output byte depends on it, and the default 1 starts no process.  A worker
@@ -275,21 +275,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_ready(obj):
+def _json_ready(obj, where: str):
+    """``obj`` with its floats as JSON prints them; ``where`` names it when a
+    NaN is refused."""
     if isinstance(obj, float):
+        if math.isnan(obj):
+            raise ValueError(f"{where} is NaN")
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"  # JSON has no infinity
         return float(f"{obj:.9g}")
     if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
+        return {k: _json_ready(v, f"{where}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
+        return [_json_ready(v, f"{where}[{i}]") for i, v in enumerate(obj)]
     return obj
 
 
-def _json(payload: dict) -> str:
-    """Sorted, indented JSON; infinities as "inf"/"-inf", and a NaN raises."""
-    return json.dumps(_json_ready(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _json(name: str, payload: dict) -> str:
+    """Sorted, indented JSON for the file ``name``; infinities as "inf"/"-inf",
+    and a NaN is refused as ``<name>: <field> is NaN``."""
+    ready = {k: _json_ready(v, f"{name}: {k}") for k, v in payload.items()}
+    return json.dumps(ready, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv(header: list[str], rows) -> str:
@@ -440,7 +446,7 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
                 ["y_bin", "z_bin", "count"],
                 ((centers[i], centers[j], int(counts[i, j])) for i, j in zip(iy, iz)),
             ))
-            write("peaks.json", _json({
+            write("peaks.json", _json("peaks.json", {
                 **asdict(summary.peak),
                 "r_e": summary.r_mean,
                 "n_samples": int(counts.sum()),
@@ -458,8 +464,8 @@ def _execute_inner(cfg: RunConfig, out_dir: Path, written: list[Path]) -> None:
             ((theta, law.delta0, law.delta1, r_target) for _, theta, law, r_target in points),
         ))
     if cfg.mode in _SWEEP_AXIS:
-        write("peaks.json", _json({"sweep": _SWEEP_AXIS[cfg.mode], "rows": rows}))
-    write("run_meta.json", _json(meta))
+        write("peaks.json", _json("peaks.json", {"sweep": _SWEEP_AXIS[cfg.mode], "rows": rows}))
+    write("run_meta.json", _json("run_meta.json", meta))
 
 
 def _build_parser() -> argparse.ArgumentParser:

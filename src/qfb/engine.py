@@ -19,9 +19,9 @@ the task writes its int32 histogram bin (:func:`bin_index`) and adds
 (y, z) to its trajectory's running sum, 4 bytes per sample and 16 per
 trajectory, and no sample itself is kept.
 With ``workers = 1`` (the default) the tasks run one after another in
-the calling process and no process is started; with more, they run in
-that many forked worker processes that write into anonymous shared
-memory, and only task numbers cross a pipe.
+the calling process and no process is started; with more, that many
+plain forked children (no process pool) pull task numbers from one pipe
+until it is empty and write into anonymous shared memory.
 
 The noise is float32 and keyed by groups of ``STREAM_GROUP`` (8)
 trajectories: trajectory i draws from the Philox stream keyed
@@ -57,8 +57,11 @@ noise fills and step calls.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
+import os
+import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -465,43 +468,52 @@ def _run_chunk(
     renorms[:] = batch.point_renorms
 
 
-#: The tasks of a worker process, set when the worker starts.
-_TASKS: list = []
-
-
-def _adopt(tasks: list) -> None:
-    global _TASKS
-    _TASKS = tasks
-
-
-def _run_adopted(task: int) -> None:
-    _TASKS[task]()
+def _work(tasks: list, todo, todo_w, report_w) -> None:
+    """A forked child's life: run the tasks numbered in ``todo``; never returns."""
+    try:
+        todo_w.close()  # the pipe empties only once every write end is closed
+        while number := todo.read(4):
+            tasks[int.from_bytes(number, "little")]()
+        os._exit(0)
+    except BaseException as exc:  # an interrupt too: the parent raises it
+        report_w.write(pickle.dumps(exc))
+    finally:
+        os._exit(1)
 
 
 def _run_tasks(tasks: list, workers: int) -> None:
-    """Call every task: in this process when one worker suffices, otherwise
-    in ``workers`` forked processes, all of them shut down and reaped
-    before this returns.  A task's exception re-raises here."""
+    """Call every task: in this process when one worker suffices, otherwise in
+    ``workers`` plain forked children that pull task numbers, in order, from one
+    pipe until it is empty, all reaped before this returns; a task's exception re-raises."""
     workers = min(workers, len(tasks))
     if workers == 1:
         for task in tasks:
             task()
         return
-    import multiprocessing
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-    # a forked worker inherits the tasks (and the shared buffers) unpickled
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt, initargs=(tasks,),
-    )
+    todo, todo_w = map(open, os.pipe(), ("rb", "wb"), (0, 0))  # unbuffered
+    report, report_w = map(open, os.pipe(), ("rb", "wb"), (0, 0))
+    pids = []
     try:
-        for _ in pool.map(_run_adopted, range(len(tasks))):
-            pass
-    except BrokenExecutor as exc:
-        raise WorkerError(f"a worker process died: {exc}") from exc
+        with todo, report_w:  # a forked child inherits the tasks and the shared buffers
+            for _ in range(workers):
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _work(tasks, todo, todo_w, report_w)
+        with todo_w, contextlib.suppress(BrokenPipeError):  # no child is left to read
+            for k in range(len(tasks)):
+                todo_w.write(k.to_bytes(4, "little"))  # atomic: below PIPE_BUF
+        failure = report.read()  # until every child has exited
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        todo_w.close()  # a child still reading finds the pipe empty
+        report.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if failure:
+        raise pickle.loads(failure)  # the first report; any later one is ignored
+    for code in filter(None, codes):
+        import signal  # only a run whose worker died pays for the import
+
+        died = f"exit code {code}" if code > 0 else f"signal {signal.Signals(-code).name}"
+        raise WorkerError(f"a worker process died with {died}")
 
 
 def run_ensemble(
@@ -546,15 +558,15 @@ def run_ensemble(
     ``burn_in`` for the fields of ``steady`` and ``Td`` for a delay.
 
     ``workers`` is the number of processes that run the tasks, 1 to
-    ``MAX_WORKERS``; more than 1 needs the ``fork`` start method.  Each
-    task runs a range of trajectories at every point.  The ranges are the
-    ``CHUNK_SIZE`` chunks, and while their count is not a multiple of N
-    workers, the smallest range of more than ``PAIRWISE_BLOCK``
-    trajectories is cut in two at its pairwise split, so a sweep that
-    fits in one chunk, or a run whose last chunk is short, still keeps N
-    workers busy.  ``workers = 1`` cuts nothing and starts no process.
-    Every result bit is the same for any ``workers``; a worker that dies
-    raises :class:`WorkerError`.
+    ``MAX_WORKERS``; more than 1 are plain forked children that pull task
+    numbers from one pipe.  Each task runs a range of trajectories at every
+    point: the ``CHUNK_SIZE`` chunks, and while their count is not a multiple
+    of N workers, the smallest range of more than ``PAIRWISE_BLOCK``
+    trajectories is cut in two at its pairwise split, so a sweep that fits in
+    one chunk, or a run whose last chunk is short, still keeps N workers busy.
+    ``workers = 1`` cuts nothing and starts no process.  Every result bit is
+    the same for any ``workers``; a task's exception in a worker re-raises
+    here, and a worker that dies without one raises :class:`WorkerError`.
     """
     if isinstance(initials, BlochState):
         raise ValueError(f"initials: expected a sequence of states, one per law, got {initials!r}")
@@ -571,11 +583,8 @@ def run_ensemble(
         raise ValueError(f"n_traj: must be >= 1, got {n_traj}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers: must lie in [1, {MAX_WORKERS}], got {workers}")
-    if workers > 1:
-        import multiprocessing  # only runs with several workers pay for the import
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ValueError("workers: more than 1 needs the fork start method")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError("workers: more than 1 needs the fork start method")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed: must fit in an unsigned 64-bit integer, got {seed}")
     n_steps = steps_for(total_time, params.dt)

@@ -239,9 +239,11 @@ class TestExecute:
     def test_a_nan_is_refused_instead_of_written(self):
         from qfb.cli import _json
 
-        with pytest.raises(ValueError):
-            _json({"r_e": math.nan})
-        assert _json({"v": -math.inf}) == '{\n  "v": "-inf"\n}\n'
+        with pytest.raises(ValueError, match=r"^peaks\.json: r_e is NaN$"):
+            _json("peaks.json", {"r_e": math.nan})
+        with pytest.raises(ValueError, match=r"^peaks\.json: rows\[3\]\.r_e is NaN$"):
+            _json("peaks.json", {"rows": [{"r_e": 0.5}] * 3 + [{"r_e": math.nan}]})
+        assert _json("run_meta.json", {"v": -math.inf}) == '{\n  "v": "-inf"\n}\n'
 
     def test_histogram_outputs(self, tmp_path):
         cfg = parse_config(
@@ -341,7 +343,7 @@ class TestExecute:
                 "delta0": law.delta0, "delta1": law.delta1,
                 "theta_p": s.peak.theta_p, "r_p": s.peak.r_p, "r_e": s.r_mean,
                 "sigma": s.peak.sigma, "n_lobes": len(s.peak.lobes),
-            })
+            }, "row")
 
     def test_sweeps_honour_burn_in_and_sample_every(self, tmp_path):
         def peaks(name, **kw):
@@ -407,10 +409,7 @@ class TestExecute:
     def _outputs_across_threads_and_dirs(tmp_path, monkeypatch, chunk_size=16, **kw):
         """Every written file for threads 1 and 4, with the noise drawn in one
         block, in blocks of 16 steps and in windows of 5 steps for a whole
-        chunk (longer for a smaller task), each run in its own directory; no
-        worker process outlives its run."""
-        import multiprocessing
-
+        chunk (longer for a smaller task), each run in its own directory."""
         import qfb.engine as eng
 
         monkeypatch.setattr(eng, "CHUNK_SIZE", chunk_size)  # by default several chunks per run
@@ -423,7 +422,6 @@ class TestExecute:
                 out = tmp_path / f"blocks{block_steps}-window{window}-threads{threads}"
                 cfg = parse_config(None, small_overrides(out, threads=threads, **kw))
                 written = execute(cfg)
-                assert multiprocessing.active_children() == []
                 assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in written)
                 outputs.append({p.name: p.read_bytes() for p in written})
         return outputs
@@ -603,6 +601,19 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
         assert [p.name for p in tmp_path.iterdir()] == ["peaks.json"]  # hist.csv went
         assert sentinel.read_text() == "keep\n"
+
+    def test_a_nan_result_is_refused_by_file_and_field(self, tmp_path, monkeypatch, capsys):
+        import qfb.stats
+
+        summarize = qfb.stats.summarize
+        monkeypatch.setattr(
+            qfb.stats, "summarize", lambda result: replace(summarize(result), r_mean=math.nan)
+        )
+        argv = ["--mode", "histogram", "--theta-target", "0.3pi", "--dt", "0.01",
+                "--total-time", "3", "--n-traj", "5", "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: peaks.json: r_e is NaN\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_cli_error_exit(self, tmp_path, capsys):
         rc = main(["--mode", "ensemble", "--out", str(tmp_path)])
@@ -840,13 +851,10 @@ TWO_WORKERS = ["--mode", "sweep-filter", "--theta-target", "0.3pi", "--dt", "0.0
 
 
 def test_most_threads_are_accepted(tmp_path):
-    import multiprocessing
-
     # one law in one chunk is one task, so no process starts
     overrides = small_overrides(tmp_path, mode="histogram", total_time=3.0, n_traj=5, threads=64)
     written = execute(parse_config(None, overrides))
     assert [p.name for p in written] == ["hist.csv", "peaks.json", "run_meta.json"]
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("key, overrides", [
@@ -872,9 +880,7 @@ def test_parse_config_leaves_range_checks_to_execute(key, overrides, tmp_path, m
 
 
 def test_threads_need_fork(tmp_path, capsys, monkeypatch):
-    import multiprocessing
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")  # a platform that cannot fork, such as Windows
     assert parse_config(None, small_overrides(tmp_path, threads=1)).threads == 1
     out = tmp_path / "out"
     assert main(TWO_WORKERS + ["--out", str(out)]) == 1
@@ -883,9 +889,6 @@ def test_threads_need_fork(tmp_path, capsys, monkeypatch):
 
 
 def test_a_worker_error_reraises_in_the_caller(tmp_path, capsys, monkeypatch):
-    import multiprocessing
-    import os
-
     caller = os.getpid()
 
     def exhausted(*task):
@@ -895,16 +898,12 @@ def test_a_worker_error_reraises_in_the_caller(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("qfb.engine._run_chunk", exhausted)
     out = tmp_path / "a" / "out"
     rc = main(TWO_WORKERS + ["--out", str(out)])
-    assert multiprocessing.active_children() == []
     assert rc == 1
     assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array\n"
     assert not (tmp_path / "a").exists()
 
 
 def test_a_worker_that_dies_fails_the_run_by_key(tmp_path, capsys, monkeypatch):
-    import multiprocessing
-    import os
-
     caller = os.getpid()
 
     def dies(*task):
@@ -915,11 +914,27 @@ def test_a_worker_that_dies_fails_the_run_by_key(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("qfb.engine._run_chunk", dies)
     out = tmp_path / "a" / "out"
     rc = main(TWO_WORKERS + ["--out", str(out)])
-    assert multiprocessing.active_children() == []
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: threads: a worker process died") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "a").exists()
+
+
+def test_a_worker_killed_by_a_signal_fails_the_run_naming_it(tmp_path, capsys, monkeypatch):
+    import signal
+
+    caller = os.getpid()
+
+    def killed(*task):
+        if os.getpid() != caller:  # never end the caller itself
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("a task ran in the caller")
+
+    monkeypatch.setattr("qfb.engine._run_chunk", killed)
+    out = tmp_path / "a" / "out"
+    assert main(TWO_WORKERS + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: threads: a worker process died with signal SIGKILL\n"
     assert not (tmp_path / "a").exists()
 
 
@@ -1032,12 +1047,13 @@ def test_largest_histogram_is_accepted(tmp_path):
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
-    """Neither the import nor a one-worker run loads scipy or any process
-    machinery, which only a run with several workers pays for."""
+    """Neither the import, nor a one-worker run, nor a sweep that forks two
+    workers loads scipy or any process machinery: the workers are plain
+    forked children."""
     import subprocess
     import sys
 
-    out = tmp_path / "out"
+    out, sweep = tmp_path / "out", tmp_path / "sweep"
     code = (
         "import sys, warnings, qfb.cli\n"
         "heavy = lambda: sorted({'scipy', 'multiprocessing', 'concurrent.futures'}"
@@ -1047,13 +1063,17 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
         "qfb.cli.execute(qfb.cli.parse_config(None, dict(mode='histogram', threads=1,"
         f" theta_target='0.3pi', dt=0.01, total_time=3.0, n_traj=5, out={str(out)!r})))\n"
         "print(heavy())\n"
+        "qfb.cli.execute(qfb.cli.parse_config(None, dict(mode='sweep-filter', threads=2,"
+        " theta_target='0.3pi', dt=0.01, total_time=3.0, n_traj=200, sweep_values='0,0.5',"
+        f" out={str(sweep)!r})))\n"
+        "print(heavy())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(REPO / "src")},
     )
-    assert proc.stdout.splitlines() == ["[]", "[]"]
-    assert (out / "hist.csv").is_file()
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+    assert (out / "hist.csv").is_file() and (sweep / "peaks.json").is_file()
 
 
 def test_numpy_random_stays_out_of_the_parent(tmp_path):

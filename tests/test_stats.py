@@ -1,6 +1,7 @@
 """Histograms, peak/lobe detection, summaries, batched steady states."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -277,12 +278,10 @@ class TestSummaryAndSweeps:
         assert first.renorm_count == second.renorm_count == alone.renorm_count
 
     def test_no_laws_are_refused_before_any_worker_starts(self, monkeypatch):
-        import concurrent.futures
+        def no_fork():
+            raise AssertionError("a worker process was forked")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         run = dict(n_traj=5, total_time=3.0, steady=SteadySampling(2.0, 0.2), workers=2)
         with pytest.raises(ValueError, match="0 initial states for 0 laws"):
             list(steady_state([], [], NONIDEAL_COARSE, **run))
